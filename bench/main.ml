@@ -722,12 +722,11 @@ let micro () =
   let open Toolkit in
   let cache_bench =
     let c = Ditto_uarch.Cache.create ~size_bytes:32768 ~assoc:8 () in
-    let hit = ref false in
     let i = ref 0 in
     Test.make ~name:"cache.access"
       (Staged.stage (fun () ->
            incr i;
-           Ditto_uarch.Cache.access c (!i * 64) ~hit))
+           ignore (Ditto_uarch.Cache.access c (!i * 64))))
   in
   let predictor_bench =
     let bp = Ditto_uarch.Branch_pred.create ~entries:16384 ~btb_entries:4096 () in
@@ -764,13 +763,51 @@ let micro () =
     Test.make ~name:"core.6400-insts"
       (Staged.stage (fun () -> Ditto_uarch.Core_model.exec_block core ~rng block ~iterations:100))
   in
+  (* The same 64-temp block shape with every template a load from a 16 MB
+     region at uniformly random lines: the TLB, cache-hierarchy and RNG
+     side of the measure layer. *)
+  let core_loads_bench =
+    let mem = Ditto_uarch.Memory.create Platform.a ~ncores:1 in
+    let core = Ditto_uarch.Core_model.create mem ~core:0 in
+    let region = Ditto_isa.Block.make_region ~base:0x10000000 ~bytes:(1 lsl 24) ~shared:false in
+    let block =
+      Ditto_isa.Block.make ~label:"bench-loads" ~code_base:0x100000
+        (List.init 64 (fun i ->
+             Ditto_isa.Block.temp
+               (Ditto_isa.Iform.by_name "MOV_GPR64_MEM")
+               ~dst:(i mod 8)
+               ~mem:(Ditto_isa.Block.Rand_uniform { region; start = 0; span = 1 lsl 24 })))
+    in
+    let rng = Ditto_util.Rng.create 1 in
+    Test.make ~name:"core.6400-loads"
+      (Staged.stage (fun () -> Ditto_uarch.Core_model.exec_block core ~rng block ~iterations:100))
+  in
+  (* A sequential read of twice the cache's capacity: under LRU every page
+     misses and evicts, the path Measure.run's page-cache warm-up takes. *)
+  let page_cache_bench =
+    let capacity_bytes = 16 lsl 20 in
+    let pc = Ditto_os.Page_cache.create ~capacity_bytes in
+    Test.make ~name:"page_cache.warm"
+      (Staged.stage (fun () ->
+           ignore (Ditto_os.Page_cache.read pc ~offset:0 ~bytes:(2 * capacity_bytes))))
+  in
   let gen_bench =
     let app = Ditto_apps.Redis.spec () in
     let profile = Ditto_profile.Tier_profile.profile_app ~requests:30 ~seed:7 app in
     Test.make ~name:"gen.clone-redis"
       (Staged.stage (fun () -> ignore (Ditto_gen.Clone.synth_app profile)))
   in
-  let tests = [ cache_bench; predictor_bench; engine_bench; core_bench; gen_bench ] in
+  let tests =
+    [
+      cache_bench;
+      predictor_bench;
+      engine_bench;
+      core_bench;
+      core_loads_bench;
+      page_cache_bench;
+      gen_bench;
+    ]
+  in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in

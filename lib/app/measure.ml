@@ -333,8 +333,13 @@ let run ?(config = default_config) ~(machine : Machine.t) ~seed ~requests tiers 
       tiers
   in
   (* Bring the page cache to steady state: a long-running service has it
-     full. For uniform access, caching the file's first [capacity] bytes
-     yields the steady-state hit ratio under LRU. *)
+     full. Each hosted tier's file is read once from offset 0, so under LRU
+     the cache ends up holding the last [capacity] pages read: the tail of
+     the last file, plus the tails of earlier ones when that file is
+     smaller than the cache. Under uniform access any [capacity] resident
+     pages give the steady-state hit ratio. Page ids are machine-wide file
+     offsets, so the files of co-located tiers alias one another
+     (DESIGN.md §10). *)
   List.iter
     (fun (tier, _) ->
       let file = tier.Spec.file_bytes in

@@ -72,7 +72,6 @@ let observer ?(live = ref true) ~max_log2 () =
   let sizes = List.init (max_log2 - min_log2 + 1) (fun i -> min_log2 + i) in
   let d_caches = List.map (fun l -> (l, sweep_cache l, ref 0)) sizes in
   let i_caches = List.map (fun l -> (l, sweep_cache l, ref 0)) sizes in
-  let hit = ref false in
   let d_total = ref 0 and i_total = ref 0 in
   let writes = ref 0 and shared = ref 0 and regular = ref 0 and loads = ref 0 in
   let requests = ref 0 in
@@ -86,8 +85,7 @@ let observer ?(live = ref true) ~max_log2 () =
       if !live then incr i_total;
       List.iter
         (fun (_, c, hits) ->
-          Cache.access c line ~hit;
-          if !hit && !live then incr hits)
+          if Cache.access c line && !live then incr hits)
         i_caches
     end;
     (* Data side. *)
@@ -119,8 +117,7 @@ let observer ?(live = ref true) ~max_log2 () =
         let dline = addr land lnot (Cache.line_bytes - 1) in
         List.iter
           (fun (_, c, hits) ->
-            Cache.access c dline ~hit;
-            if !hit && !live then incr hits)
+            if Cache.access c dline && !live then incr hits)
           d_caches
       in
       if klass = Iclass.Rep_string then begin

@@ -57,18 +57,21 @@ let sets t = t.sets
 let set_of t addr = (addr lsr 6) land (t.sets - 1)
 let tag_of addr = addr lsr 6
 
-(* Indices are in range by construction ([set] is masked, [w < assoc]),
-   so the way scan — the single hottest loop in the cache model — skips
-   bounds checks. *)
+(* First way in [w, stop) of the flat tag array holding [tag], or -1.
+   Indices are in range by construction ([set] is masked, [w < assoc]), so
+   the way scan — the single hottest loop in the cache model — skips
+   bounds checks. A top-level function rather than a local closure, so a
+   lookup allocates nothing; the annotations keep the compare on ints
+   rather than the polymorphic compare. *)
+let rec scan (tags : int array) (tag : int) (w : int) (stop : int) =
+  if w >= stop then -1
+  else if Array.unsafe_get tags w = tag then w
+  else scan tags tag (w + 1) stop
+
 let find_way t set tag =
   let base = set * t.assoc in
-  let tags = t.tags in
-  let rec go w =
-    if w >= t.assoc then -1
-    else if Array.unsafe_get tags (base + w) = tag then w
-    else go (w + 1)
-  in
-  go 0
+  let w = scan t.tags tag base (base + t.assoc) in
+  if w < 0 then -1 else w - base
 
 (* Tree-PLRU: follow the direction bits down a (log2 assoc)-deep tree to the
    victim leaf; touching a way repoints the bits on its path away from it. *)
@@ -116,30 +119,26 @@ let touch t set way =
   Array.unsafe_set t.stamps ((set * t.assoc) + way) t.tick;
   if t.use_plru then plru_touch t set way
 
-let access t addr ~hit =
+let access t addr =
   t.dirty <- true;
   let set = set_of t addr and tag = tag_of addr in
   let way = find_way t set tag in
   if way >= 0 then begin
-    hit := true;
-    touch t set way
+    touch t set way;
+    true
   end
   else begin
-    hit := false;
     let victim =
       if t.use_plru then begin
-        let base = set * t.assoc in
-        let rec first_invalid w =
-          if w >= t.assoc then plru_victim t set
-          else if t.tags.(base + w) = -1 then w
-          else first_invalid (w + 1)
-        in
-        first_invalid 0
+        (* Fill an invalid way first; only a full set consults the tree. *)
+        let w = find_way t set (-1) in
+        if w >= 0 then w else plru_victim t set
       end
       else lru_victim t set
     in
     t.tags.((set * t.assoc) + victim) <- tag;
-    touch t set victim
+    touch t set victim;
+    false
   end
 
 let probe t addr =

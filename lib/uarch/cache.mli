@@ -18,9 +18,9 @@ val size_bytes : t -> int
 val assoc : t -> int
 val sets : t -> int
 
-val access : t -> int -> hit:bool ref -> unit
-(** [access t addr ~hit] looks the line up, updates replacement state and
-    fills on miss; [hit] is set accordingly. *)
+val access : t -> int -> bool
+(** [access t addr] looks the line up, updates replacement state and fills
+    on miss; returns whether it hit. *)
 
 val probe : t -> int -> bool
 (** Lookup without updating replacement state or filling. *)

@@ -1,5 +1,23 @@
 open Ditto_isa
 
+(* The per-core float state lives in its own all-float record, stored flat
+   like [Counters.slots]: the per-instruction updates in [exec_block] are
+   raw double stores, with no box allocation and no [caml_modify]. *)
+type clock = {
+  mutable next_issue : float;
+  mutable fetch_avail : float;
+  mutable resteer_until : float;
+  mutable max_done : float;
+  mutable last_lock_done : float;
+  mutable width_factor : float;
+  (* What the execute stage hands back to the rest of [exec_block] for the
+     current instruction: when the next one may issue and when this one
+     completes. Written by [exec_rep_string] and the memory branch instead
+     of returning a tuple. *)
+  mutable issue_after : float;
+  mutable done_t : float;
+}
+
 type t = {
   mem : Memory.t;
   plat : Platform.t;
@@ -10,13 +28,8 @@ type t = {
   rob : float array;
   mutable rob_pos : int;
   mshr : float array;
-  mutable next_issue : float;
-  mutable fetch_avail : float;
-  mutable resteer_until : float;
-  mutable max_done : float;
+  c : clock;
   mutable last_fetch_line : int;
-  mutable last_lock_done : float;
-  mutable width_factor : float;
   (* Whether any block executed since the last [reset]; untouched cores
      skip the (large) predictor/ROB array fills on reset. *)
   mutable used : bool;
@@ -36,13 +49,18 @@ let create mem ~core =
     rob = Array.make plat.Platform.rob_size 0.0;
     rob_pos = 0;
     mshr = Array.make 10 0.0;
-    next_issue = 0.0;
-    fetch_avail = 0.0;
-    resteer_until = 0.0;
-    max_done = 0.0;
+    c =
+      {
+        next_issue = 0.0;
+        fetch_avail = 0.0;
+        resteer_until = 0.0;
+        max_done = 0.0;
+        last_lock_done = 0.0;
+        width_factor = 1.0;
+        issue_after = 0.0;
+        done_t = 0.0;
+      };
     last_fetch_line = -1;
-    last_lock_done = 0.0;
-    width_factor = 1.0;
     used = false;
   }
 
@@ -59,17 +77,20 @@ let reset t =
     t.used <- false
   end;
   t.rob_pos <- 0;
-  t.next_issue <- 0.0;
-  t.fetch_avail <- 0.0;
-  t.resteer_until <- 0.0;
-  t.max_done <- 0.0;
-  t.last_fetch_line <- -1;
-  t.last_lock_done <- 0.0;
-  t.width_factor <- 1.0
+  let c = t.c in
+  c.next_issue <- 0.0;
+  c.fetch_avail <- 0.0;
+  c.resteer_until <- 0.0;
+  c.max_done <- 0.0;
+  c.last_lock_done <- 0.0;
+  c.width_factor <- 1.0;
+  c.issue_after <- 0.0;
+  c.done_t <- 0.0;
+  t.last_fetch_line <- -1
 
 let counters t = Memory.counters t.mem t.core
 let platform t = t.plat
-let set_width_factor t f = t.width_factor <- Float.max 0.1 f
+let set_width_factor t f = t.c.width_factor <- Float.max 0.1 f
 
 (* Branchy float max/min for the hot loop: [Stdlib.Float.max] handles NaN
    and signed zeros (via [signbit]) that simulated timestamps — finite,
@@ -77,10 +98,10 @@ let set_width_factor t f = t.width_factor <- Float.max 0.1 f
    value-identical here and compile to a compare and a move. *)
 let[@inline] fmax (a : float) (b : float) = if a > b then a else b
 let[@inline] fmin (a : float) (b : float) = if a < b then a else b
-let now t = fmax t.next_issue t.max_done
-let drain t = t.next_issue <- now t
+let now t = fmax t.c.next_issue t.c.max_done
+let drain t = t.c.next_issue <- now t
 
-let effective_width t = float_of_int t.plat.Platform.issue_width *. t.width_factor
+let effective_width t = float_of_int t.plat.Platform.issue_width *. t.c.width_factor
 
 let choose_port t mask =
   let best = ref 0 and best_t = ref infinity in
@@ -123,12 +144,14 @@ let exec_rep_string t ~width addr shared ~write_only ~count start =
     cs.Counters.retiring <- cs.Counters.retiring +. 2.0;
     ctr.Counters.uops <- ctr.Counters.uops + 2
   done;
-  (!issue, !done_t)
+  t.c.issue_after <- !issue;
+  t.c.done_t <- !done_t
 
 let exec_block t ~rng (block : Block.t) ~iterations =
   t.used <- true;
   let width = effective_width t in
   let plat = t.plat in
+  let c = t.c in
   let ctr = Memory.counters t.mem t.core in
   let cs = ctr.Counters.s in
   let rob_len = Array.length t.rob in
@@ -139,19 +162,19 @@ let exec_block t ~rng (block : Block.t) ~iterations =
       let temp = Array.unsafe_get block.Block.temps k in
       let iform = temp.Block.iform in
       let pc = Array.unsafe_get block.Block.addrs k in
-      let base = t.next_issue in
+      let base = c.next_issue in
       (* Instruction fetch: one i-cache access per new line. *)
       let line = pc land lnot (Cache.line_bytes - 1) in
       if line <> t.last_fetch_line then begin
         t.last_fetch_line <- line;
         let bubble = Memory.access_inst t.mem ~core:t.core ~addr:pc in
-        if bubble > 0 then t.fetch_avail <- fmax t.fetch_avail base +. float_of_int bubble
+        if bubble > 0 then c.fetch_avail <- fmax c.fetch_avail base +. float_of_int bubble
       end;
-      let f = fmax base t.fetch_avail in
+      let f = fmax base c.fetch_avail in
       (* Attribute the fetch gap: resteer shadow counts as bad speculation. *)
       let gap = f -. base in
       if gap > 0.0 then begin
-        let bad = fmax 0.0 (fmin f t.resteer_until -. base) in
+        let bad = fmax 0.0 (fmin f c.resteer_until -. base) in
         cs.Counters.bad_spec <- cs.Counters.bad_spec +. (bad *. width);
         cs.Counters.frontend <- cs.Counters.frontend +. ((gap -. bad) *. width)
       end;
@@ -175,57 +198,52 @@ let exec_block t ~rng (block : Block.t) ~iterations =
       cs.Counters.backend <- cs.Counters.backend +. ((start -. f) *. width);
       let klass = iform.Iform.klass in
       ctr.Counters.insts <- ctr.Counters.insts + 1;
-      let issue_after, done_t =
-        if klass = Iclass.Rep_string then begin
-          let packed = Block.resolve_mem_packed ~rng temp in
-          let addr = packed asr 1 and shared = packed land 1 = 1 in
-          let addr = if addr < 0 then 0 else addr in
-          let write_only = temp.Block.srcs = [||] in
-          exec_rep_string t ~width addr shared ~write_only
-            ~count:(max Cache.line_bytes temp.Block.rep_count)
-            start
-        end
-        else begin
-          (* Memory operand. *)
-          let mem_lat =
-            match temp.Block.mem with
-            | Block.No_mem -> 0
-            | _ ->
-                let packed = Block.resolve_mem_packed ~rng temp in
-                let addr = packed asr 1 and shared = packed land 1 = 1 in
-                let write = Iclass.is_memory_write klass && not (Iclass.is_memory_read klass) in
-                let lat = Memory.access_data t.mem ~core:t.core ~addr ~write ~shared in
-                if klass = Iclass.Lock_rmw then
-                  ignore (Memory.access_data t.mem ~core:t.core ~addr ~write:true ~shared)
-                else ();
-                if write then 0 (* store latency hidden by the store buffer *) else lat
-          in
-          let start =
-            if mem_lat > plat.Platform.lat_l2 then mshr_admit t start (float_of_int mem_lat)
-            else start
-          in
-          let start =
-            if klass = Iclass.Lock_rmw then begin
-              let s = fmax start t.last_lock_done in
-              s
-            end
-            else start
-          in
-          let exec_lat = float_of_int (iform.Iform.latency + mem_lat) in
-          let done_t = start +. fmax 1.0 exec_lat in
-          if klass = Iclass.Lock_rmw then t.last_lock_done <- done_t;
-          (* Port occupancy: dividers are unpipelined. *)
-          let occupancy =
-            match klass with
-            | Iclass.Int_div | Iclass.Float_div -> float_of_int iform.Iform.latency *. 0.6
-            | _ -> 1.0
-          in
-          Array.unsafe_set t.port_free port (start +. occupancy);
-          ctr.Counters.uops <- ctr.Counters.uops + iform.Iform.uops;
-          cs.Counters.retiring <- cs.Counters.retiring +. float_of_int iform.Iform.uops;
-          (start +. (float_of_int iform.Iform.uops /. width), done_t)
-        end
-      in
+      (* Execute: sets [c.issue_after] and [c.done_t]. *)
+      if klass = Iclass.Rep_string then begin
+        let packed = Block.resolve_mem_packed ~rng temp in
+        let addr = packed asr 1 and shared = packed land 1 = 1 in
+        let addr = if addr < 0 then 0 else addr in
+        let write_only = Array.length temp.Block.srcs = 0 in
+        exec_rep_string t ~width addr shared ~write_only
+          ~count:(max Cache.line_bytes temp.Block.rep_count)
+          start
+      end
+      else begin
+        (* Memory operand. *)
+        let mem_lat =
+          match temp.Block.mem with
+          | Block.No_mem -> 0
+          | _ ->
+              let packed = Block.resolve_mem_packed ~rng temp in
+              let addr = packed asr 1 and shared = packed land 1 = 1 in
+              let write = Iclass.is_memory_write klass && not (Iclass.is_memory_read klass) in
+              let lat = Memory.access_data t.mem ~core:t.core ~addr ~write ~shared in
+              if klass = Iclass.Lock_rmw then
+                ignore (Memory.access_data t.mem ~core:t.core ~addr ~write:true ~shared)
+              else ();
+              if write then 0 (* store latency hidden by the store buffer *) else lat
+        in
+        let start =
+          if mem_lat > plat.Platform.lat_l2 then mshr_admit t start (float_of_int mem_lat)
+          else start
+        in
+        let start = if klass = Iclass.Lock_rmw then fmax start c.last_lock_done else start in
+        let exec_lat = float_of_int (iform.Iform.latency + mem_lat) in
+        let done_t = start +. fmax 1.0 exec_lat in
+        if klass = Iclass.Lock_rmw then c.last_lock_done <- done_t;
+        (* Port occupancy: dividers are unpipelined. *)
+        let occupancy =
+          match klass with
+          | Iclass.Int_div | Iclass.Float_div -> float_of_int iform.Iform.latency *. 0.6
+          | _ -> 1.0
+        in
+        Array.unsafe_set t.port_free port (start +. occupancy);
+        ctr.Counters.uops <- ctr.Counters.uops + iform.Iform.uops;
+        cs.Counters.retiring <- cs.Counters.retiring +. float_of_int iform.Iform.uops;
+        c.issue_after <- start +. (float_of_int iform.Iform.uops /. width);
+        c.done_t <- done_t
+      end;
+      let done_t = c.done_t in
       (* Branch resolution. *)
       (match temp.Block.branch with
       | Some spec when klass = Iclass.Branch_cond ->
@@ -240,12 +258,12 @@ let exec_block t ~rng (block : Block.t) ~iterations =
           | `Mispredict ->
               ctr.Counters.mispredicts <- ctr.Counters.mispredicts + 1;
               let redirect = done_t +. float_of_int plat.Platform.mispredict_penalty in
-              t.fetch_avail <- fmax t.fetch_avail redirect;
-              t.resteer_until <- fmax t.resteer_until redirect
+              c.fetch_avail <- fmax c.fetch_avail redirect;
+              c.resteer_until <- fmax c.resteer_until redirect
           | `Btb_miss ->
               ctr.Counters.btb_misses <- ctr.Counters.btb_misses + 1;
               let redirect = start +. float_of_int plat.Platform.btb_miss_penalty in
-              t.fetch_avail <- fmax t.fetch_avail redirect)
+              c.fetch_avail <- fmax c.fetch_avail redirect)
       | Some _ | None ->
           if Iclass.is_control klass then begin
             ctr.Counters.branches <- ctr.Counters.branches + 1;
@@ -254,15 +272,15 @@ let exec_block t ~rng (block : Block.t) ~iterations =
             | `Btb_miss ->
                 ctr.Counters.btb_misses <- ctr.Counters.btb_misses + 1;
                 let redirect = start +. float_of_int plat.Platform.btb_miss_penalty in
-                t.fetch_avail <- fmax t.fetch_avail redirect
+                c.fetch_avail <- fmax c.fetch_avail redirect
           end);
       (* Writeback and retirement bookkeeping. *)
       if temp.Block.dst >= 0 then Array.unsafe_set t.reg_ready temp.Block.dst done_t;
       Array.unsafe_set t.rob t.rob_pos done_t;
       let rp = t.rob_pos + 1 in
       t.rob_pos <- (if rp = rob_len then 0 else rp);
-      if done_t > t.max_done then t.max_done <- done_t;
-      t.next_issue <- fmax t.next_issue issue_after
+      if done_t > c.max_done then c.max_done <- done_t;
+      c.next_issue <- fmax c.next_issue c.issue_after
     done
   done;
   cs.Counters.cycles <- cs.Counters.cycles +. fmax 0.0 (now t -. before)

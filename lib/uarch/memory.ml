@@ -1,63 +1,4 @@
-(* Coherence directory for shared lines: line -> (owner core, dirty),
-   packed as [owner lsl 1 lor dirty] in an open-addressed int table. The
-   directory sits on the per-access hot path; a Hashtbl here cost a
-   polymorphic hash, an option plus a tuple allocation per lookup and a
-   bucket rewrite per replace. Keys store [line + 1] so 0 can mean empty. *)
-type directory = {
-  mutable dir_keys : int array;
-  mutable dir_vals : int array;
-  mutable dir_mask : int;
-  mutable dir_count : int;
-}
-
-let dir_create n =
-  { dir_keys = Array.make n 0; dir_vals = Array.make n 0; dir_mask = n - 1; dir_count = 0 }
-
-let[@inline] dir_hash line mask =
-  let h = line * 0x9E3779B1 in
-  (h lxor (h lsr 16)) land mask
-
-let rec dir_slot keys mask key i =
-  let k = Array.unsafe_get keys i in
-  if k = 0 || k = key then i else dir_slot keys mask key ((i + 1) land mask)
-
-(* Packed (owner, dirty) for [line], or -1 if the line has no owner. *)
-let dir_find d line =
-  let key = line + 1 in
-  let i = dir_slot d.dir_keys d.dir_mask key (dir_hash line d.dir_mask) in
-  if Array.unsafe_get d.dir_keys i = 0 then -1 else Array.unsafe_get d.dir_vals i
-
-let dir_resize d =
-  let old_keys = d.dir_keys and old_vals = d.dir_vals in
-  let n = (d.dir_mask + 1) * 2 in
-  d.dir_keys <- Array.make n 0;
-  d.dir_vals <- Array.make n 0;
-  d.dir_mask <- n - 1;
-  Array.iteri
-    (fun i k ->
-      if k <> 0 then begin
-        let j = dir_slot d.dir_keys d.dir_mask k (dir_hash (k - 1) d.dir_mask) in
-        d.dir_keys.(j) <- k;
-        d.dir_vals.(j) <- old_vals.(i)
-      end)
-    old_keys
-
-let dir_replace d line v =
-  let key = line + 1 in
-  let i = dir_slot d.dir_keys d.dir_mask key (dir_hash line d.dir_mask) in
-  if Array.unsafe_get d.dir_keys i = 0 then begin
-    d.dir_keys.(i) <- key;
-    d.dir_vals.(i) <- v;
-    d.dir_count <- d.dir_count + 1;
-    if d.dir_count * 2 > d.dir_mask then dir_resize d
-  end
-  else d.dir_vals.(i) <- v
-
-let dir_reset d =
-  if d.dir_count > 0 then begin
-    Array.fill d.dir_keys 0 (Array.length d.dir_keys) 0;
-    d.dir_count <- 0
-  end
+module Int_table = Ditto_util.Int_table
 
 type t = {
   plat : Platform.t;
@@ -70,8 +11,10 @@ type t = {
   itlbs : Tlb.t array;
   dtlbs : Tlb.t array;
   ctrs : Counters.t array;
-  directory : directory;
-  hit_scratch : bool ref;
+  (* Coherence directory for shared lines: line -> (owner core, dirty),
+     packed as [owner lsl 1 lor dirty]. It sits on the per-access hot
+     path, hence the open-addressed int table. *)
+  directory : Int_table.t;
   (* Per-core prefetch-fill callbacks, built once at [create] so
      [Prefetcher.observe] on an L1d miss does not allocate a closure. *)
   mutable prefetch_cb : (int -> unit) array;
@@ -81,8 +24,8 @@ let line_of addr = addr land lnot (Cache.line_bytes - 1)
 
 let prefetch_fill t core addr =
   if not (Cache.probe t.l2.(core) addr) then begin
-    Cache.access t.llc addr ~hit:t.hit_scratch;
-    Cache.access t.l2.(core) addr ~hit:t.hit_scratch
+    ignore (Cache.access t.llc addr);
+    ignore (Cache.access t.l2.(core) addr)
   end
 
 let create (plat : Platform.t) ~ncores =
@@ -103,8 +46,7 @@ let create (plat : Platform.t) ~ncores =
       itlbs = Array.init ncores (fun _ -> Tlb.create ~l1_entries:128 ());
       dtlbs = Array.init ncores (fun _ -> Tlb.create ());
       ctrs = Array.init ncores (fun _ -> Counters.create ());
-      directory = dir_create 4096;
-      hit_scratch = ref false;
+      directory = Int_table.create 4096;
       prefetch_cb = [||];
     }
   in
@@ -136,7 +78,7 @@ let access_data t ~core ~addr ~write ~shared =
   let coherence_steal =
     shared
     &&
-    let v = dir_find t.directory line in
+    let v = Int_table.find t.directory line in
     v >= 0 && v lsr 1 <> core && (v land 1 = 1 || write)
   in
   if coherence_steal then begin
@@ -148,21 +90,17 @@ let access_data t ~core ~addr ~write ~shared =
   else ctr.Counters.bytes_read <- ctr.Counters.bytes_read + 8;
   let tlb_lat = Tlb.access t.dtlbs.(core) addr in
   if tlb_lat >= 30 then ctr.Counters.dtlb_misses <- ctr.Counters.dtlb_misses + 1;
-  let hit = t.hit_scratch in
-  Cache.access t.l1d.(core) line ~hit;
   let latency =
-    if !hit then p.Platform.lat_l1 + tlb_lat
+    if Cache.access t.l1d.(core) line then p.Platform.lat_l1 + tlb_lat
     else begin
       ctr.Counters.l1d_misses <- ctr.Counters.l1d_misses + 1;
       ctr.Counters.l2_accesses <- ctr.Counters.l2_accesses + 1;
       Prefetcher.observe t.prefetchers.(core) ~pc:addr ~addr:line t.prefetch_cb.(core);
-      Cache.access t.l2.(core) line ~hit;
-      if !hit then p.Platform.lat_l2 + tlb_lat
+      if Cache.access t.l2.(core) line then p.Platform.lat_l2 + tlb_lat
       else begin
         ctr.Counters.l2_misses <- ctr.Counters.l2_misses + 1;
         ctr.Counters.llc_accesses <- ctr.Counters.llc_accesses + 1;
-        Cache.access t.llc line ~hit;
-        if !hit then
+        if Cache.access t.llc line then
           if coherence_steal then begin
             ctr.Counters.coherence_misses <- ctr.Counters.coherence_misses + 1;
             p.Platform.lat_llc + 12 + tlb_lat (* cross-core snoop/transfer *)
@@ -178,16 +116,16 @@ let access_data t ~core ~addr ~write ~shared =
   (* Update directory ownership for shared lines. *)
   if shared then begin
     if write then begin
-      let v = dir_find t.directory line in
+      let v = Int_table.find t.directory line in
       if v >= 0 && v lsr 1 <> core then invalidate_others t core line;
-      dir_replace t.directory line ((core lsl 1) lor 1)
+      Int_table.replace t.directory line ((core lsl 1) lor 1)
     end
     else begin
-      let v = dir_find t.directory line in
-      if v < 0 then dir_replace t.directory line (core lsl 1)
+      let v = Int_table.find t.directory line in
+      if v < 0 then Int_table.replace t.directory line (core lsl 1)
       else if v land 1 = 1 && v lsr 1 <> core then
         (* Downgrade: the reader now has a clean copy. *)
-        dir_replace t.directory line (core lsl 1)
+        Int_table.replace t.directory line (core lsl 1)
     end
   end;
   latency
@@ -199,19 +137,15 @@ let access_inst t ~core ~addr =
   ctr.Counters.l1i_accesses <- ctr.Counters.l1i_accesses + 1;
   let tlb_lat = Tlb.access t.itlbs.(core) addr in
   if tlb_lat >= 30 then ctr.Counters.itlb_misses <- ctr.Counters.itlb_misses + 1;
-  let hit = t.hit_scratch in
-  Cache.access t.l1i.(core) line ~hit;
-  if !hit then tlb_lat
+  if Cache.access t.l1i.(core) line then tlb_lat
   else begin
     ctr.Counters.l1i_misses <- ctr.Counters.l1i_misses + 1;
     ctr.Counters.l2_accesses <- ctr.Counters.l2_accesses + 1;
-    Cache.access t.l2.(core) line ~hit;
-    if !hit then p.Platform.lat_l2 - p.Platform.lat_l1 + tlb_lat
+    if Cache.access t.l2.(core) line then p.Platform.lat_l2 - p.Platform.lat_l1 + tlb_lat
     else begin
       ctr.Counters.l2_misses <- ctr.Counters.l2_misses + 1;
       ctr.Counters.llc_accesses <- ctr.Counters.llc_accesses + 1;
-      Cache.access t.llc line ~hit;
-      if !hit then p.Platform.lat_llc - p.Platform.lat_l1 + tlb_lat
+      if Cache.access t.llc line then p.Platform.lat_llc - p.Platform.lat_l1 + tlb_lat
       else begin
         ctr.Counters.llc_misses <- ctr.Counters.llc_misses + 1;
         p.Platform.lat_mem - p.Platform.lat_l1 + tlb_lat
@@ -227,7 +161,7 @@ let flush t =
   Array.iter Prefetcher.flush t.prefetchers;
   Array.iter Tlb.flush t.itlbs;
   Array.iter Tlb.flush t.dtlbs;
-  dir_reset t.directory
+  Int_table.clear t.directory
 
 let reset t =
   flush t;
@@ -235,5 +169,4 @@ let reset t =
      results may still alias the old ones. *)
   for i = 0 to t.n - 1 do
     t.ctrs.(i) <- Counters.create ()
-  done;
-  t.hit_scratch := false
+  done

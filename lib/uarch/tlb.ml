@@ -26,16 +26,11 @@ let create ?(l1_entries = 64) ?(stlb_entries = 1536) ?(walk_cycles = 30) () =
 let access t addr =
   let key = page_key addr in
   t.lookups <- t.lookups + 1;
-  let hit = ref false in
-  Cache.access t.l1 key ~hit;
-  if !hit then 0
+  if Cache.access t.l1 key then 0
+  else if Cache.access t.stlb key then t.stlb_penalty
   else begin
-    Cache.access t.stlb key ~hit;
-    if !hit then t.stlb_penalty
-    else begin
-      t.misses <- t.misses + 1;
-      t.walk_cycles
-    end
+    t.misses <- t.misses + 1;
+    t.walk_cycles
   end
 
 let lookups t = t.lookups

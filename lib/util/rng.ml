@@ -1,33 +1,43 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in an 8-byte buffer. A mutable
+   [int64] field would box a fresh value and take a write barrier on every
+   draw; with the buffer (and [mix64] inlined) a draw allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = bits64 t }
-let copy t = { state = t.state }
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix64 s
+
+let bits64 t = next t
+let split t = of_state (next t)
+let copy t = Bytes.copy t
 
 let int t n =
   assert (n > 0);
   (* Keep 62 bits so the value fits OCaml's 63-bit signed int. *)
-  let m = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+  let m = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   m mod n
 
 let float t x =
   (* 53 random bits scaled to [0,1). *)
-  let b = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+  let b = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   b /. 9007199254740992.0 *. x
 
-let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
+let bool t = Int64.logand (next t) 1L <> 0L
 let range t lo hi = lo + int t (hi - lo)
 
 let shuffle t a =

@@ -111,6 +111,139 @@ let test_page_cache_zero_bytes () =
   let pc = Page_cache.create ~capacity_bytes:4096 in
   Alcotest.(check int) "empty read" 0 (Page_cache.read pc ~offset:0 ~bytes:0)
 
+(* Reference model: the LRU as a most-recent-first list of page ids. *)
+module Lru_model = struct
+  type t = { cap : int; mutable pages : int list; mutable lookups : int; mutable misses : int }
+
+  let create cap = { cap; pages = []; lookups = 0; misses = 0 }
+
+  let touch m p =
+    m.lookups <- m.lookups + 1;
+    if List.mem p m.pages then begin
+      m.pages <- p :: List.filter (( <> ) p) m.pages;
+      true
+    end
+    else begin
+      m.misses <- m.misses + 1;
+      let kept =
+        if List.length m.pages >= m.cap then List.filteri (fun i _ -> i < m.cap - 1) m.pages
+        else m.pages
+      in
+      m.pages <- p :: kept;
+      false
+    end
+
+  let read m ~offset ~bytes =
+    if bytes <= 0 then 0
+    else begin
+      let missed = ref 0 in
+      for p = offset / Page_cache.page_bytes to (offset + bytes - 1) / Page_cache.page_bytes do
+        if not (touch m p) then incr missed
+      done;
+      !missed * Page_cache.page_bytes
+    end
+end
+
+type pc_op = Read of int * int | Flush | Reset_stats
+
+let show_pc_op = function
+  | Read (offset, bytes) -> Printf.sprintf "read %d+%d" offset bytes
+  | Flush -> "flush"
+  | Reset_stats -> "reset_stats"
+
+(* Apply [op] to both caches; false if the missed bytes or the stats
+   diverge. *)
+let pc_step pc model op =
+  let same_result =
+    match op with
+    | Read (offset, bytes) ->
+        Page_cache.read pc ~offset ~bytes = Lru_model.read model ~offset ~bytes
+    | Flush ->
+        Page_cache.flush pc;
+        model.Lru_model.pages <- [];
+        true
+    | Reset_stats ->
+        Page_cache.reset_stats pc;
+        model.Lru_model.lookups <- 0;
+        model.Lru_model.misses <- 0;
+        true
+  in
+  same_result
+  && Page_cache.lookups pc = model.Lru_model.lookups
+  && Page_cache.misses pc = model.Lru_model.misses
+
+(* Reads start anywhere in the first 64 pages and run up to three pages,
+   so most straddle a page boundary; capacities of 1-64 pages (plus a
+   sub-page remainder, which must round down) range from thrashing to
+   holding the whole span. *)
+let prop_page_cache_matches_model =
+  let page = Page_cache.page_bytes in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 18,
+            map2
+              (fun offset bytes -> Read (offset, bytes))
+              (int_range 0 ((64 * page) - 1))
+              (int_range 0 (3 * page)) );
+          (1, return Flush);
+          (1, return Reset_stats);
+        ])
+  in
+  let case =
+    QCheck.make
+      ~print:(fun (cap, extra, ops) ->
+        Printf.sprintf "capacity %d pages + %d bytes: %s" cap extra
+          (String.concat "; " (List.map show_pc_op ops)))
+      QCheck.Gen.(
+        triple (int_range 1 64) (int_range 0 (page - 1)) (list_size (int_range 1 300) op))
+  in
+  QCheck.Test.make ~name:"page cache matches the list LRU model" ~count:300 case
+    (fun (cap, extra, ops) ->
+      let pc = Page_cache.create ~capacity_bytes:((cap * page) + extra) in
+      let model = Lru_model.create cap in
+      List.for_all (pc_step pc model) ops)
+
+(* One long run at 4,096 pages over 25,000 distinct pages: the index and
+   the slot arrays grow well past their initial size, and every miss after
+   the first 4,096 evicts, so removals from the index shift entries back. *)
+let test_page_cache_long_run () =
+  let page = Page_cache.page_bytes in
+  let cap = 4096 and span = 25_000 in
+  let pc = Page_cache.create ~capacity_bytes:(cap * page) in
+  let model = Lru_model.create cap in
+  let rng = Ditto_util.Rng.create 13 in
+  let check op =
+    if not (pc_step pc model op) then Alcotest.failf "diverged from the model at %s" (show_pc_op op)
+  in
+  (* A sequential sweep in 5-page reads touches every page once. *)
+  for k = 0 to (span / 5) - 1 do
+    check (Read (k * 5 * page, 5 * page))
+  done;
+  (* Random reads over the span, with a hot set that stays resident. *)
+  for i = 1 to 10_000 do
+    let offset =
+      if i mod 3 = 0 then Ditto_util.Rng.int rng (256 * page)
+      else Ditto_util.Rng.int rng (span * page)
+    in
+    check (Read (offset, 1 + Ditto_util.Rng.int rng (2 * page)))
+  done;
+  Alcotest.(check bool) "hits and misses both seen" true
+    (Page_cache.misses pc > 0 && Page_cache.misses pc < Page_cache.lookups pc)
+
+(* Page ids are non-negative: a negative offset is rejected before any
+   page is touched. *)
+let test_page_cache_negative_offset () =
+  let pc = Page_cache.create ~capacity_bytes:(16 * 4096) in
+  Alcotest.check_raises "negative offset" (Invalid_argument "Page_cache.read: negative offset")
+    (fun () -> ignore (Page_cache.read pc ~offset:(-1) ~bytes:4096));
+  Alcotest.check_raises "negative offset, empty read"
+    (Invalid_argument "Page_cache.read: negative offset") (fun () ->
+      ignore (Page_cache.read pc ~offset:(-8192) ~bytes:0));
+  Alcotest.(check int) "nothing looked up" 0 (Page_cache.lookups pc);
+  Alcotest.(check int) "page 0 still cold" 4096 (Page_cache.read pc ~offset:0 ~bytes:1)
+
 (* {1 Scheduler} *)
 
 let test_sched_single_thread_timing () =
@@ -194,6 +327,9 @@ let () =
           Alcotest.test_case "stats" `Quick test_page_cache_stats;
           Alcotest.test_case "flush" `Quick test_page_cache_flush;
           Alcotest.test_case "zero bytes" `Quick test_page_cache_zero_bytes;
+          QCheck_alcotest.to_alcotest prop_page_cache_matches_model;
+          Alcotest.test_case "long run vs model" `Slow test_page_cache_long_run;
+          Alcotest.test_case "negative offset rejected" `Quick test_page_cache_negative_offset;
         ] );
       ( "sched",
         [

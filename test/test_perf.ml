@@ -202,6 +202,99 @@ let test_engine_imm_vs_heap_priority () =
   Engine.run e;
   Alcotest.(check (list string)) "heap event first at the tie" [ "heap"; "imm" ] (List.rev !log)
 
+(* {1 Allocation-free measurement path}
+
+   Once warm, the measurement layer's per-instruction path — core model,
+   cache hierarchy, TLBs, coherence directory, RNG draws — and the page
+   cache allocate nothing: no boxed float, closure, tuple or ref. The pins
+   count minor-heap words around a call, so any such regression shows up
+   as a non-zero delta. *)
+
+module Block = Ditto_isa.Block
+module Core_model = Ditto_uarch.Core_model
+module Counters = Ditto_uarch.Counters
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let mixed_block () =
+  let by_name = Ditto_isa.Iform.by_name in
+  let priv = Block.make_region ~base:0x10000000 ~bytes:(1 lsl 24) ~shared:false in
+  let shared = Block.make_region ~base:0x20000000 ~bytes:(1 lsl 16) ~shared:true in
+  let alu i = Block.temp (by_name "ADD_GPR64_GPR64") ~dst:(i mod 8) ~srcs:[| (i + 1) mod 8 |] in
+  let load dst mem = Block.temp (by_name "MOV_GPR64_MEM") ~dst ~mem in
+  Block.make ~label:"alloc-pin" ~code_base:0x100000
+    [
+      alu 0;
+      load 1 (Block.Rand_uniform { region = priv; start = 0; span = 1 lsl 24 });
+      alu 1;
+      load 2 (Block.Seq_stride { region = priv; start = 0; stride = 64; span = 1 lsl 20 });
+      load 3 (Block.Chase { region = priv; start = 1 lsl 22; span = 1 lsl 22 });
+      alu 2;
+      Block.temp (by_name "MOV_MEM_GPR64") ~srcs:[| 2 |]
+        ~mem:(Block.Seq_stride { region = shared; start = 0; stride = 64; span = 1 lsl 12 });
+      Block.temp (by_name "LOCK_ADD_MEM_GPR64") ~srcs:[| 3 |]
+        ~mem:(Block.Fixed_offset { region = shared; offset = 128 });
+      Block.temp (by_name "REP_MOVSB") ~srcs:[| 4 |] ~rep_count:256
+        ~mem:(Block.Seq_stride { region = priv; start = 1 lsl 23; stride = 256; span = 1 lsl 16 });
+      Block.temp (by_name "JNZ_REL") ~branch:{ Block.m = 1; n = 2; invert = false };
+      Block.temp (by_name "IDIV_GPR64") ~dst:5 ~srcs:[| 5; 6 |];
+    ]
+
+(* Two cores run the block in turn, so core 0's shared accesses find lines
+   core 1 left dirty and take the coherence path. *)
+let test_exec_block_allocation_free () =
+  let mem = Ditto_uarch.Memory.create Platform.a ~ncores:2 in
+  let core = Core_model.create mem ~core:0 and other = Core_model.create mem ~core:1 in
+  let rng = Ditto_util.Rng.create 7 in
+  let block = mixed_block () in
+  Core_model.exec_block other ~rng block ~iterations:20;
+  Core_model.exec_block core ~rng block ~iterations:20;
+  Core_model.exec_block other ~rng block ~iterations:20;
+  let words = minor_words (fun () -> Core_model.exec_block core ~rng block ~iterations:50) in
+  Alcotest.(check (float 0.0)) "exec_block minor words" 0.0 words;
+  Alcotest.(check bool) "the coherence path ran" true
+    ((Core_model.counters core).Counters.coherence_misses > 0)
+
+(* Each of 2,000 pages twice in a row: more pages than the STLB holds, so
+   the first access walks and the second hits. *)
+let test_tlb_allocation_free () =
+  let tlb = Ditto_uarch.Tlb.create () in
+  let sweep () =
+    for i = 0 to 3999 do
+      ignore (Ditto_uarch.Tlb.access tlb (i / 2 * 7 * Ditto_uarch.Tlb.page_bytes))
+    done
+  in
+  sweep ();
+  let walks = Ditto_uarch.Tlb.misses tlb in
+  Alcotest.(check (float 0.0)) "Tlb.access minor words" 0.0 (minor_words sweep);
+  Alcotest.(check bool) "walks and hits both taken" true
+    (Ditto_uarch.Tlb.misses tlb > walks && Ditto_uarch.Tlb.misses tlb < Ditto_uarch.Tlb.lookups tlb)
+
+let test_page_cache_allocation_free () =
+  let module Page_cache = Ditto_os.Page_cache in
+  let page = Page_cache.page_bytes in
+  let pc = Page_cache.create ~capacity_bytes:(64 * page) in
+  (* Fill past capacity first, so the index and slot arrays are grown. *)
+  ignore (Page_cache.read pc ~offset:0 ~bytes:(128 * page));
+  let missed = ref 0 in
+  let resident () =
+    for _ = 1 to 100 do
+      missed := !missed + Page_cache.read pc ~offset:(100 * page) ~bytes:(8 * page)
+    done
+  in
+  Alcotest.(check (float 0.0)) "resident reads" 0.0 (minor_words resident);
+  Alcotest.(check int) "resident pages hit" 0 !missed;
+  let evicting () =
+    for k = 0 to 99 do
+      missed := !missed + Page_cache.read pc ~offset:(k mod 16 * 8 * page) ~bytes:(8 * page)
+    done
+  in
+  Alcotest.(check (float 0.0)) "evicting reads" 0.0 (minor_words evicting);
+  Alcotest.(check bool) "evicting pages missed" true (!missed > 0)
+
 let () =
   Alcotest.run "perf"
     [
@@ -221,6 +314,13 @@ let () =
         ] );
       ( "tuner",
         [ Alcotest.test_case "memo on/off trajectory identical" `Slow test_tuner_memo_bitidentical ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "exec_block allocates nothing" `Quick test_exec_block_allocation_free;
+          Alcotest.test_case "Tlb.access allocates nothing" `Quick test_tlb_allocation_free;
+          Alcotest.test_case "Page_cache.read allocates nothing" `Quick
+            test_page_cache_allocation_free;
+        ] );
       ( "engine",
         [
           Alcotest.test_case "zero-delay FIFO order" `Quick test_engine_zero_delay_fifo;

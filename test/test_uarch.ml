@@ -12,34 +12,28 @@ let check_close msg tolerance expected actual =
 
 let test_cache_hit_after_fill () =
   let c = Cache.create ~size_bytes:4096 ~assoc:4 () in
-  let hit = ref false in
-  Cache.access c 0x1000 ~hit;
-  Alcotest.(check bool) "first is miss" false !hit;
-  Cache.access c 0x1000 ~hit;
-  Alcotest.(check bool) "second is hit" true !hit;
-  Cache.access c 0x1010 ~hit;
-  Alcotest.(check bool) "same line hits" true !hit
+  Alcotest.(check bool) "first is miss" false (Cache.access c 0x1000);
+  Alcotest.(check bool) "second is hit" true (Cache.access c 0x1000);
+  Alcotest.(check bool) "same line hits" true (Cache.access c 0x1010)
 
 let test_cache_capacity_eviction () =
   (* A working set larger than the cache must miss when cycled (LRU). *)
   let c = Cache.create ~size_bytes:1024 ~assoc:2 () in
-  let hit = ref false in
   let lines = 32 in
   for pass = 1 to 3 do
     for i = 0 to lines - 1 do
-      Cache.access c (i * 64) ~hit;
-      if pass > 1 then Alcotest.(check bool) "cyclic > capacity always misses" false !hit
+      let hit = Cache.access c (i * 64) in
+      if pass > 1 then Alcotest.(check bool) "cyclic > capacity always misses" false hit
     done
   done
 
 let test_cache_fits_working_set () =
   let c = Cache.create ~size_bytes:4096 ~assoc:8 () in
-  let hit = ref false in
   for pass = 1 to 3 do
     for i = 0 to 31 do
       (* 2KB working set in a 4KB cache *)
-      Cache.access c (i * 64) ~hit;
-      if pass > 1 then Alcotest.(check bool) "resident set hits" true !hit
+      let hit = Cache.access c (i * 64) in
+      if pass > 1 then Alcotest.(check bool) "resident set hits" true hit
     done
   done
 
@@ -47,21 +41,17 @@ let test_cache_lru_order () =
   let c = Cache.create ~size_bytes:128 ~assoc:2 () in
   (* one set of 2 ways with 64B lines -> addresses 0, 128, 256 map together
      only if sets=1; 128/64/2 = 1 set. *)
-  let hit = ref false in
-  Cache.access c 0 ~hit;
-  Cache.access c 64 ~hit;
-  Cache.access c 0 ~hit;
+  ignore (Cache.access c 0);
+  ignore (Cache.access c 64);
+  ignore (Cache.access c 0);
   (* 0 is MRU; inserting a third line evicts 64 *)
-  Cache.access c 128 ~hit;
-  Cache.access c 0 ~hit;
-  Alcotest.(check bool) "MRU survived" true !hit;
-  Cache.access c 64 ~hit;
-  Alcotest.(check bool) "LRU evicted" false !hit
+  ignore (Cache.access c 128);
+  Alcotest.(check bool) "MRU survived" true (Cache.access c 0);
+  Alcotest.(check bool) "LRU evicted" false (Cache.access c 64)
 
 let test_cache_invalidate_probe () =
   let c = Cache.create ~size_bytes:1024 ~assoc:4 () in
-  let hit = ref false in
-  Cache.access c 0x40 ~hit;
+  ignore (Cache.access c 0x40);
   Alcotest.(check bool) "probe present" true (Cache.probe c 0x40);
   Alcotest.(check bool) "invalidate hit" true (Cache.invalidate c 0x40);
   Alcotest.(check bool) "probe absent" false (Cache.probe c 0x40);
@@ -69,19 +59,16 @@ let test_cache_invalidate_probe () =
 
 let test_cache_flush () =
   let c = Cache.create ~size_bytes:1024 ~assoc:4 () in
-  let hit = ref false in
-  Cache.access c 0 ~hit;
+  ignore (Cache.access c 0);
   Cache.flush c;
-  Cache.access c 0 ~hit;
-  Alcotest.(check bool) "cold after flush" false !hit
+  Alcotest.(check bool) "cold after flush" false (Cache.access c 0)
 
 let test_cache_plru () =
   let c = Cache.create ~replacement:Cache.Plru ~size_bytes:4096 ~assoc:8 () in
-  let hit = ref false in
   for i = 0 to 7 do
-    Cache.access c (i * 512) ~hit (* map to the same set region *)
+    ignore (Cache.access c (i * 512)) (* map to the same set region *)
   done;
-  Cache.access c 0 ~hit;
+  ignore (Cache.access c 0);
   Alcotest.(check bool) "plru retains within capacity" true (Cache.sets c >= 1)
 
 (* {1 Branch predictor} *)

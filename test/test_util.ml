@@ -66,6 +66,66 @@ let test_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "still a permutation" (Array.init 50 Fun.id) sorted
 
+(* SplitMix64 reference draws for seed 42: pins the generator's output
+   whatever its state representation. *)
+let test_rng_golden () =
+  let t = Rng.create 42 in
+  Alcotest.(check int64) "draw 1" (-7450291807549245335L) (Rng.bits64 t);
+  Alcotest.(check int64) "draw 2" 2958219263312191191L (Rng.bits64 t);
+  let s = Rng.split t in
+  Alcotest.(check int) "split then int" 328131 (Rng.int s 1_000_000);
+  Alcotest.(check (float 0.0)) "float" 0x1.896d649de031p-5 (Rng.float t 1.0);
+  Alcotest.(check bool) "bool" true (Rng.bool t)
+
+(* {1 Int_table} *)
+
+type table_op = Replace of int * int | Remove of int | Clear
+
+(* Random replace/remove/clear sequences over a small key space (so keys
+   collide, recur and get removed from the middle of probe runs) must
+   leave the table agreeing with a Hashtbl on every key. *)
+let prop_int_table_matches_hashtbl =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map2 (fun k v -> Replace (k, v)) (int_range 0 300) (int_range 0 1000));
+          (3, map (fun k -> Remove k) (int_range 0 300));
+          (1, return Clear);
+        ])
+  in
+  QCheck.Test.make ~name:"Int_table agrees with Hashtbl" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 2000) op))
+    (fun ops ->
+      let t = Int_table.create 8 and h = Hashtbl.create 16 in
+      List.iter
+        (function
+          | Replace (k, v) ->
+              Int_table.replace t k v;
+              Hashtbl.replace h k v
+          | Remove k ->
+              Int_table.remove t k;
+              Hashtbl.remove h k
+          | Clear ->
+              Int_table.clear t;
+              Hashtbl.reset h)
+        ops;
+      Int_table.length t = Hashtbl.length h
+      && List.for_all
+           (fun k ->
+             Int_table.find t k = match Hashtbl.find_opt h k with Some v -> v | None -> -1)
+           (List.init 302 (fun k -> k - 1)))
+
+let test_int_table_rejects_negative () =
+  let t = Int_table.create 8 in
+  Alcotest.check_raises "negative key"
+    (Invalid_argument "Int_table.replace: negative key or value") (fun () ->
+      Int_table.replace t (-1) 0);
+  Alcotest.check_raises "negative value"
+    (Invalid_argument "Int_table.replace: negative key or value") (fun () ->
+      Int_table.replace t 0 (-1));
+  Alcotest.(check int) "absent key" (-1) (Int_table.find t 0)
+
 (* {1 Dist} *)
 
 let test_exponential_mean () =
@@ -411,7 +471,14 @@ let () =
           Alcotest.test_case "range" `Quick test_rng_range;
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
+          Alcotest.test_case "golden draws" `Quick test_rng_golden;
           qt prop_int_bounds;
+        ] );
+      ( "int_table",
+        [
+          qt prop_int_table_matches_hashtbl;
+          Alcotest.test_case "negative keys and values rejected" `Quick
+            test_int_table_rejects_negative;
         ] );
       ( "dist",
         [
