@@ -25,10 +25,13 @@
    `--update-baselines` rewrites the baseline from the current run;
    `--check-json FILE` gates a previously saved --json document without
    re-running any simulation. `--apps a,b` restricts the registry-wide
-   experiments (fig5/fig7/fig8/errors/ablation/scorecards) to those apps.
-   `--chaos` (or the `chaos` experiment name) additionally validates each
-   app under the three canonical fault plans and records failure-fidelity
-   metrics in the --json document's "chaos" section. *)
+   experiments (fig5/fig7/fig8/errors/ablation/scorecards and the
+   validation gates) to those apps.
+
+   The validation gates of Ditto_report.Gate (chaos, timeline, critpath,
+   surge) are opt-in experiments named after their gate: each runs its
+   default scenario on every requested app and records its flat keys in
+   the --json section of the same name. *)
 
 open Ditto_app
 module Pipeline = Ditto_core.Pipeline
@@ -843,163 +846,29 @@ let scorecards () =
       Hashtbl.replace scorecards_tbl name card)
     (registry_entries ())
 
-(* {1 Chaos: fidelity under failure (bench --chaos)} *)
+(* {1 Validation gates: chaos, timeline, critpath, surge}
 
-module Plan = Ditto_fault.Plan
+   One experiment per Ditto_report.Gate, each running its default scenario
+   on every requested app. The flat keys feed the --json document's gate
+   sections and, through Baseline.flatten, the regression gate. *)
 
-(* Flat "<app>/<plan>/<metric>" keys fed into the --json document's "chaos"
-   section and, through Baseline.flatten, into the regression gate. *)
-let chaos_acc : (string * float) list ref = ref []
+module Gate = Ditto_report.Gate
 
-let chaos () =
-  banner "Chaos: fidelity under failure (canonical plans, medium load)";
-  List.iter
-    (fun (entry : Registry.entry) ->
-      let name = entry.Registry.name in
-      let load, result = get_clone name in
-      let tiers =
-        List.map (fun (t : Spec.tier) -> t.Spec.tier_name) result.Pipeline.original.Spec.tiers
-      in
-      List.iter
-        (fun plan ->
-          let ch =
-            Pipeline.validate_under ~pool ~platform:Platform.a ~load ~plan
-              ~label:(fmt "chaos:%s" plan.Plan.plan_name)
-              result
-          in
-          let card = Scorecard.of_chaos ~app:name ?tuning:result.Pipeline.tuning ch in
-          Scorecard.print card;
-          let fail_delta metric =
-            match card.Scorecard.failure with
-            | None -> 0.0
-            | Some f -> (
-                match
-                  List.find_opt
-                    (fun (r : Scorecard.failure_row) -> r.Scorecard.f_metric = metric)
-                    f.Scorecard.failure_rows
-                with
-                | Some r -> r.Scorecard.f_delta
-                | None -> 0.0)
-          in
-          let key metric = fmt "%s/%s/%s" name plan.Plan.plan_name metric in
-          chaos_acc :=
-            (key "throughput_err_pct", fail_delta "throughput")
-            :: (key "p99_err_pct", fail_delta "lat_p99")
-            :: (key "error_rate_pp", fail_delta "error_rate")
-            :: !chaos_acc)
-        (Plan.canonical ~duration ~tiers))
-    (registry_entries ())
+let gate_keys : (Gate.t * (string * float) list) list ref = ref []
 
-(* {1 Timeline: transient fidelity from windowed telemetry (bench timeline)} *)
-
-(* Flat "<app>/<plan>/<metric>" keys for the --json "timeline" section
-   (schema v7), gated like the chaos keys. *)
-let timeline_acc : (string * float) list ref = ref []
-
-let timeline () =
-  banner "Timeline: transient fidelity under kill-mid-tier (windowed telemetry)";
-  (* The enable flag is global; validate_under runs both sides on this
-     pool, and the collectors are per-run, so concurrent runs do not
-     interfere — but scope the flag tightly anyway so unrelated stages
-     never pay collector allocations. *)
-  Ditto_obs.Timeseries.enable ();
-  Fun.protect ~finally:Ditto_obs.Timeseries.disable (fun () ->
-      List.iter
-        (fun (entry : Registry.entry) ->
-          let name = entry.Registry.name in
-          let load, result = get_clone name in
-          let tiers =
-            List.map
-              (fun (t : Spec.tier) -> t.Spec.tier_name)
-              result.Pipeline.original.Spec.tiers
-          in
-          let plan = Plan.kill_mid_tier ~duration ~tiers () in
-          let ch =
-            Pipeline.validate_under ~pool ~platform:Platform.a ~load ~plan
-              ~label:(fmt "timeline:%s" plan.Plan.plan_name)
-              result
-          in
-          match
-            ( ch.Pipeline.actual_service.Ditto_app.Service.timeline,
-              ch.Pipeline.synthetic_service.Ditto_app.Service.timeline )
-          with
-          | Some actual, Some clone ->
-              let tl =
-                Ditto_report.Timeline.of_timelines ~app:name ~plan:plan.Plan.plan_name
-                  ~actual ~clone ()
-              in
-              Ditto_report.Timeline.print tl;
-              timeline_acc := Ditto_report.Timeline.flat tl @ !timeline_acc
-          | _ -> Printf.printf "  %s: no timeline collected (telemetry disabled?)\n" name)
-        (registry_entries ()))
-
-(* {1 Critpath: critical-path divergence from request tracing (bench critpath)} *)
-
-(* Flat "critpath/<app>/<plan>/..." keys for the --json "critpath" section
-   (schema v8), gated like the timeline keys. *)
-let critpath_acc : (string * float) list ref = ref []
-
-let critpath () =
-  banner "Critpath: critical-path divergence from sampled request traces";
-  (* Same flag discipline as the timeline stage: the enable flag is
-     global but the collectors are per-run, so scope it tightly. *)
-  Ditto_obs.Reqtrace.enable ();
-  Fun.protect ~finally:Ditto_obs.Reqtrace.disable (fun () ->
-      List.iter
-        (fun (entry : Registry.entry) ->
-          let name = entry.Registry.name in
-          let load, result = get_clone name in
-          let c =
-            Pipeline.validate ~pool ~platform:Platform.a ~load
-              ~label:(fmt "critpath:%s" name) result
-          in
-          match
-            ( c.Pipeline.actual_service.Ditto_app.Service.reqtrace,
-              c.Pipeline.synthetic_service.Ditto_app.Service.reqtrace )
-          with
-          | Some _, Some _ ->
-              let d = Ditto_report.Critpath.of_comparison ~app:name c in
-              Ditto_report.Critpath.print d;
-              critpath_acc := Ditto_report.Critpath.flat d @ !critpath_acc
-          | _ -> Printf.printf "  %s: no request traces collected (tracing disabled?)\n" name)
-        (registry_entries ()))
-
-(* {1 Surge: overload fidelity under a flash crowd (bench surge)} *)
-
-(* Flat "<app>/<scenario>/<metric>" keys for the --json "surge" section
-   (schema v9), gated like the timeline keys. *)
-let surge_acc : (string * float) list ref = ref []
-
-let surge () =
-  banner "Surge: overload fidelity (flash crowd + kill-mid-tier, autoscaling armed)";
-  (* Same flag discipline as the timeline stage. The queue bound is tight
-     enough that the 4x flash crowd actually sheds, so the saturation-onset
-     and shed-rate keys measure something on every app. *)
-  Ditto_obs.Timeseries.enable ();
-  Fun.protect ~finally:Ditto_obs.Timeseries.disable (fun () ->
-      List.iter
-        (fun (entry : Registry.entry) ->
-          let name = entry.Registry.name in
-          let load, result = get_clone name in
-          let tiers =
-            List.map
-              (fun (t : Spec.tier) -> t.Spec.tier_name)
-              result.Pipeline.original.Spec.tiers
-          in
-          let plan = Plan.kill_mid_tier ~duration ~tiers () in
-          let profile = Ditto_loadgen.Profile.flash_crowd ~duration () in
-          let ch =
-            Pipeline.validate_under ~pool ~platform:Platform.a ~load
-              ~resilience:(Spec.resilient ~queue_bound:48 ())
-              ~autoscale:(Spec.autoscale ~max_replicas:4 ())
-              ~plan ~profile
-              ~label:(fmt "surge:%s" name)
-              result
-          in
-          let sc = Ditto_report.Surge.of_chaos ~app:name ch in
-          Ditto_report.Surge.print sc;
-          surge_acc := Ditto_report.Surge.flat sc @ !surge_acc)
-        (registry_entries ()))
+let gate g () =
+  banner (fmt "Validation gate: %s (medium load, platform A)" (Gate.name g));
+  let keys =
+    List.concat_map
+      (fun (entry : Registry.entry) ->
+        let name = entry.Registry.name in
+        let load, result = get_clone name in
+        let r = Gate.run ~pool g ~app:name ~load result in
+        Gate.print r;
+        Gate.flat r)
+      (registry_entries ())
+  in
+  gate_keys := (g, List.sort compare keys) :: !gate_keys
 
 (* {1 Perf smoke: the warm-memo fast path (gated by bin/ci.sh)} *)
 
@@ -1096,23 +965,22 @@ let all_experiments =
     ("micro", micro);
   ]
 
-(* Off the default path: chaos arms faults and resilience; timeline adds
-   windowed telemetry on top; perfsmoke is the CI warm-memo gate.
-   Reachable by experiment name (or --chaos). *)
+(* Off the default path, reachable by experiment name: the validation
+   gates, the CI warm-memo gate (perfsmoke) and the synth scale stages. *)
 let opt_in_experiments =
-  [
-    ("chaos", chaos); ("timeline", timeline); ("critpath", critpath);
-    ("surge", surge);
-    ("perfsmoke", perfsmoke);
-    ("synth100", synth100); ("synth500", synth500); ("synth1000", synth1000);
-  ]
+  List.map (fun g -> (Gate.name g, gate g)) Gate.all
+  @ [
+      ("perfsmoke", perfsmoke);
+      ("synth100", synth100); ("synth500", synth500); ("synth1000", synth1000);
+    ]
 
 (* Which registry clones an experiment consumes, so the preclone pass can
    build exactly those concurrently before the (ordered, printing)
    experiment loop starts. fig11 and micro build their own specs. *)
 let clone_needs = function
-  | "fig5" | "fig7" | "fig8" | "errors" | "ablation" | "scorecards" | "chaos" | "timeline"
-  | "critpath" | "surge" ->
+  | n
+    when List.mem n [ "fig5"; "fig7"; "fig8"; "errors"; "ablation"; "scorecards" ]
+         || Gate.of_name n <> None ->
       List.map (fun (e : Registry.entry) -> e.Registry.name) (registry_entries ())
   | "fig6" -> [ "social_network" ]
   | "fig9" -> [ "mongodb" ]
@@ -1125,11 +993,8 @@ module Bench_json = Ditto_report.Bench_json
 
 let default_baseline_path = "bench/baselines/default.json"
 
-let read_file path =
-  let ic = open_in path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+let read_json path =
+  Ditto_util.Jsonx.of_string (In_channel.with_open_bin path In_channel.input_all)
 
 (* Diff [current] (flattened metrics) against the baseline file; prints the
    verdict and returns false on regression. *)
@@ -1190,7 +1055,6 @@ let () =
   and check = ref false
   and baseline_file = ref None
   and update_baselines = ref false
-  and chaos_flag = ref false
   and check_json = ref None
   and update_json = ref None in
   let rec parse_args acc = function
@@ -1222,9 +1086,6 @@ let () =
     | "--update-baselines" :: rest ->
         update_baselines := true;
         parse_args acc rest
-    | "--chaos" :: rest ->
-        chaos_flag := true;
-        parse_args acc rest
     | [ ("--json" | "--trace" | "--trace-jaeger" | "--apps" | "--baseline" | "--check-json"
         | "--update-baselines-json") as
         flag ] ->
@@ -1234,27 +1095,31 @@ let () =
   in
   let names = parse_args [] (List.tl (Array.to_list Sys.argv)) in
   let baseline_path = Option.value ~default:default_baseline_path !baseline_file in
+  (* Merge into the committed baseline (keeping its tolerances): a partial
+     run — --apps, a single gate — refreshes its slice without discarding
+     everyone else's metrics. *)
+  let update_baseline doc =
+    let next =
+      if Sys.file_exists baseline_path then
+        Baseline.merge ~into:(Baseline.load baseline_path) (Baseline.flatten doc)
+      else Baseline.make (Baseline.flatten doc)
+    in
+    Baseline.save ~path:baseline_path next;
+    Printf.printf "[bench] wrote baseline %s\n" baseline_path
+  in
   (* --check-json gates a saved --json document without re-running anything;
      --update-baselines-json likewise refreshes the baseline from one. *)
   (match !update_json with
   | None -> ()
   | Some path ->
-      let doc = Ditto_util.Jsonx.of_string (read_file path) in
-      let next =
-        if Sys.file_exists baseline_path then
-          Baseline.merge ~into:(Baseline.load baseline_path) (Baseline.flatten doc)
-        else Baseline.make (Baseline.flatten doc)
-      in
-      Baseline.save ~path:baseline_path next;
-      Printf.printf "[bench] wrote baseline %s\n" baseline_path;
+      update_baseline (read_json path);
       exit 0);
   (match !check_json with
   | None -> ()
   | Some path ->
-      let doc = Ditto_util.Jsonx.of_string (read_file path) in
+      let doc = read_json path in
       exit (if run_check ~baseline_path (Baseline.flatten doc) then 0 else 1));
   if !trace_file <> None || !trace_jaeger_file <> None then Obs.enable ();
-  let trace_file = !trace_file and trace_jaeger_file = !trace_jaeger_file in
   let selected =
     match names with
     | [] -> all_experiments
@@ -1269,11 +1134,6 @@ let () =
                      (List.map fst (all_experiments @ opt_in_experiments)));
                 exit 2)
           names
-  in
-  let selected =
-    if !chaos_flag && not (List.mem_assoc "chaos" selected) then
-      selected @ [ ("chaos", chaos) ]
-    else selected
   in
   (* Per-stage scheduling telemetry: wall seconds, the parallelism degree
      offered, and busy/(domains x wall) — the fraction of the stage's
@@ -1344,10 +1204,7 @@ let () =
              tuning;
              metrics = Obs.Metrics.snapshot ();
              scorecards = cards;
-             chaos = List.sort compare !chaos_acc;
-             timeline = List.sort compare !timeline_acc;
-             critpath = List.sort compare !critpath_acc;
-             surge = List.sort compare !surge_acc;
+             gates = !gate_keys;
              peak_heap_events = Ditto_sim.Engine.global_peak_heap_events ();
              tier_counts =
                Hashtbl.fold
@@ -1367,42 +1224,13 @@ let () =
       Printf.printf "[bench] wrote %s\n" path
   | _ -> ());
   (match (!update_baselines, doc) with
-  | true, Some json ->
-      (* Merge into the committed baseline (keeping its tolerances): a
-         partial run — --apps, a chaos-only pass — refreshes its slice
-         without discarding everyone else's metrics. *)
-      let next =
-        if Sys.file_exists baseline_path then
-          Baseline.merge ~into:(Baseline.load baseline_path) (Baseline.flatten json)
-        else Baseline.make (Baseline.flatten json)
-      in
-      Baseline.save ~path:baseline_path next;
-      Printf.printf "[bench] wrote baseline %s\n" baseline_path
+  | true, Some json -> update_baseline json
   | _ -> ());
   let check_ok =
     match (!check, doc) with
     | true, Some json -> run_check ~baseline_path (Baseline.flatten json)
     | _ -> true
   in
-  (match (trace_file, trace_jaeger_file) with
-  | None, None -> ()
-  | trace, jaeger ->
-      let nspans = List.length (Obs.Export.spans ()) in
-      (match trace with
-      | Some path ->
-          Obs.Export.write_chrome path;
-          Printf.printf "[bench] wrote %s (%d spans, %d dropped)\n" path nspans
-            (Obs.Export.dropped ())
-      | None -> ());
-      let jaeger_path =
-        match (jaeger, trace) with
-        | Some p, _ -> Some p
-        | None, Some p -> Some (p ^ ".jaeger.json")
-        | None, None -> None
-      in
-      (match jaeger_path with
-      | Some path ->
-          Obs.Export.write_jaeger path;
-          Printf.printf "[bench] wrote %s\n" path
-      | None -> ()));
+  List.iter (Printf.printf "[bench] %s\n")
+    (Obs.Export.write_traces ?chrome:!trace_file ?jaeger:!trace_jaeger_file ());
   if not check_ok then exit 1

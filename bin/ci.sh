@@ -1,16 +1,17 @@
 #!/bin/sh
 # Tier-1 gate: full build, the 23 test suites, a benchmark smoke run, a
 # self-tracing smoke test (Chrome + Jaeger exports re-parsed via Jsonx), a
-# sampled-profiler smoke test, a chaos smoke test (fault injection +
-# resilience counters), a synth scaling smoke (100-tier generated graph
-# cloned + validated under a wall budget), a timeline smoke (windowed
-# telemetry + transient-fidelity scorecard + OpenMetrics export), a
-# critpath smoke (request-level critical-path tracing + divergence
-# attribution + Jaeger round-trip), a surge smoke (flash-crowd overload
-# with autoscaling and admission control fired on both sides), and the
-# fidelity regression gate
-# (scorecards diffed against the committed baseline, plus a proof that
-# the gate rejects a perturbed baseline).
+# sampled-profiler smoke test, a synth scaling smoke (100-tier generated
+# graph cloned + validated under a wall budget), the validation-gate
+# smokes — one memcached clone through the chaos (fault injection +
+# resilience counters), timeline (windowed telemetry + transient-fidelity
+# scorecard + OpenMetrics export) and surge (flash crowd on top of
+# kill-mid-tier, autoscaling and admission control fired on both sides)
+# gates, one redis clone through the critpath gate (critical-path
+# divergence + Jaeger round-trip), and a check that an unknown gate is
+# refused — and the fidelity regression gate (scorecards diffed against
+# the committed baseline, plus a proof that the gate rejects a perturbed
+# baseline).
 # Usage: bin/ci.sh   (from the repo root; DITTO_DOMAINS caps the pool)
 set -eu
 
@@ -71,29 +72,6 @@ echo "== profile smoke (collapsed stacks reconcile with measured CPU) =="
 dune exec bin/ditto_cli.exe -- profile redis --out "$tmpdir/redis.folded" --top 5
 test -s "$tmpdir/redis.folded"
 
-echo "== chaos smoke (kill-mid-tier on memcached, resilience counters fired) =="
-# The crash plan must actually exercise the resilience machinery: the
-# post-restart backlog sheds requests and the client retry budget is spent,
-# so both counters in the greppable totals line must be non-zero — and the
-# command itself must exit cleanly.
-chaos_log="$tmpdir/chaos.log"
-dune exec bin/ditto_cli.exe -- chaos memcached --only kill-mid-tier --no-tune | tee "$chaos_log"
-awk '
-  /^chaos-totals:/ {
-    seen = 1
-    shed = retries = -1
-    for (i = 1; i <= NF; i++) {
-      if ($i ~ /^shed=/)    { sub(/^shed=/, "", $i);    shed = $i + 0 }
-      if ($i ~ /^retries=/) { sub(/^retries=/, "", $i); retries = $i + 0 }
-    }
-    if (shed <= 0 || retries <= 0) {
-      printf "ci: FAIL — chaos counters did not fire (shed=%d retries=%d)\n", shed, retries > "/dev/stderr"
-      exit 1
-    }
-  }
-  END { if (!seen) { print "ci: FAIL — no chaos-totals line" > "/dev/stderr"; exit 1 } }
-' "$chaos_log"
-
 echo "== synth scaling smoke (100-tier generated graph, clone + validate) =="
 # A seeded 100-tier production-shaped graph must round-trip through Jaeger
 # (generate -> export -> recover DAG -> shape check), then clone and
@@ -113,20 +91,45 @@ if [ "$synth_wall" -gt 240 ]; then
   exit 1
 fi
 
-echo "== timeline smoke (windowed telemetry + transient-fidelity scorecard) =="
-# A short kill-mid-tier run on memcached with telemetry on: the command
-# must print the greppable TIMELINE-SMOKE-OK line with a strictly
-# positive reconvergence time (a fault fired, so by construction
-# reconvergence is at least the remainder of the fault window), and the
-# OpenMetrics export must be a complete document (ends with # EOF).
-timeline_log="$tmpdir/timeline.log"
-om_file="$tmpdir/timeline.om"
-dune exec bin/ditto_cli.exe -- timeline memcached --no-tune --openmetrics "$om_file" | tee "$timeline_log"
-if ! grep -q "TIMELINE-SMOKE-OK" "$timeline_log"; then
+echo "== validation gate smokes (memcached: chaos + timeline + surge, one clone) =="
+# One memcached clone, then three gates on it under kill-mid-tier:
+# - chaos: the crash plan must exercise the resilience machinery — the
+#   post-restart backlog sheds requests and the client retry budget is
+#   spent, so both counters in the greppable totals line are non-zero;
+# - timeline: the greppable TIMELINE-SMOKE-OK line with a strictly
+#   positive reconvergence time (a fault fired, so by construction
+#   reconvergence is at least the remainder of the fault window), and a
+#   complete OpenMetrics export (ends with # EOF);
+# - surge: the flash crowd on top of the crash must exercise the
+#   overload machinery on both sides — at least one scale-out event, a
+#   non-zero number of shed requests, and a strictly positive
+#   reconvergence time — with the greppable SURGE-SMOKE-OK line.
+# The command itself must exit cleanly.
+gates_log="$tmpdir/gates.log"
+om_file="$tmpdir/gates.om"
+dune exec bin/ditto_cli.exe -- validate memcached --gates chaos,timeline,surge \
+  --plan kill-mid-tier --no-tune --openmetrics "$om_file" | tee "$gates_log"
+awk '
+  /^chaos-totals:/ {
+    seen = 1
+    shed = retries = -1
+    for (i = 1; i <= NF; i++) {
+      if ($i ~ /^shed=/)    { sub(/^shed=/, "", $i);    shed = $i + 0 }
+      if ($i ~ /^retries=/) { sub(/^retries=/, "", $i); retries = $i + 0 }
+    }
+    if (shed <= 0 || retries <= 0) {
+      printf "ci: FAIL — chaos counters did not fire (shed=%d retries=%d)\n", shed, retries > "/dev/stderr"
+      exit 1
+    }
+  }
+  END { if (!seen) { print "ci: FAIL — no chaos-totals line" > "/dev/stderr"; exit 1 } }
+' "$gates_log"
+timeline_line=$(grep "TIMELINE-SMOKE-OK" "$gates_log" || true)
+if [ -z "$timeline_line" ]; then
   echo "ci: FAIL — timeline smoke did not reach TIMELINE-SMOKE-OK" >&2
   exit 1
 fi
-if ! grep -Eq 'reconverge_ms=[1-9][0-9]*' "$timeline_log"; then
+if ! echo "$timeline_line" | grep -Eq 'reconverge_ms=[1-9][0-9]*'; then
   echo "ci: FAIL — reconvergence time not strictly positive under a fault plan" >&2
   exit 1
 fi
@@ -134,15 +137,32 @@ if ! grep -q '^# EOF' "$om_file"; then
   echo "ci: FAIL — OpenMetrics export incomplete (no # EOF terminator)" >&2
   exit 1
 fi
+surge_line=$(grep "SURGE-SMOKE-OK" "$gates_log" || true)
+if [ -z "$surge_line" ]; then
+  echo "ci: FAIL — surge smoke did not reach SURGE-SMOKE-OK" >&2
+  exit 1
+fi
+if ! echo "$surge_line" | grep -Eq 'scale_out_events=[1-9]'; then
+  echo "ci: FAIL — autoscaler never scaled out under the flash crowd" >&2
+  exit 1
+fi
+if ! echo "$surge_line" | grep -Eq 'shed_total=[1-9]'; then
+  echo "ci: FAIL — admission control shed nothing under the flash crowd" >&2
+  exit 1
+fi
+if ! echo "$surge_line" | grep -Eq 'reconverge_ms=[1-9][0-9]*'; then
+  echo "ci: FAIL — reconvergence time not strictly positive under the surge" >&2
+  exit 1
+fi
 
-echo "== critpath smoke (critical-path divergence + Jaeger round-trip) =="
+echo "== critpath gate smoke (critical-path divergence + Jaeger round-trip) =="
 # Request-level tracing on redis: the command must print a top divergence
 # row (CRITPATH worst=...) and the greppable CRITPATH-SMOKE-OK line, and
 # the Jaeger export of the sampled traces must re-ingest cleanly through
 # inspect-trace (non-empty roots report, client entry tier in the DAG).
 critpath_log="$tmpdir/critpath.log"
 critpath_jaeger="$tmpdir/critpath.jaeger.json"
-dune exec bin/ditto_cli.exe -- critpath redis --no-tune --jaeger "$critpath_jaeger" | tee "$critpath_log"
+dune exec bin/ditto_cli.exe -- validate redis --gates critpath --no-tune --jaeger "$critpath_jaeger" | tee "$critpath_log"
 if ! grep -q "CRITPATH-SMOKE-OK" "$critpath_log"; then
   echo "ci: FAIL — critpath smoke did not reach CRITPATH-SMOKE-OK" >&2
   exit 1
@@ -162,31 +182,21 @@ if ! grep -q 'client' "$inspect_log"; then
   exit 1
 fi
 
-echo "== surge smoke (flash crowd on memcached, autoscaling + shedding fired) =="
-# An open-loop flash-crowd profile with autoscaling armed must actually
-# exercise the overload machinery on both sides: at least one scale-out
-# event fired, the admission controller shed a non-zero number of
-# requests, and the spike left a strictly positive reconvergence time in
-# the transient scorecard — and the command must exit cleanly with the
-# greppable SURGE-SMOKE-OK line.
-surge_log="$tmpdir/surge.log"
-dune exec bin/ditto_cli.exe -- surge memcached --profile flash-crowd --no-tune | tee "$surge_log"
-if ! grep -q "SURGE-SMOKE-OK" "$surge_log"; then
-  echo "ci: FAIL — surge smoke did not reach SURGE-SMOKE-OK" >&2
+echo "== unknown gate refused (exit 2, known gates named) =="
+bogus_log="$tmpdir/bogus.log"
+bogus_rc=0
+dune exec bin/ditto_cli.exe -- validate redis --gates bogus --no-tune >"$bogus_log" 2>&1 || bogus_rc=$?
+cat "$bogus_log"
+if [ "$bogus_rc" -ne 2 ]; then
+  echo "ci: FAIL — --gates bogus exited $bogus_rc, expected 2" >&2
   exit 1
 fi
-if ! grep -Eq 'scale_out_events=[1-9]' "$surge_log"; then
-  echo "ci: FAIL — autoscaler never scaled out under the flash crowd" >&2
-  exit 1
-fi
-if ! grep -Eq 'shed_total=[1-9]' "$surge_log"; then
-  echo "ci: FAIL — admission control shed nothing under the flash crowd" >&2
-  exit 1
-fi
-if ! grep -Eq 'reconverge_ms=[1-9][0-9]*' "$surge_log"; then
-  echo "ci: FAIL — reconvergence time not strictly positive under the surge" >&2
-  exit 1
-fi
+for g in chaos timeline critpath surge; do
+  if ! grep -q "$g" "$bogus_log"; then
+    echo "ci: FAIL — --gates bogus did not name the known gate $g" >&2
+    exit 1
+  fi
+done
 
 echo "== scorecard regression gate (vs bench/baselines/default.json) =="
 bench_json="$tmpdir/bench.json"

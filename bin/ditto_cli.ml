@@ -10,25 +10,20 @@
          export a clone's memory trace in Ramulator format
      ditto-cli stages <app> [--qps N]
          the Fig. 9 decomposition (stages A..H + tuned clone)
-     ditto-cli chaos <app> [--plan FILE] [--only PLAN] [--no-tune] [--qps N]
-         fidelity under failure: run original and clone under a fault plan
-         (default: the three canonical plans) with identical resilience
-         armour, print the failure scorecards and a greppable
-         "chaos-totals:" counter line
-     ditto-cli timeline <app> [--plan FILE] [--no-tune] [--qps N]
-                        [--openmetrics FILE] [--trace FILE]
-         transient fidelity: run original and clone under a fault plan
-         (default: kill-mid-tier) with windowed DES-clock telemetry,
-         print the per-window scorecard with time-to-reconvergence and a
-         greppable "TIMELINE-SMOKE-OK" line; optionally export the
-         timelines as OpenMetrics text or Chrome counter events
-     ditto-cli critpath <app> [--plan FILE] [--no-tune] [--qps N] [--jaeger FILE]
-         request-level critical-path tracing: run original and clone with
-         deterministic request sampling, extract each sampled request's
-         critical path, and print the actual-vs-clone divergence scorecard
-         (tier x segment contribution errors) with a greppable
-         "CRITPATH-SMOKE-OK" line; optionally export the actual side's
-         sampled span trees as Jaeger JSON (re-ingestable by inspect-trace)
+     ditto-cli validate <app> [--gates chaos,timeline,critpath,surge] [--no-tune] [--qps N]
+                        [--plan NAME|FILE] [--profile NAME|FILE]
+                        [--openmetrics FILE] [--jaeger FILE]
+         clone once, then run each validation gate (Ditto_report.Gate,
+         default all four) against original and clone side by side:
+         fidelity under the canonical fault plans (greppable
+         "chaos-totals:" line), windowed transient fidelity under
+         kill-mid-tier ("TIMELINE-SMOKE-OK"), critical-path divergence
+         from sampled request traces ("CRITPATH worst=",
+         "CRITPATH-SMOKE-OK") and overload fidelity under kill-mid-tier
+         plus a flash crowd ("SURGE-SMOKE-OK"). --plan / --profile
+         replace the fault plan / rate profile of every gate's scenario;
+         --openmetrics writes the recorded timelines, --jaeger the
+         actual side's sampled request span trees
      ditto-cli inspect-trace <trace.json>
          parse a Chrome or Jaeger trace back and summarise it
          (span counts, counter series min/mean/max, all roots with
@@ -39,9 +34,10 @@
      ditto-cli list
          list available model applications
 
-   run/clone/stages take [--trace FILE]: record spans of the pipeline's own
-   execution and write a Chrome trace-event file plus FILE.jaeger.json
-   (or --trace-jaeger FILE). *)
+   run/clone/stages/validate take [--trace FILE]: record spans of the
+   pipeline's own execution and write a Chrome trace-event file plus
+   FILE.jaeger.json (or --trace-jaeger FILE); validate adds the recorded
+   timelines as counter tracks. *)
 
 module Pipeline = Ditto_core.Pipeline
 module Registry = Ditto_apps.Registry
@@ -49,37 +45,19 @@ module Platform = Ditto_uarch.Platform
 module Obs = Ditto_obs.Obs
 open Ditto_app
 
-(* Enable self-tracing for the duration of [f] and write the exports. *)
+(* Self-trace [f] when --trace or --trace-jaeger asked for it, and write
+   the exports even when [f] raises. [f] returns extra Chrome events
+   (timeline counter tracks) for the trace file. *)
 let with_tracing trace trace_jaeger f =
-  if trace = None && trace_jaeger = None then f ()
+  if trace = None && trace_jaeger = None then ignore (f ())
   else begin
     Obs.enable ();
-    let finish () =
-      (match trace with
-      | Some path ->
-          Obs.Export.write_chrome path;
-          Printf.printf "trace: wrote %s (%d spans, %d dropped)\n" path
-            (List.length (Obs.Export.spans ()))
-            (Obs.Export.dropped ())
-      | None -> ());
-      match
-        match (trace_jaeger, trace) with
-        | Some p, _ -> Some p
-        | None, Some p -> Some (p ^ ".jaeger.json")
-        | None, None -> None
-      with
-      | Some path ->
-          Obs.Export.write_jaeger path;
-          Printf.printf "trace: wrote %s\n" path
-      | None -> ()
-    in
-    match f () with
-    | v ->
-        finish ();
-        v
-    | exception e ->
-        finish ();
-        raise e
+    let events = ref [] in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter (Printf.printf "trace: %s\n")
+          (Obs.Export.write_traces ~events:!events ?chrome:trace ?jaeger:trace_jaeger ()))
+      (fun () -> events := f ())
   end
 
 let load_for name qps duration =
@@ -103,7 +81,8 @@ let run_app name qps platform trace trace_jaeger =
   let t0 = Unix.gettimeofday () in
   let out = Runner.run (Runner.config plat) ~load (entry.Registry.spec ()) in
   print_tiers out;
-  Printf.printf "(wall %.1fs)\n" (Unix.gettimeofday () -. t0)
+  Printf.printf "(wall %.1fs)\n" (Unix.gettimeofday () -. t0);
+  []
 
 let clone_app name qps no_tune save trace trace_jaeger =
   with_tracing trace trace_jaeger @@ fun () ->
@@ -129,7 +108,8 @@ let clone_app name qps no_tune save trace trace_jaeger =
     (fun (tier, errs) ->
       Printf.printf "%s errors: %s\n" tier
         (String.concat "  " (List.map (fun (a, e) -> Printf.sprintf "%s=%.1f%%" a e) errs)))
-    (Pipeline.comparison_errors c)
+    (Pipeline.comparison_errors c);
+  []
 
 let stages_app name qps trace trace_jaeger =
   with_tracing trace trace_jaeger @@ fun () ->
@@ -158,367 +138,119 @@ let stages_app name qps trace trace_jaeger =
   in
   Ditto_util.Table.print ~title:"Fig. 9-style decomposition"
     ~header:[ "stage"; "IPC"; "p99 ms" ]
-    rows
+    rows;
+  []
 
-(* Fidelity under failure: clone, then run original and clone side by side
-   under a fault plan (the three canonical plans, a --plan file, or the one
-   selected by --only) with identical resilience armour, and print the
-   failure scorecards. The final "chaos-totals:" line aggregates the
-   resilience counters of every run (both sides) so CI can grep-assert the
-   chaos machinery actually fired. *)
-let chaos_app name qps no_tune plan_file only trace trace_jaeger =
-  let module Plan = Ditto_fault.Plan in
-  with_tracing trace trace_jaeger @@ fun () ->
-  let entry, load = load_for name qps 0.8 in
-  let t0 = Unix.gettimeofday () in
-  let result =
-    Pipeline.clone ~tune:(not no_tune) ~platform:Platform.a ~load (entry.Registry.spec ())
-  in
-  Printf.printf "cloned %s in %.1fs\n" name (Unix.gettimeofday () -. t0);
-  let tiers =
-    List.map (fun (t : Spec.tier) -> t.Spec.tier_name) result.Pipeline.original.Spec.tiers
-  in
-  let plans =
-    match plan_file with
-    | Some path -> (
-        match
-          let p = Plan.load path in
-          Plan.validate ~tiers p;
-          p
-        with
-        | p -> [ p ]
-        | exception Sys_error msg ->
-            Printf.eprintf "chaos: %s\n" msg;
-            exit 2
-        | exception Ditto_util.Jsonx.Parse_error msg ->
-            Printf.eprintf "chaos: %s: %s\n" path msg;
-            exit 2
-        | exception Invalid_argument msg ->
-            Printf.eprintf "chaos: %s: %s\n" path msg;
-            exit 2)
-    | None -> Plan.canonical ~duration:load.Service.duration ~tiers
-  in
-  let plans =
-    match only with
-    | None -> plans
-    | Some sel -> (
-        match List.filter (fun (p : Plan.t) -> p.Plan.plan_name = sel) plans with
-        | [] ->
-            Printf.eprintf "chaos: no plan named %S (have: %s)\n" sel
-              (String.concat ", " (List.map (fun (p : Plan.t) -> p.Plan.plan_name) plans));
-            exit 2
-        | ps -> ps)
-  in
-  let shed = ref 0 and retries = ref 0 and timeouts = ref 0 in
-  let errors = ref 0 and drops = ref 0 in
-  let tally (r : Service.result) =
-    errors := !errors + r.Service.errors;
-    retries := !retries + r.Service.client_retries;
-    timeouts := !timeouts + r.Service.client_timeouts;
-    List.iter
-      (fun (o : Service.tier_obs) ->
-        shed := !shed + o.Service.obs_shed;
-        retries := !retries + o.Service.obs_retries;
-        timeouts := !timeouts + o.Service.obs_timeouts;
-        drops := !drops + o.Service.obs_link_drops)
-      r.Service.tiers
-  in
-  List.iter
-    (fun (plan : Plan.t) ->
-      let ch =
-        Pipeline.validate_under ~platform:Platform.a ~load ~plan
-          ~label:(Printf.sprintf "chaos:%s" plan.Plan.plan_name)
-          result
-      in
-      Ditto_report.Scorecard.print
-        (Ditto_report.Scorecard.of_chaos ~app:name ?tuning:result.Pipeline.tuning ch);
-      tally ch.Pipeline.actual_service;
-      tally ch.Pipeline.synthetic_service)
-    plans;
-  Printf.printf "chaos-totals: shed=%d retries=%d timeouts=%d errors=%d drops=%d\n" !shed
-    !retries !timeouts !errors !drops
+(* --plan / --profile: a canonical name, else a JSON file; a file that
+   cannot be read or parsed exits 2 with the reason. *)
+let named_or_file ~canonical ~name_of ~load sel =
+  match List.find_opt (fun x -> name_of x = sel) canonical with
+  | Some x -> x
+  | None -> (
+      match load sel with
+      | x -> x
+      | exception Sys_error msg ->
+          Printf.eprintf "validate: %s (canonical names: %s)\n" msg
+            (String.concat ", " (List.map name_of canonical));
+          exit 2
+      | exception (Ditto_util.Jsonx.Parse_error msg | Invalid_argument msg) ->
+          Printf.eprintf "validate: %s: %s\n" sel msg;
+          exit 2)
 
-(* Transient fidelity: clone the app, enable the windowed telemetry layer,
-   run original and clone side by side under one fault plan, and print the
-   per-window scorecard (worst/mean window error, time-to-reconvergence).
-   The closing "TIMELINE-SMOKE-OK" line is what CI greps; reconverge_ms is
-   nonzero whenever the plan fired a fault (reconvergence is measured to
-   the end of a window, never less than the remainder of the fault
-   window). *)
-let timeline_app name qps no_tune plan_file openmetrics trace =
+(* The validation gates: clone once, run each gate named by --gates on the
+   clone, print its report and greppable line, then export what the gates
+   recorded: every timeline (OpenMetrics, and Chrome counter tracks for
+   --trace) and the critpath gate's sampled request trees (Jaeger). *)
+let validate_app name qps no_tune gate_names plan_sel profile_sel openmetrics jaeger trace
+    trace_jaeger =
   let module Plan = Ditto_fault.Plan in
-  let module Ts = Ditto_obs.Timeseries in
-  let module Tl = Ditto_report.Timeline in
-  let module J = Ditto_util.Jsonx in
-  if trace <> None then Obs.enable ();
-  let entry, load = load_for name qps 0.8 in
-  let t0 = Unix.gettimeofday () in
-  let result =
-    Pipeline.clone ~tune:(not no_tune) ~platform:Platform.a ~load (entry.Registry.spec ())
-  in
-  Printf.printf "cloned %s in %.1fs\n" name (Unix.gettimeofday () -. t0);
-  let tiers =
-    List.map (fun (t : Spec.tier) -> t.Spec.tier_name) result.Pipeline.original.Spec.tiers
-  in
-  let plan =
-    match plan_file with
-    | Some path -> (
-        match
-          let p = Plan.load path in
-          Plan.validate ~tiers p;
-          p
-        with
-        | p -> p
-        | exception Sys_error msg ->
-            Printf.eprintf "timeline: %s\n" msg;
-            exit 2
-        | exception Ditto_util.Jsonx.Parse_error msg ->
-            Printf.eprintf "timeline: %s: %s\n" path msg;
-            exit 2
-        | exception Invalid_argument msg ->
-            Printf.eprintf "timeline: %s: %s\n" path msg;
-            exit 2)
-    | None -> Plan.kill_mid_tier ~duration:load.Service.duration ~tiers ()
-  in
-  Ts.enable ();
-  let ch =
-    Fun.protect ~finally:Ts.disable (fun () ->
-        Pipeline.validate_under ~platform:Platform.a ~load ~plan
-          ~label:(Printf.sprintf "timeline:%s" plan.Plan.plan_name)
-          result)
-  in
-  match
-    ( ch.Pipeline.actual_service.Service.timeline,
-      ch.Pipeline.synthetic_service.Service.timeline )
-  with
-  | Some actual, Some clone ->
-      let tl = Tl.of_timelines ~app:name ~plan:plan.Plan.plan_name ~actual ~clone () in
-      Tl.print tl;
-      (match openmetrics with
-      | Some path ->
-          Out_channel.with_open_text path (fun oc ->
-              Out_channel.output_string oc
-                (Ts.openmetrics
-                   [
-                     ([ ("app", name); ("side", "actual") ], actual);
-                     ([ ("app", name); ("side", "clone") ], clone);
-                   ]));
-          Printf.printf "openmetrics: wrote %s\n" path
-      | None -> ());
-      (match trace with
-      | Some path ->
-          (* Counter tracks (simulated-clock timestamps) land in their own
-             per-side processes next to the wall-clock pipeline spans. *)
-          let counters =
-            Ts.chrome_events ~pid:100 ~process_name:(name ^ " actual (sim time)") actual
-            @ Ts.chrome_events ~pid:101 ~process_name:(name ^ " clone (sim time)") clone
-          in
-          let doc =
-            match Obs.Export.to_chrome () with
-            | J.Obj kvs ->
-                J.Obj
-                  (List.map
-                     (fun (k, v) ->
-                       match (k, v) with
-                       | "traceEvents", J.List evs -> (k, J.List (evs @ counters))
-                       | _ -> (k, v))
-                     kvs)
-            | j -> j
-          in
-          Out_channel.with_open_text path (fun oc ->
-              Out_channel.output_string oc (J.to_string doc));
-          Printf.printf "trace: wrote %s (%d span(s) + %d counter event(s))\n" path
-            (List.length (Obs.Export.spans ()))
-            (List.length counters)
-      | None -> ());
-      Printf.printf
-        "TIMELINE-SMOKE-OK windows=%d worst=%.1f%% mean=%.1f%% reconverge_ms=%d reconverged=%b\n"
-        (List.length tl.Tl.rows) tl.Tl.worst_window_err_pct tl.Tl.mean_window_err_pct
-        (int_of_float (Float.round (tl.Tl.reconverge_seconds *. 1e3)))
-        tl.Tl.reconverged
-  | _ ->
-      Printf.eprintf "timeline: no telemetry collected (Timeseries disabled?)\n";
-      exit 1
-
-(* Request-level critical-path tracing: clone the app, enable deterministic
-   request sampling, run original and clone side by side (steady state, or
-   under a --plan fault file), extract each sampled request's critical
-   path, and print the divergence scorecard ranking tier x segment pairs
-   by contribution error. The closing "CRITPATH-SMOKE-OK" line is what CI
-   greps; --jaeger exports the actual side's sampled span trees in the
-   same Jaeger JSON the inspect-trace command re-ingests. *)
-let critpath_app name qps no_tune plan_file jaeger =
-  let module Plan = Ditto_fault.Plan in
-  let module Rq = Ditto_obs.Reqtrace in
-  let module Cp = Ditto_report.Critpath in
-  let entry, load = load_for name qps 0.8 in
-  let t0 = Unix.gettimeofday () in
-  let result =
-    Pipeline.clone ~tune:(not no_tune) ~platform:Platform.a ~load (entry.Registry.spec ())
-  in
-  Printf.printf "cloned %s in %.1fs\n" name (Unix.gettimeofday () -. t0);
-  let tiers =
-    List.map (fun (t : Spec.tier) -> t.Spec.tier_name) result.Pipeline.original.Spec.tiers
-  in
-  let plan =
-    match plan_file with
-    | Some path -> (
-        match
-          let p = Plan.load path in
-          Plan.validate ~tiers p;
-          p
-        with
-        | p -> Some p
-        | exception Sys_error msg ->
-            Printf.eprintf "critpath: %s\n" msg;
-            exit 2
-        | exception Ditto_util.Jsonx.Parse_error msg ->
-            Printf.eprintf "critpath: %s: %s\n" path msg;
-            exit 2
-        | exception Invalid_argument msg ->
-            Printf.eprintf "critpath: %s: %s\n" path msg;
-            exit 2)
-    | None -> None
-  in
-  Rq.enable ();
-  let c =
-    Fun.protect ~finally:Rq.disable (fun () ->
-        match plan with
-        | None -> Pipeline.validate ~platform:Platform.a ~load ~label:"critpath" result
-        | Some plan ->
-            let ch =
-              Pipeline.validate_under ~platform:Platform.a ~load ~plan
-                ~label:(Printf.sprintf "critpath:%s" plan.Plan.plan_name)
-                result
-            in
-            ch.Pipeline.comparison)
-  in
-  match
-    (c.Pipeline.actual_service.Service.reqtrace, c.Pipeline.synthetic_service.Service.reqtrace)
-  with
-  | Some actual, Some clone_rq ->
-      let d =
-        Cp.of_comparison ~app:name
-          ?plan:(Option.map (fun (p : Plan.t) -> p.Plan.plan_name) plan)
-          c
-      in
-      Cp.print d;
-      (match jaeger with
-      | Some path ->
-          Rq.write_jaeger path actual;
-          Printf.printf "jaeger: wrote %s (%d sampled trace(s) of %d request(s))\n" path
-            (Rq.sampled actual) (Rq.requests_seen actual)
-      | None -> ());
-      let worst_s, err =
-        match Cp.worst d with
-        | Some r -> (Printf.sprintf "%s/%s" r.Cp.d_tier r.Cp.d_segment, r.Cp.d_err_pp)
-        | None -> ("none", 0.0)
-      in
-      Printf.printf "CRITPATH-SMOKE-OK actual_traces=%d clone_traces=%d worst=%s err_pp=%+.2f\n"
-        (Rq.sampled actual) (Rq.sampled clone_rq) worst_s err
-  | _ ->
-      Printf.eprintf "critpath: no request traces collected (Reqtrace disabled?)\n";
-      exit 1
-
-(* Overload robustness: clone the app, drive an open-loop surge profile
-   (default flash-crowd; --profile takes a canonical name or a Rate JSON
-   file) against original and clone with autoscaling and load shedding
-   armed — optionally composed with a --plan fault file — and print the
-   surge-fidelity scorecard (shed-rate error, replica-trajectory match,
-   saturation-onset timing). The closing "SURGE-SMOKE-OK" line is what CI
-   greps: scale_out_events and shed_total prove the controller and the
-   shedder actually fired, reconverge_ms that the surge registered as a
-   transient. *)
-let surge_app name qps no_tune profile_sel plan_file queue_bound openmetrics =
-  let module Plan = Ditto_fault.Plan in
-  let module Ts = Ditto_obs.Timeseries in
-  let module Sg = Ditto_report.Surge in
   let module Profile = Ditto_loadgen.Profile in
+  let module Gate = Ditto_report.Gate in
+  let module Ts = Ditto_obs.Timeseries in
+  let module Rq = Ditto_obs.Reqtrace in
+  let gates =
+    List.map
+      (fun n ->
+        match Gate.of_name n with
+        | Some g -> g
+        | None ->
+            Printf.eprintf "validate: unknown gate %S (known gates: %s)\n" n
+              (String.concat ", " (List.map Gate.name Gate.all));
+            exit 2)
+      gate_names
+  in
   let entry, load = load_for name qps 0.8 in
+  let duration = load.Service.duration in
+  let tiers =
+    List.map (fun (t : Spec.tier) -> t.Spec.tier_name) (entry.Registry.spec ()).Spec.tiers
+  in
+  let plan =
+    Option.map
+      (named_or_file ~canonical:(Plan.canonical ~duration ~tiers)
+         ~name_of:(fun (p : Plan.t) -> p.Plan.plan_name)
+         ~load:(fun path ->
+           let p = Plan.load path in
+           Plan.validate ~duration ~tiers p;
+           p))
+      plan_sel
+  in
+  let profile =
+    Option.map
+      (named_or_file ~canonical:(Profile.canonical ~duration)
+         ~name_of:(fun (r : Rate.t) -> r.Rate.profile_name)
+         ~load:Profile.load)
+      profile_sel
+  in
+  with_tracing trace trace_jaeger @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let result =
     Pipeline.clone ~tune:(not no_tune) ~platform:Platform.a ~load (entry.Registry.spec ())
   in
   Printf.printf "cloned %s in %.1fs\n" name (Unix.gettimeofday () -. t0);
-  let tiers =
-    List.map (fun (t : Spec.tier) -> t.Spec.tier_name) result.Pipeline.original.Spec.tiers
+  let runs =
+    List.concat_map
+      (fun g ->
+        let r = Gate.run ?plan ?profile g ~app:name ~load result in
+        Gate.print r;
+        List.map (fun run -> (Gate.name g, run)) r.Gate.runs)
+      gates
   in
-  let duration = load.Service.duration in
-  let profile =
-    match profile_sel with
-    | None -> Profile.flash_crowd ~duration ()
-    | Some sel when List.mem sel Profile.names -> Profile.by_name ~duration sel
-    | Some path -> (
-        match Profile.load path with
-        | p -> p
-        | exception Sys_error msg ->
-            Printf.eprintf "surge: %s\n" msg;
-            exit 2
-        | exception Ditto_util.Jsonx.Parse_error msg ->
-            Printf.eprintf "surge: %s: %s\n" path msg;
-            exit 2
-        | exception Invalid_argument msg ->
-            Printf.eprintf "surge: %s: %s\n" path msg;
-            exit 2)
+  let timelines =
+    List.concat_map
+      (fun (gate, (run : Gate.run)) ->
+        List.filter_map
+          (fun (side, (r : Service.result)) ->
+            Option.map
+              (fun ts -> ([ ("app", name); ("gate", gate); ("side", side) ], ts))
+              r.Service.timeline)
+          [ ("actual", run.Gate.actual); ("clone", run.Gate.synthetic) ])
+      runs
   in
-  let plan =
-    match plan_file with
-    | Some path -> (
-        match
-          let p = Plan.load path in
-          Plan.validate ~duration ~tiers p;
-          p
-        with
-        | p -> Some p
-        | exception Sys_error msg ->
-            Printf.eprintf "surge: %s\n" msg;
-            exit 2
-        | exception Ditto_util.Jsonx.Parse_error msg ->
-            Printf.eprintf "surge: %s: %s\n" path msg;
-            exit 2
-        | exception Invalid_argument msg ->
-            Printf.eprintf "surge: %s: %s\n" path msg;
-            exit 2)
-    | None -> None
-  in
-  Ts.enable ();
-  let ch =
-    Fun.protect ~finally:Ts.disable (fun () ->
-        Pipeline.validate_under ~platform:Platform.a ~load
-          ~resilience:(Spec.resilient ~queue_bound ())
-          ~autoscale:(Spec.autoscale ())
-          ?plan ~profile
-          ~label:(Printf.sprintf "surge:%s" name)
-          result)
-  in
-  let sc = Sg.of_chaos ~app:name ch in
-  Sg.print sc;
-  (match openmetrics with
-  | Some path -> (
-      match
-        ( ch.Pipeline.actual_service.Service.timeline,
-          ch.Pipeline.synthetic_service.Service.timeline )
-      with
-      | Some actual, Some clone ->
-          Out_channel.with_open_text path (fun oc ->
-              Out_channel.output_string oc
-                (Ts.openmetrics
-                   [
-                     ([ ("app", name); ("side", "actual") ], actual);
-                     ([ ("app", name); ("side", "clone") ], clone);
-                   ]));
-          Printf.printf "openmetrics: wrote %s\n" path
-      | _ -> ())
-  | None -> ());
-  Printf.printf
-    "SURGE-SMOKE-OK windows=%d worst=%.1f%% shed_err_pp=%.2f scale_out_events=%d shed_total=%d \
-     reconverge_ms=%d\n"
-    (List.length sc.Sg.timeline.Ditto_report.Timeline.rows)
-    sc.Sg.timeline.Ditto_report.Timeline.worst_window_err_pct sc.Sg.shed_fraction_err_pp
-    (sc.Sg.scale_out_actual + sc.Sg.scale_out_clone)
-    (sc.Sg.shed_total_actual + sc.Sg.shed_total_clone)
-    (int_of_float
-       (Float.round (sc.Sg.timeline.Ditto_report.Timeline.reconverge_seconds *. 1e3)))
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_text path (fun oc ->
+          Out_channel.output_string oc (Ts.openmetrics timelines));
+      Printf.printf "openmetrics: wrote %s\n" path)
+    openmetrics;
+  Option.iter
+    (fun path ->
+      match List.find_map (fun (_, (run : Gate.run)) -> run.Gate.actual.Service.reqtrace) runs with
+      | Some rq ->
+          Rq.write_jaeger path rq;
+          Printf.printf "jaeger: wrote %s (%d sampled trace(s) of %d request(s))\n" path
+            (Rq.sampled rq) (Rq.requests_seen rq)
+      | None -> Printf.eprintf "validate: --jaeger needs the critpath gate; nothing written\n")
+    jaeger;
+  (* Counter tracks (simulated-clock timestamps) land in their own
+     processes, one per gate and side, next to the wall-clock pipeline
+     spans. *)
+  List.concat
+    (List.mapi
+       (fun i (labels, ts) ->
+         Ts.chrome_events ~pid:(100 + i)
+           ~process_name:(String.concat " " (List.map snd labels) ^ " (sim time)")
+           ts)
+       timelines)
 
 (* Scale round trip: generate a production-shaped graph, export its traces
    through the Jaeger writer, recover the DAG from the re-ingested spans,
@@ -808,8 +540,8 @@ let profile_app name qps original out top period =
 
 let list_apps () =
   (* Committed-gate summary per app: which baseline key families (steady
-     scorecard, chaos, timeline, critpath) and wall budgets the regression
-     gate in bench/baselines/default.json already pins for it. *)
+     scorecard, each validation gate) and wall budgets the regression gate
+     in bench/baselines/default.json already pins for it. *)
   let module Baseline = Ditto_report.Baseline in
   let baseline =
     let path = "bench/baselines/default.json" in
@@ -826,18 +558,19 @@ let list_apps () =
         let fams =
           List.filter_map
             (fun (label, prefix) -> if has prefix then Some label else None)
-            [
-              ("scorecard", Printf.sprintf "scorecards/%s/" name);
-              ("chaos", Printf.sprintf "chaos/%s/" name);
-              ("timeline", Printf.sprintf "timeline/%s/" name);
-              ("critpath", Printf.sprintf "critpath/%s/" name);
-              ("surge", Printf.sprintf "surge/%s/" name);
-              (* synth graph wall budgets: experiments/synth100/... for
-                 app "synth-100" *)
-              ( "wall",
-                Printf.sprintf "experiments/%s/wall_seconds"
-                  (String.concat "" (String.split_on_char '-' name)) );
-            ]
+            (("scorecard", Printf.sprintf "scorecards/%s/" name)
+            :: List.map
+                 (fun g ->
+                   let gate = Ditto_report.Gate.name g in
+                   (gate, Printf.sprintf "%s/%s/" gate name))
+                 Ditto_report.Gate.all
+            @ [
+                (* synth graph wall budgets: experiments/synth100/... for
+                   app "synth-100" *)
+                ( "wall",
+                  Printf.sprintf "experiments/%s/wall_seconds"
+                    (String.concat "" (String.split_on_char '-' name)) );
+              ])
         in
         if fams = [] then "-" else String.concat "+" fams
   in
@@ -931,55 +664,10 @@ let plan_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "plan" ] ~docv:"FILE" ~doc:"Fault plan JSON file (default: the canonical plans)")
-
-let only_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "only" ] ~docv:"PLAN"
-        ~doc:"Run only the named canonical plan (kill-mid-tier, brownout-leaf, flaky-link)")
-
-let chaos_cmd =
-  Cmd.v
-    (Cmd.info "chaos" ~doc:"Validate fidelity under failure (fault plans + resilience)")
-    Term.(
-      const chaos_app $ app_arg $ qps_arg $ no_tune_arg $ plan_arg $ only_arg $ trace_arg
-      $ trace_jaeger_arg)
-
-let openmetrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "openmetrics" ] ~docv:"FILE"
-        ~doc:"Write both windowed timelines (actual + clone) as an OpenMetrics text exposition")
-
-let timeline_cmd =
-  Cmd.v
-    (Cmd.info "timeline"
-       ~doc:
-         "Transient fidelity: windowed DES-clock telemetry under a fault plan (default \
-          kill-mid-tier), with time-to-reconvergence")
-    Term.(
-      const timeline_app $ app_arg $ qps_arg $ no_tune_arg $ plan_arg $ openmetrics_arg
-      $ trace_arg)
-
-let jaeger_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "jaeger" ] ~docv:"FILE"
+    & info [ "plan" ] ~docv:"NAME|FILE"
         ~doc:
-          "Export the actual side's sampled request span trees as Jaeger JSON (re-ingestable \
-           by $(b,inspect-trace))")
-
-let critpath_cmd =
-  Cmd.v
-    (Cmd.info "critpath"
-       ~doc:
-         "Request-level critical-path tracing: actual-vs-clone divergence attribution per tier \
-          x segment")
-    Term.(const critpath_app $ app_arg $ qps_arg $ no_tune_arg $ plan_arg $ jaeger_arg)
+          "Fault plan for every gate: a canonical name (kill-mid-tier, brownout-leaf, flaky-link) \
+           or a plan JSON file (default: each gate's own scenario)")
 
 let profile_file_arg =
   Arg.(
@@ -987,24 +675,47 @@ let profile_file_arg =
     & opt (some string) None
     & info [ "profile" ] ~docv:"NAME|FILE"
         ~doc:
-          "Rate profile: a canonical name (flash-crowd, diurnal, ramp-to-saturation) or a Rate \
-           JSON file (default: flash-crowd)")
+          "Rate profile for every gate: a canonical name (flash-crowd, diurnal, \
+           ramp-to-saturation) or a Rate JSON file (default: each gate's own scenario)")
 
-let queue_bound_arg =
+let gates_arg =
+  let all = List.map Ditto_report.Gate.name Ditto_report.Gate.all in
   Arg.(
-    value & opt int 48
-    & info [ "queue-bound" ] ~docv:"N"
-        ~doc:"Per-replica shed threshold overlaid on every tier (default 48)")
+    value
+    & opt (list string) all
+    & info [ "gates" ] ~docv:"GATES"
+        ~doc:
+          (Printf.sprintf "Comma-separated gates to run, of %s (default: all)"
+             (String.concat ", " all)))
 
-let surge_cmd =
+let openmetrics_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "openmetrics" ] ~docv:"FILE"
+        ~doc:
+          "Write every recorded timeline (per gate, actual + clone) as an OpenMetrics text \
+           exposition")
+
+let jaeger_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "jaeger" ] ~docv:"FILE"
+        ~doc:
+          "Export the critpath gate's sampled request span trees (actual side) as Jaeger JSON \
+           (re-ingestable by $(b,inspect-trace))")
+
+let validate_cmd =
   Cmd.v
-    (Cmd.info "surge"
+    (Cmd.info "validate"
        ~doc:
-         "Overload robustness: open-loop surge profile vs original and clone, with autoscaling \
-          and graceful degradation armed")
+         "Clone an app once and run validation gates on the clone: chaos (fault plans), timeline \
+          (windowed transient fidelity), critpath (critical-path divergence), surge (overload with \
+          autoscaling)")
     Term.(
-      const surge_app $ app_arg $ qps_arg $ no_tune_arg $ profile_file_arg $ plan_arg
-      $ queue_bound_arg $ openmetrics_arg)
+      const validate_app $ app_arg $ qps_arg $ no_tune_arg $ gates_arg $ plan_arg
+      $ profile_file_arg $ openmetrics_arg $ jaeger_arg $ trace_arg $ trace_jaeger_arg)
 
 let original_arg =
   Arg.(value & flag & info [ "original" ] ~doc:"Profile the original instead of its clone")
@@ -1040,6 +751,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            run_cmd; clone_cmd; synth_cmd; export_cmd; stages_cmd; chaos_cmd; timeline_cmd;
-            critpath_cmd; surge_cmd; inspect_cmd; profile_cmd; list_cmd;
+            run_cmd; clone_cmd; synth_cmd; export_cmd; stages_cmd; validate_cmd; inspect_cmd;
+            profile_cmd; list_cmd;
           ]))

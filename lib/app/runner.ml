@@ -13,11 +13,13 @@ type config = {
   cores : int option;
   page_cache_bytes : int option;
   fault_plan : Ditto_fault.Plan.t option;
+  timeline : bool;
+  reqtrace : bool;
 }
 
 let config ?(cluster = false) ?(requests = 220) ?(seed = 42) ?(syscall_scale = 0.25) ?stressor
     ?(stressor_placement = `Same_core) ?(smt_pressure = 1.0) ?(net_interference_gbps = 0.0)
-    ?cores ?page_cache_bytes ?fault_plan platform =
+    ?cores ?page_cache_bytes ?fault_plan ?(timeline = false) ?(reqtrace = false) platform =
   {
     platform;
     cluster;
@@ -31,6 +33,8 @@ let config ?(cluster = false) ?(requests = 220) ?(seed = 42) ?(syscall_scale = 0
     cores;
     page_cache_bytes;
     fault_plan;
+    timeline;
+    reqtrace;
   }
 
 let fault_timeouts_c = Ditto_obs.Obs.Metrics.counter "fault.timeouts"
@@ -263,7 +267,8 @@ let run_inner cfg ~load (app : Spec.t) =
     Ditto_obs.Obs.Span.with_span ~name:"runner.service" (fun () ->
         let r =
           Service.run ~engine ~app ~placement ~results ~seed:(cfg.seed + 1)
-            ~net_interference_gbps:cfg.net_interference_gbps ?fault_plan:cfg.fault_plan load
+            ~net_interference_gbps:cfg.net_interference_gbps ?fault_plan:cfg.fault_plan
+            ~timeline:cfg.timeline ~reqtrace:cfg.reqtrace load
         in
         (match cfg.fault_plan with
         | None -> ()

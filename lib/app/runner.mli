@@ -20,6 +20,10 @@ type config = {
   page_cache_bytes : int option;
   fault_plan : Ditto_fault.Plan.t option;
       (** arm this fault plan against the serving phase (chaos layer) *)
+  timeline : bool;
+      (** record windowed telemetry ({!Service.result.timeline}) *)
+  reqtrace : bool;
+      (** sample request span trees ({!Service.result.reqtrace}) *)
 }
 
 val config :
@@ -34,6 +38,8 @@ val config :
   ?cores:int ->
   ?page_cache_bytes:int ->
   ?fault_plan:Ditto_fault.Plan.t ->
+  ?timeline:bool ->
+  ?reqtrace:bool ->
   Ditto_uarch.Platform.t ->
   config
 

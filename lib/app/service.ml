@@ -55,11 +55,10 @@ type result = {
       (** autoscaler actions in time order; [[]] when no tier carries a
           policy, so pre-surge results are structurally unchanged *)
   timeline : Ditto_obs.Timeseries.t option;
-      (** windowed telemetry; [Some] only when {!Ditto_obs.Timeseries} was
-          enabled when the run started *)
+      (** windowed telemetry; [Some] only when the run's [timeline] was set *)
   reqtrace : Ditto_obs.Reqtrace.t option;
-      (** sampled request span trees; [Some] only when
-          {!Ditto_obs.Reqtrace} was enabled when the run started *)
+      (** sampled request span trees; [Some] only when the run's [reqtrace]
+          was set *)
 }
 
 (* One horizontally-scaled copy of a tier beyond the built-in primary: its
@@ -108,9 +107,9 @@ type sys = {
   tids : int ref;
   inj : Injector.t option;
   tl : Ditto_obs.Timeseries.t option;
-      (** windowed telemetry collector; [None] (the default — the
-          {!Ditto_obs.Timeseries.enabled} flag is off) keeps every hook to
-          a single option match and the event stream byte-identical *)
+      (** windowed telemetry collector; [None] (the default — the run's
+          [timeline] argument is off) keeps every hook to a single option
+          match and the event stream byte-identical *)
   rq : Ditto_obs.Reqtrace.t option;
       (** request-trace collector, same discipline: [None] keeps every
           hook to a single option match; when [Some], hooks only fire for
@@ -691,7 +690,7 @@ let dedupe_machines rts =
     [] rts
 
 let run ~engine ~(app : Spec.t) ~placement ~results ~seed ?(net_interference_gbps = 0.0)
-    ?fault_plan l =
+    ?fault_plan ?(timeline = false) ?(reqtrace = false) l =
   let registry : (string, tier_rt) Hashtbl.t = Hashtbl.create 8 in
   let tids = ref 0 in
   let root = Rng.create seed in
@@ -707,7 +706,7 @@ let run ~engine ~(app : Spec.t) ~placement ~results ~seed ?(net_interference_gbp
         Some (Injector.create ~engine ~seed:(seed + 104729) plan)
   in
   let tl =
-    if not (Ditto_obs.Timeseries.enabled ()) then None
+    if not timeline then None
     else
       (* [Engine.now] here equals the load-phase start: the clock cannot
          advance before [Engine.run] below. *)
@@ -717,11 +716,11 @@ let run ~engine ~(app : Spec.t) ~placement ~results ~seed ?(net_interference_gbp
            ())
   in
   let rq =
-    if not (Ditto_obs.Reqtrace.enabled ()) then None
+    if not reqtrace then None
     else
       (* Sampling hashes the run seed with a request counter — no RNG
-         stream is consumed, so the simulated results of an enabled run
-         are byte-identical to a disabled run's. *)
+         stream is consumed, so the simulated results of a traced run
+         are byte-identical to an untraced run's. *)
       Some (Ditto_obs.Reqtrace.create ~seed ())
   in
   let sys = { registry; tids; inj; tl; rq; scale_log = ref [] } in

@@ -80,14 +80,13 @@ type result = {
   timeline : Ditto_obs.Timeseries.t option;
       (** windowed per-tier telemetry on the DES clock (plus a
           {!Ditto_obs.Timeseries.client_tier} end-to-end series and fault
-          markers from the plan); [Some] only when
-          {!Ditto_obs.Timeseries.enabled} was set when the run started.
-          Enabling telemetry does not perturb any other field. *)
+          markers from the plan); [Some] only when {!run}'s [timeline]
+          was set. Recording telemetry does not perturb any other field. *)
   reqtrace : Ditto_obs.Reqtrace.t option;
       (** span trees of deterministically sampled requests, finalized
           ({!Ditto_obs.Reqtrace.traces} is ready); [Some] only when
-          {!Ditto_obs.Reqtrace.enabled} was set when the run started.
-          Enabling request tracing does not perturb any other field. *)
+          {!run}'s [reqtrace] was set. Request tracing does not perturb
+          any other field. *)
 }
 
 val run :
@@ -98,10 +97,14 @@ val run :
   seed:int ->
   ?net_interference_gbps:float ->
   ?fault_plan:Ditto_fault.Plan.t ->
+  ?timeline:bool ->
+  ?reqtrace:bool ->
   load ->
   result
 (** Serve [load] against the deployed app. [net_interference_gbps] runs an
     iperf-style competing stream through the entry machine's NIC (Fig. 10's
     network interference). [fault_plan] arms a {!Ditto_fault.Injector}
     against this run's engine clock; the injector's RNG is derived from
-    [seed], so a (seed, plan) pair degrades the run deterministically. *)
+    [seed], so a (seed, plan) pair degrades the run deterministically.
+    [timeline] / [reqtrace] (default false) give this run its own
+    {!Ditto_obs.Timeseries} / {!Ditto_obs.Reqtrace} collector. *)

@@ -43,7 +43,7 @@ type comparison = {
   actual_service : Ditto_app.Service.result;
       (** full service-phase results of both sides; carries the optional
           {!Ditto_obs.Timeseries} / {!Ditto_obs.Reqtrace} collectors when
-          those layers were enabled for the validation runs *)
+          the runner config ([config_of]) set [timeline] / [reqtrace] *)
   synthetic_service : Ditto_app.Service.result;
 }
 

@@ -138,12 +138,7 @@ let of_json json =
   in
   make ~name events
 
-let load path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  of_json (J.of_string s)
+let load path = of_json (J.of_string (In_channel.with_open_bin path In_channel.input_all))
 
 let save ~path t =
   let oc = open_out path in

@@ -44,7 +44,7 @@ val validate : ?duration:float -> ?strict:bool -> tiers:string list -> t -> unit
 
 (** {1 Canonical plans}
 
-    The three scenarios exercised by [ditto_cli chaos] and [bench --chaos].
+    The three scenarios of the chaos gate ([Ditto_report.Gate]).
     [duration] is the load duration the plan should fit inside; event times
     scale with it. [tiers] must be in [Spec.t] order (entry first). *)
 

@@ -302,7 +302,7 @@ module Export = struct
   let us_of_ns ns = Int64.to_float ns /. 1e3
   let hex = Printf.sprintf "%x"
 
-  let to_chrome () =
+  let to_chrome ?(events = []) () =
     let spans = spans () in
     let base =
       match spans with [] -> 0L | s :: _ -> s.start_ns
@@ -337,6 +337,7 @@ module Export = struct
                     :: List.map (fun (k, v) -> (k, attr_to_json v)) s.attrs) );
               ])
           spans
+      @ events
     in
     J.Obj
       [
@@ -416,4 +417,19 @@ module Export = struct
 
   let write_chrome path = write path (to_chrome ())
   let write_jaeger ?service path = write path (to_jaeger ?service ())
+
+  let write_traces ?(events = []) ?chrome ?jaeger () =
+    let jaeger = if jaeger = None then Option.map (fun p -> p ^ ".jaeger.json") chrome else jaeger in
+    let chrome_line path =
+      write path (to_chrome ~events ());
+      Printf.sprintf "wrote %s (%d spans, %d dropped%s)" path
+        (List.length (spans ()))
+        (dropped ())
+        (if events = [] then "" else Printf.sprintf ", %d counter events" (List.length events))
+    in
+    let jaeger_line path =
+      write_jaeger path;
+      "wrote " ^ path
+    in
+    Option.to_list (Option.map chrome_line chrome) @ Option.to_list (Option.map jaeger_line jaeger)
 end

@@ -103,11 +103,12 @@ module Export : sig
   val clear : unit -> unit
   (** Drop retained spans (open spans complete into the emptied rings). *)
 
-  val to_chrome : unit -> Ditto_util.Jsonx.t
+  val to_chrome : ?events:Ditto_util.Jsonx.t list -> unit -> Ditto_util.Jsonx.t
   (** Chrome trace-event JSON ([chrome://tracing] / Perfetto): one complete
       ("ph":"X") event per span with [tid] = domain id, plus thread-name
-      metadata and a [dittoMetrics] snapshot. Timestamps are microseconds
-      relative to the earliest span. *)
+      metadata and a [dittoMetrics] snapshot, with [events] appended to
+      [traceEvents]. Timestamps are microseconds relative to the earliest
+      span. *)
 
   val to_jaeger : ?service:string -> unit -> Ditto_util.Jsonx.t
   (** Jaeger JSON export ([{"data":[{"traceID";"spans";"processes"}]}]),
@@ -116,4 +117,12 @@ module Export : sig
 
   val write_chrome : string -> unit
   val write_jaeger : ?service:string -> string -> unit
+
+  val write_traces :
+    ?events:Ditto_util.Jsonx.t list -> ?chrome:string -> ?jaeger:string -> unit -> string list
+  (** The [--trace FILE] / [--trace-jaeger FILE] pair: writes the Chrome
+      file to [chrome] (with [events] appended, e.g. the
+      {!Timeseries.chrome_events} counter tracks) and the Jaeger file to
+      [jaeger], which defaults to [chrome ^ ".jaeger.json"]. Returns one
+      ["wrote FILE ..."] line per file written. *)
 end

@@ -1,14 +1,5 @@
 module J = Ditto_util.Jsonx
 
-(* Global switch, same discipline as Profiler/Timeseries: the disabled
-   path in the service hooks is one atomic load and nothing else, so the
-   event stream of a tracing-off run is byte-identical to pre-tracing
-   builds, at any pool size. *)
-let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
-let enable () = Atomic.set enabled_flag true
-let disable () = Atomic.set enabled_flag false
-
 let client_tier = "client"
 
 type segment_kind = Queue | Service | Backoff

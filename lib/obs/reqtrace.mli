@@ -9,22 +9,20 @@
     backoff. {!Ditto_report.Critpath} folds these trees into per-tier ×
     segment latency-contribution tables.
 
-    Off by default, same discipline as {!Profiler}/{!Timeseries}: the
-    disabled path in every service hook is one atomic load, so pool-size
-    bit-identity of the simulation is untouched. Sampling never draws
-    from the run's RNG streams — the decision hashes the run seed with a
-    per-run request sequence number — and recording never performs engine
-    effects, so an enabled run's simulated results are byte-identical to
-    a disabled run's. A collector is only ever touched from the single
-    domain executing its run's engine; no locking.
+    A per-run setting, off by default, like {!Timeseries}: a collector
+    exists only when the run's [Runner.config.reqtrace] is set, and
+    without one every service hook is a single option match, so
+    pool-size bit-identity of the simulation is untouched. Sampling
+    never draws from the run's RNG streams — the decision hashes the run
+    seed with a per-run request sequence number — and recording never
+    performs engine effects, so a traced run's simulated results are
+    byte-identical to an untraced run's. A collector is only ever
+    touched from the single domain executing its run's engine; no
+    locking.
 
     Trace context crosses tiers as an opaque span id riding
     [Ditto_net.Socket.msg.meta] ([0] = unsampled), so [lib/net] stays
     free of any observability dependency. *)
-
-val enabled : unit -> bool
-val enable : unit -> unit
-val disable : unit -> unit
 
 val client_tier : string
 (** Tier name of client root spans: ["client"] (same as

@@ -1,13 +1,5 @@
 module J = Ditto_util.Jsonx
 
-(* Global switch, same discipline as Profiler: the disabled path in the
-   service hooks is one atomic load and nothing else, so the event stream
-   of a telemetry-off run is byte-identical to pre-telemetry builds. *)
-let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
-let enable () = Atomic.set enabled_flag true
-let disable () = Atomic.set enabled_flag false
-
 let client_tier = "client"
 
 type counter = Timeouts | Retries | Shed | Failures | Degraded

@@ -1,13 +1,14 @@
 (** Windowed time-series telemetry sampled on the simulated (DES) clock.
 
-    Off by default: the only cost on the disabled path is one atomic load
-    per would-be hook (same discipline as {!Profiler} and {!Obs}), so
-    pool-size bit-identity of the simulation is untouched. When enabled,
-    {!Ditto_app.Service.run} allocates one collector per run and threads
-    it through its request/fault hooks; a run's collector is only ever
-    touched from the single domain executing that run's engine, so no
-    locking is needed and enabled timelines are bit-identical across
-    [DITTO_DOMAINS] pool sizes.
+    A per-run setting, off by default: {!Ditto_app.Service.run} allocates
+    one collector when the run's [Runner.config.timeline] is set and
+    threads it through its request/fault hooks; without one every hook
+    is a single option match, so pool-size bit-identity of the
+    simulation is untouched. A run's collector is only ever touched from
+    the single domain executing that run's engine, so no locking is
+    needed, concurrent runs with different settings do not see each
+    other, and timelines are bit-identical across [DITTO_DOMAINS] pool
+    sizes.
 
     The run is divided into [windows] equal windows of simulated time
     starting at [start]; every sample carries its simulated timestamp
@@ -19,10 +20,6 @@
     error), fault counters (timeouts, retries, shed, failures), on-CPU
     seconds, and a max-sampled queue depth. A synthetic {!client_tier}
     series holds end-to-end client observations. *)
-
-val enabled : unit -> bool
-val enable : unit -> unit
-val disable : unit -> unit
 
 val client_tier : string
 (** Name of the synthetic end-to-end series: ["client"]. *)

@@ -387,11 +387,4 @@ let save path app =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (J.to_string ~pretty:true (to_json app)))
 
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      of_json (J.of_string s))
+let load path = of_json (J.of_string (In_channel.with_open_bin path In_channel.input_all))

@@ -95,21 +95,13 @@ let flatten json =
                  rows
            | _ -> [])
   in
-  let chaos =
-    obj_entries (J.member "chaos" json)
-    |> List.map (fun (key, v) -> ("chaos/" ^ key, J.to_float v))
-  in
-  let timeline =
-    obj_entries (J.member "timeline" json)
-    |> List.map (fun (key, v) -> ("timeline/" ^ key, J.to_float v))
-  in
-  let critpath =
-    obj_entries (J.member "critpath" json)
-    |> List.map (fun (key, v) -> ("critpath/" ^ key, J.to_float v))
-  in
-  let surge =
-    obj_entries (J.member "surge" json)
-    |> List.map (fun (key, v) -> ("surge/" ^ key, J.to_float v))
+  let gates =
+    List.concat_map
+      (fun g ->
+        let section = Gate.name g in
+        obj_entries (J.member section json)
+        |> List.map (fun (key, v) -> (section ^ "/" ^ key, J.to_float v)))
+      Gate.all
   in
   (* Wall-clock budgets: per-experiment stage seconds plus the bench
      total, so `bench --check` gates performance regressions alongside
@@ -130,7 +122,7 @@ let flatten json =
     | J.Num s -> per_experiment @ [ ("experiments/total/wall_seconds", s) ]
     | _ -> per_experiment
   in
-  errors @ scorecards @ chaos @ timeline @ critpath @ surge @ wall
+  errors @ scorecards @ gates @ wall
 
 let make ?(tolerance_pp = default_tolerances) metrics = { tolerance_pp; metrics }
 
@@ -193,12 +185,7 @@ let of_json json =
       obj_entries (J.member "metrics" json) |> List.map (fun (k, v) -> (k, J.to_float v));
   }
 
-let load path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  of_json (J.of_string s)
+let load path = of_json (J.of_string (In_channel.with_open_bin path In_channel.input_all))
 
 let save ~path t =
   let oc = open_out path in

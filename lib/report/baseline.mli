@@ -31,8 +31,10 @@ val tolerance_for : t -> string -> float
 val flatten : Ditto_util.Jsonx.t -> (string * float) list
 (** Extract comparable metrics from a [bench --json] document:
     ["mean_error_pct/<axis>"] entries,
-    ["scorecards/<app>/<tier>/<metric>"] row errors, and
-    ["chaos/<app>/<plan>/<metric>"] failure-fidelity errors. *)
+    ["scorecards/<app>/<tier>/<metric>"] row errors, every gate section's
+    keys under ["<gate>/"] (["chaos/<app>/<plan>/<metric>"], ... for each
+    of {!Gate.all}, in that order), and the
+    ["experiments/<name>/wall_seconds"] budgets. *)
 
 val make : ?tolerance_pp:(string * float) list -> (string * float) list -> t
 (** A baseline with the given metrics. *)

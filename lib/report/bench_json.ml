@@ -14,16 +14,8 @@ type experiment = {
 
 (* v6 additions: the engine's process-wide event-heap high-water mark (the
    synth scaling work pins DES memory behaviour) and each cloned app's
-   tier count, so wide-graph runs are self-describing. v7 adds the flat
-   transient-fidelity keys from the windowed telemetry layer
-   (timeline/<app>/<plan>/{worst_window_err_pct,mean_window_err_pct,
-   reconverge_seconds}). v8 adds the flat critical-path divergence keys
-   from the request-tracing layer
-   (critpath/<app>/<plan>/<tier>/<segment>/share_err_pp plus per-app
-   worst/mean summaries). v9 adds the flat overload-fidelity keys from
-   surge runs (surge/<app>/<profile>/{worst_window_err_pct,
-   mean_window_err_pct,reconverge_seconds,shed_fraction_err_pp,
-   worst_shed_window_err_pp,replica_traj_err_pp,saturation_onset_err_s}). *)
+   tier count, so wide-graph runs are self-describing. v4 and v7-v9 added
+   one flat section per validation gate, now all held in [gates]. *)
 type input = {
   domains : int;
   total_seconds : float;
@@ -33,10 +25,7 @@ type input = {
   tuning : (string * J.t) list;
   metrics : (string * float) list;
   scorecards : Scorecard.t list;
-  chaos : (string * float) list;
-  timeline : (string * float) list;
-  critpath : (string * float) list;
-  surge : (string * float) list;
+  gates : (Gate.t * (string * float) list) list;
   peak_heap_events : int;
   tier_counts : (string * int) list;
 }
@@ -45,7 +34,7 @@ let num_obj kvs = J.Obj (List.map (fun (k, v) -> (k, J.Num v)) kvs)
 
 let assemble i =
   J.Obj
-    [
+    ([
       ("schema_version", J.int schema_version);
       ("domains", J.int i.domains);
       ("total_seconds", J.Num i.total_seconds);
@@ -68,13 +57,14 @@ let assemble i =
       ( "scorecards",
         J.Obj (List.map (fun (s : Scorecard.t) -> (s.Scorecard.app, Scorecard.to_json s)) i.scorecards)
       );
-      ("chaos", num_obj i.chaos);
-      ("timeline", num_obj i.timeline);
-      ("critpath", num_obj i.critpath);
-      ("surge", num_obj i.surge);
+    ]
+  @ List.map
+      (fun g -> (Gate.name g, num_obj (Option.value ~default:[] (List.assoc_opt g i.gates))))
+      Gate.all
+  @ [
       ("engine", J.Obj [ ("peak_heap_events", J.int i.peak_heap_events) ]);
       ("tier_counts", J.Obj (List.map (fun (k, v) -> (k, J.int v)) i.tier_counts));
-    ]
+    ])
 
 (* Shape checking: a tiny combinator layer over Jsonx keeps the error
    message pointed at the offending path. *)
@@ -153,10 +143,13 @@ let validate json =
   let* () = field path json "tuning" (obj_of any) in
   let* () = field path json "metrics" (obj_of num) in
   let* () = field path json "scorecards" (obj_of scorecard) in
-  let* () = field path json "chaos" (obj_of num) in
-  let* () = field path json "timeline" (obj_of num) in
-  let* () = field path json "critpath" (obj_of num) in
-  let* () = field path json "surge" (obj_of num) in
+  let* () =
+    List.fold_left
+      (fun acc g ->
+        let* () = acc in
+        field path json (Gate.name g) (obj_of num))
+      (Ok ()) Gate.all
+  in
   let* () =
     field path json "engine" (fun path v -> field path v "peak_heap_events" num)
   in

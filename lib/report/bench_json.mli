@@ -17,6 +17,9 @@
     the flat ["surge"] section (overload-fidelity metrics from
     profile-driven runs, keyed ["<app>/<profile>/<metric>"],
     {!Surge.flat}).
+    The four flat gate sections are exactly {!Gate.all}, in that order,
+    keyed by {!Gate.name}; every section is present, empty when its gate
+    did not run.
     {!validate} is the shape check the test suite and downstream tooling
     run against emitted files, so schema drift fails loudly instead of
     silently. *)
@@ -42,18 +45,9 @@ type input = {
       (** app -> {!Ditto_tune.Tuner.report_to_json} *)
   metrics : (string * float) list;  (** {!Ditto_obs.Obs.Metrics.snapshot} *)
   scorecards : Scorecard.t list;
-  chaos : (string * float) list;
-      (** "<app>/<plan>/<metric>" -> value, from [bench --chaos]; empty
-          when the chaos experiment did not run *)
-  timeline : (string * float) list;
-      (** "<app>/<plan>/<metric>" -> value ({!Timeline.flat}), from
-          [bench timeline]; empty when that experiment did not run *)
-  critpath : (string * float) list;
-      (** "<app>/<plan>/..." -> value ({!Critpath.flat}), from
-          [bench critpath]; empty when that experiment did not run *)
-  surge : (string * float) list;
-      (** "<app>/<profile>/<metric>" -> value ({!Surge.flat}), from
-          [bench surge]; empty when that experiment did not run *)
+  gates : (Gate.t * (string * float) list) list;
+      (** per gate that ran, its "<app>/<scenario>/..." keys ({!Gate.flat});
+          a gate missing here gets an empty section *)
   peak_heap_events : int;
       (** {!Ditto_sim.Engine.global_peak_heap_events} at document time *)
   tier_counts : (string * int) list;  (** app -> tiers in the original spec *)

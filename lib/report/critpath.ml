@@ -202,8 +202,8 @@ let of_comparison ~app ?plan (c : Ditto_core.Pipeline.comparison) =
     | None ->
         invalid_arg
           (Printf.sprintf
-             "Critpath.of_comparison: the %s run carried no Reqtrace collector (enable \
-              Ditto_obs.Reqtrace before validating)"
+             "Critpath.of_comparison: the %s run carried no Reqtrace collector (validate \
+              with a runner config that sets reqtrace)"
              side)
   in
   let actual = of_traces (traces "actual" c.Ditto_core.Pipeline.actual_service) in

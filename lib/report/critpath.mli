@@ -69,7 +69,7 @@ val of_comparison :
   app:string -> ?plan:string -> Ditto_core.Pipeline.comparison -> divergence
 (** Build the scorecard straight from a validation run whose two sides
     carried {!Ditto_obs.Reqtrace} collectors. Raises [Invalid_argument]
-    when either side has none (request tracing was not enabled). *)
+    when either side has none (the runner config did not set [reqtrace]). *)
 
 val worst : divergence -> div_row option
 (** Highest-|err_pp| row — the tier × segment the tuner should look at. *)

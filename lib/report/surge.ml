@@ -62,8 +62,8 @@ let of_chaos ~app ?threshold_pct (ch : Pipeline.chaos) =
     | Some a, Some c -> (a, c)
     | _ ->
         invalid_arg
-          "Surge.of_chaos: needs windowed telemetry on both sides (enable Timeseries before the \
-           run)"
+          "Surge.of_chaos: needs windowed telemetry on both sides (validate with a runner \
+           config that sets timeline)"
   in
   let scenario = Pipeline.scenario_name ?plan:ch.Pipeline.plan ?surge:ch.Pipeline.surge () in
   let timeline = Timeline.of_timelines ~app ~plan:scenario ?threshold_pct ~actual ~clone () in

@@ -34,7 +34,7 @@ type t = {
 
 val of_chaos : app:string -> ?threshold_pct:float -> Ditto_core.Pipeline.chaos -> t
 (** Raises [Invalid_argument] unless both sides carry windowed telemetry
-    ({!Ditto_obs.Timeseries.enable} before the run). [threshold_pct] is
+    (a runner config with [timeline] set). [threshold_pct] is
     {!Timeline.of_timelines}'s reconvergence criterion. *)
 
 val print : t -> unit

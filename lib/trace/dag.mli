@@ -18,7 +18,7 @@ type t = { entry : string; services : string list; edges : edge list }
 
 val of_spans : Span.t list -> t
 (** Raises [Invalid_argument] if the spans contain no root. When several
-    roots are present (one trace per request, as [ditto_cli critpath]
+    roots are present (one trace per request, as the critpath gate
     exports), the topology is extracted with the first root's service as
     entry; use {!roots} to enumerate them all. *)
 

@@ -195,14 +195,16 @@ let test_env_sizing () =
 
 (* {1 Pipeline determinism across pool sizes} *)
 
-let clone_with pool =
+let det_load = Service.load ~qps:20000.0 ~open_loop:false ~duration:0.3 ()
+
+let clone_with ?config_of pool =
   let app = Ditto_apps.Redis.spec () in
-  let load = Service.load ~qps:20000.0 ~open_loop:false ~duration:0.3 () in
+  let load = det_load in
   let r =
     Pipeline.clone ~pool ~requests:60 ~profile_requests:40 ~seed:7 ~platform:Platform.a ~load
       app
   in
-  let v = Pipeline.validate ~pool ~platform:Platform.a ~load ~label:"det" r in
+  let v = Pipeline.validate ~pool ?config_of ~platform:Platform.a ~load ~label:"det" r in
   (r, v)
 
 let seq_parallel =
@@ -291,13 +293,14 @@ let test_synth_determinism () =
     (v1.Pipeline.actual_end_to_end = v4.Pipeline.actual_end_to_end
     && v1.Pipeline.synthetic_end_to_end = v4.Pipeline.synthetic_end_to_end)
 
+let with_timeline p = Runner.config ~timeline:true p
+let with_reqtrace p = Runner.config ~reqtrace:true p
+
 (* Telemetry must be invisible to simulation results: the windowed
    collector only adds read-only, zero-virtual-time ticker events, so a
    telemetry-on run agrees bit-for-bit with the telemetry-off baseline
    ([seq_parallel]) and across pool sizes. *)
-let telemetry_clone_with pool =
-  Ditto_obs.Timeseries.enable ();
-  Fun.protect ~finally:Ditto_obs.Timeseries.disable (fun () -> clone_with pool)
+let telemetry_clone_with pool = clone_with ~config_of:with_timeline pool
 
 let test_telemetry_invariance () =
   let (_, v_off), _ = Lazy.force seq_parallel in
@@ -319,9 +322,7 @@ let test_telemetry_invariance () =
    performs no engine effects, so a tracing-on run matches the
    tracing-off baseline bit-for-bit — and the sampled traces themselves
    are pinned across pool sizes. *)
-let reqtrace_clone_with pool =
-  Ditto_obs.Reqtrace.enable ();
-  Fun.protect ~finally:Ditto_obs.Reqtrace.disable (fun () -> clone_with pool)
+let reqtrace_clone_with pool = clone_with ~config_of:with_reqtrace pool
 
 let test_reqtrace_invariance () =
   let (_, v_off), _ = Lazy.force seq_parallel in
@@ -346,6 +347,35 @@ let test_reqtrace_invariance () =
   in
   Alcotest.(check bool) "sampled span trees bit-identical across pool sizes" true
     (jaeger_of v1 = jaeger_of v4)
+
+(* Recorders are per-run settings: two validations of one clone in flight
+   at once on a 2-domain pool, one recording timelines and one tracing
+   requests, each get exactly the collector they asked for, and neither
+   perturbs the other's (or a recorder-free run's) metrics. *)
+let test_recorders_per_run () =
+  let (r, v_off), _ = Lazy.force seq_parallel in
+  let tl, rq =
+    with_pool 2 (fun pool ->
+        let validate config_of =
+          Pipeline.validate ~pool ~config_of ~platform:Platform.a ~load:det_load ~label:"det" r
+        in
+        Pool.both pool (fun () -> validate with_timeline) (fun () -> validate with_reqtrace))
+  in
+  let collectors (v : Pipeline.comparison) =
+    List.map
+      (fun (s : Service.result) -> (s.Service.timeline <> None, s.Service.reqtrace <> None))
+      [ v.Pipeline.actual_service; v.Pipeline.synthetic_service ]
+  in
+  Alcotest.(check (list (pair bool bool)))
+    "timeline run: timelines only" [ (true, false); (true, false) ] (collectors tl);
+  Alcotest.(check (list (pair bool bool)))
+    "reqtrace run: request traces only" [ (false, true); (false, true) ] (collectors rq);
+  List.iter
+    (fun (what, (v : Pipeline.comparison)) ->
+      Alcotest.(check bool) (what ^ " per-tier metrics match recorders-off run") true
+        (v.Pipeline.actual = v_off.Pipeline.actual
+        && v.Pipeline.synthetic = v_off.Pipeline.synthetic))
+    [ ("timeline", tl); ("reqtrace", rq) ]
 
 (* A constant rate profile must be a true no-op: the arrival loop takes
    the pre-profile code path, so a profile-carrying load agrees
@@ -421,6 +451,7 @@ let () =
           Alcotest.test_case "synth graph across pool sizes" `Slow test_synth_determinism;
           Alcotest.test_case "telemetry on/off x pool sizes" `Slow test_telemetry_invariance;
           Alcotest.test_case "reqtrace on/off x pool sizes" `Slow test_reqtrace_invariance;
+          Alcotest.test_case "recorders are per-run settings" `Slow test_recorders_per_run;
           Alcotest.test_case "constant profile x pool sizes" `Slow
             test_constant_profile_invariance;
           Alcotest.test_case "speculation reported" `Quick test_speculation_reported;

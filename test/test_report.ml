@@ -10,18 +10,22 @@ module Scorecard = Ditto_report.Scorecard
 module Flame = Ditto_report.Flame
 module Baseline = Ditto_report.Baseline
 module Bench_json = Ditto_report.Bench_json
+module Gate = Ditto_report.Gate
 module J = Ditto_util.Jsonx
 
-(* One small untuned redis clone + validation, shared by the scorecard and
-   schema tests (cloning dominates this suite's runtime). *)
-let comparison =
+(* One small untuned redis clone + validation, shared by the scorecard,
+   schema and gate tests (cloning dominates this suite's runtime). *)
+let clone =
   lazy
     (let app = Ditto_apps.Redis.spec () in
      let load = Service.load ~qps:20_000.0 ~duration:0.3 () in
-     let result =
+     ( load,
        Pipeline.clone ~tune:false ~requests:60 ~profile_requests:40 ~platform:Platform.a ~load
-         app
-     in
+         app ))
+
+let comparison =
+  lazy
+    (let load, result = Lazy.force clone in
      Pipeline.validate
        ~config_of:(fun p -> Runner.config ~requests:60 p)
        ~platform:Platform.a ~load ~label:"test" result)
@@ -213,10 +217,9 @@ let test_baseline_roundtrip () =
 
 (* {1 bench --json schema} *)
 
-let sample_doc () =
+let sample_input () =
   let card = Scorecard.of_comparison ~app:"redis" (Lazy.force comparison) in
-  Bench_json.assemble
-    {
+  {
       Bench_json.domains = 1;
       total_seconds = 1.25;
       experiments =
@@ -233,13 +236,18 @@ let sample_doc () =
       tuning = [];
       metrics = [ ("sim.events", 1000.0) ];
       scorecards = [ card ];
-      chaos = [ ("redis/kill-mid-tier/error_rate_pp", 1.2) ];
-      timeline = [ ("redis/kill-mid-tier/worst_window_err_pct", 3.0) ];
-      critpath = [ ("redis/steady/redis/service/share_err_pp", 1.1) ];
-      surge = [ ("redis/flash-crowd/shed_fraction_err_pp", 0.7) ];
+      gates =
+        [
+          (Gate.Chaos, [ ("redis/kill-mid-tier/error_rate_pp", 1.2) ]);
+          (Gate.Timeline, [ ("redis/kill-mid-tier/worst_window_err_pct", 3.0) ]);
+          (Gate.Critpath, [ ("redis/steady/redis/service/share_err_pp", 1.1) ]);
+          (Gate.Surge, [ ("redis/flash-crowd/shed_fraction_err_pp", 0.7) ]);
+        ];
       peak_heap_events = 4096;
       tier_counts = [ ("redis", 1) ];
     }
+
+let sample_doc () = Bench_json.assemble (sample_input ())
 
 let test_schema_valid () =
   let doc = sample_doc () in
@@ -315,6 +323,57 @@ let test_flatten_keys () =
   Alcotest.(check bool) "all errors non-negative" true
     (List.for_all (fun (_, v) -> v >= 0.0) flat)
 
+(* {1 Validation gates} *)
+
+let test_gate_names () =
+  List.iter
+    (fun g ->
+      Alcotest.(check bool) ("of_name round-trips " ^ Gate.name g) true
+        (Gate.of_name (Gate.name g) = Some g))
+    Gate.all;
+  Alcotest.(check bool) "unknown name" true (Gate.of_name "bogus" = None)
+
+(* Every gate on the small redis clone: each key sits under
+   <app>/<scenario>/, the document carrying the keys passes the schema
+   check, and the baseline flattener returns exactly those keys under
+   <gate>/. *)
+let test_gates_document () =
+  let load, result = Lazy.force clone in
+  let results = List.map (fun g -> (g, Gate.run g ~app:"redis" ~load result)) Gate.all in
+  List.iter
+    (fun (g, (r : Gate.result)) ->
+      Alcotest.(check bool) (Gate.name g ^ " produced keys") true (Gate.flat r <> []);
+      List.iter
+        (fun (run : Gate.run) ->
+          let prefix = "redis/" ^ run.Gate.scenario ^ "/" in
+          List.iter
+            (fun (k, _) ->
+              Alcotest.(check bool) (k ^ " under " ^ prefix) true (String.starts_with ~prefix k))
+            run.Gate.flat)
+        r.Gate.runs)
+    results;
+  let doc =
+    Bench_json.assemble
+      {
+        (sample_input ()) with
+        Bench_json.gates = List.map (fun (g, r) -> (g, Gate.flat r)) results;
+      }
+  in
+  (match Bench_json.validate doc with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "gate document rejected: %s" e);
+  let expected =
+    List.concat_map
+      (fun (g, r) -> List.map (fun (k, v) -> (Gate.name g ^ "/" ^ k, v)) (Gate.flat r))
+      results
+  in
+  let is_gate_key (k, _) =
+    List.exists (fun g -> String.starts_with ~prefix:(Gate.name g ^ "/") k) Gate.all
+  in
+  Alcotest.(check (list (pair string (float 1e-12))))
+    "flatten returns exactly the gate keys" expected
+    (List.filter is_gate_key (Baseline.flatten doc))
+
 let () =
   Alcotest.run "report"
     [
@@ -342,5 +401,10 @@ let () =
           Alcotest.test_case "schema valid" `Slow test_schema_valid;
           Alcotest.test_case "schema drift rejected" `Slow test_schema_drift_rejected;
           Alcotest.test_case "flatten keys" `Slow test_flatten_keys;
+        ] );
+      ( "gate",
+        [
+          Alcotest.test_case "names round-trip" `Quick test_gate_names;
+          Alcotest.test_case "keys, document and flatten" `Slow test_gates_document;
         ] );
     ]

@@ -11,7 +11,6 @@ module Profile = Ditto_loadgen.Profile
 module Plan = Ditto_fault.Plan
 module Pipeline = Ditto_core.Pipeline
 module Surge = Ditto_report.Surge
-module Ts = Ditto_obs.Timeseries
 module Platform = Ditto_uarch.Platform
 module Rng = Ditto_util.Rng
 module Pool = Ditto_util.Pool
@@ -427,8 +426,8 @@ let clone_lazy =
 let test_surge_scorecard () =
   let load, r = Lazy.force clone_lazy in
   let profile = Profile.flash_crowd ~mult:8.0 ~duration:load.Service.duration () in
-  let run () =
-    Pipeline.validate_under ~platform:Platform.a ~load
+  let run ?config_of () =
+    Pipeline.validate_under ?config_of ~platform:Platform.a ~load
       ~resilience:(Spec.resilient ~queue_bound:8 ())
       ~autoscale:surge_policy ~profile ~label:"surge-test" r
   in
@@ -436,8 +435,7 @@ let test_surge_scorecard () =
   (match Surge.of_chaos ~app:"surge_app" (run ()) with
   | _ -> Alcotest.fail "scorecard built without telemetry"
   | exception Invalid_argument _ -> ());
-  Ts.enable ();
-  let ch = Fun.protect ~finally:Ts.disable run in
+  let ch = run ~config_of:(fun p -> Runner.config ~timeline:true p) () in
   let sc = Surge.of_chaos ~app:"surge_app" ch in
   Alcotest.(check string) "scenario is the profile name" "flash-crowd" sc.Surge.scenario;
   (* whole-run shed fractions are raw fractions; the gap is in points *)

@@ -343,15 +343,16 @@ let timelines_with pool =
   in
   let tiers = List.map (fun (t : Spec.tier) -> t.Spec.tier_name) r.Pipeline.original.Spec.tiers in
   let plan = Plan.kill_mid_tier ~duration:load.Service.duration ~tiers () in
-  Ts.enable ();
-  Fun.protect ~finally:Ts.disable (fun () ->
-      let ch = Pipeline.validate_under ~pool ~platform:Platform.a ~load ~plan ~label:"tl" r in
-      match
-        ( ch.Pipeline.actual_service.Service.timeline,
-          ch.Pipeline.synthetic_service.Service.timeline )
-      with
-      | Some a, Some c -> (Ts.to_openmetrics a, Ts.to_openmetrics c, a, c)
-      | _ -> Alcotest.fail "telemetry enabled but no timeline collected")
+  let ch =
+    Pipeline.validate_under ~pool
+      ~config_of:(fun p -> Runner.config ~timeline:true p)
+      ~platform:Platform.a ~load ~plan ~label:"tl" r
+  in
+  match
+    (ch.Pipeline.actual_service.Service.timeline, ch.Pipeline.synthetic_service.Service.timeline)
+  with
+  | Some a, Some c -> (Ts.to_openmetrics a, Ts.to_openmetrics c, a, c)
+  | _ -> Alcotest.fail "telemetry enabled but no timeline collected"
 
 let test_timeline_pool_determinism () =
   let a1, c1, act, clone = with_pool 1 timelines_with in
