@@ -751,6 +751,60 @@ let micro () =
                done);
            Ditto_sim.Engine.run e))
   in
+  (* 1,000 processes parked in [wait] at once, each woken twice at spread
+     times: push and pop against a heap of about a thousand live events. *)
+  let engine_pending_bench =
+    Test.make ~name:"des.1000-pending"
+      (Staged.stage (fun () ->
+           let e = Ditto_sim.Engine.create () in
+           for i = 0 to 999 do
+             Ditto_sim.Engine.spawn e (fun () ->
+                 Ditto_sim.Engine.wait (float_of_int (i * 7919 mod 1000) *. 1e-6);
+                 Ditto_sim.Engine.wait 1e-3)
+           done;
+           Ditto_sim.Engine.run e))
+  in
+  (* 24 client connections, ten RPCs each with a client-side timeout,
+     served by one epoll worker that drains and replies: socket send and
+     delivery, epoll readiness, and beaten timeouts on both sides. *)
+  let epoll_rpc_bench =
+    let module Socket = Ditto_net.Socket in
+    let conns = 24 and rpcs = 10 in
+    Test.make ~name:"socket.epoll-rpc"
+      (Staged.stage (fun () ->
+           let e = Ditto_sim.Engine.create () in
+           let nic () = Ditto_net.Nic.create e ~gbps:10.0 in
+           let server_nic = nic () in
+           let epoll = Socket.Epoll.create () in
+           let clients =
+             List.init conns (fun _ ->
+                 let c, s = Socket.pair e ~a_nic:(nic ()) ~b_nic:server_nic ~latency:20e-6 in
+                 Socket.Epoll.add epoll s;
+                 c)
+           in
+           let served = ref 0 in
+           let rec drain s =
+             match Socket.try_recv_msg s with
+             | Some _ ->
+                 incr served;
+                 Socket.send s ~bytes:64;
+                 drain s
+             | None -> ()
+           in
+           Ditto_sim.Engine.spawn e (fun () ->
+               while !served < conns * rpcs do
+                 List.iter drain (Socket.Epoll.wait ~timeout:0.1 epoll)
+               done);
+           List.iter
+             (fun c ->
+               Ditto_sim.Engine.spawn e (fun () ->
+                   for _ = 1 to rpcs do
+                     Socket.send c ~bytes:64;
+                     ignore (Socket.recv_msg_timeout c ~timeout:0.01)
+                   done))
+             clients;
+           Ditto_sim.Engine.run e))
+  in
   let core_bench =
     let mem = Ditto_uarch.Memory.create Platform.a ~ncores:1 in
     let core = Ditto_uarch.Core_model.create mem ~core:0 in
@@ -805,6 +859,8 @@ let micro () =
       cache_bench;
       predictor_bench;
       engine_bench;
+      engine_pending_bench;
+      epoll_rpc_bench;
       core_bench;
       core_loads_bench;
       page_cache_bench;

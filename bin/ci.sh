@@ -2,16 +2,16 @@
 # Tier-1 gate: full build, the 23 test suites, a benchmark smoke run, a
 # self-tracing smoke test (Chrome + Jaeger exports re-parsed via Jsonx), a
 # sampled-profiler smoke test, a synth scaling smoke (100-tier generated
-# graph cloned + validated under a wall budget), the validation-gate
-# smokes — one memcached clone through the chaos (fault injection +
-# resilience counters), timeline (windowed telemetry + transient-fidelity
-# scorecard + OpenMetrics export) and surge (flash crowd on top of
-# kill-mid-tier, autoscaling and admission control fired on both sides)
-# gates, one redis clone through the critpath gate (critical-path
-# divergence + Jaeger round-trip), and a check that an unknown gate is
-# refused — and the fidelity regression gate (scorecards diffed against
-# the committed baseline, plus a proof that the gate rejects a perturbed
-# baseline).
+# graph cloned + validated under a wall budget and a DES event-queue peak
+# limit), the validation-gate smokes — one memcached clone through the
+# chaos (fault injection + resilience counters), timeline (windowed
+# telemetry + transient-fidelity scorecard + OpenMetrics export) and surge
+# (flash crowd on top of kill-mid-tier, autoscaling and admission control
+# fired on both sides) gates, one redis clone through the critpath gate
+# (critical-path divergence + Jaeger round-trip), and a check that an
+# unknown gate is refused — and the fidelity regression gate (scorecards
+# diffed against the committed baseline, plus a proof that the gate
+# rejects a perturbed baseline).
 # Usage: bin/ci.sh   (from the repo root; DITTO_DOMAINS caps the pool)
 set -eu
 
@@ -88,6 +88,15 @@ if ! grep -q "SYNTH-SMOKE-OK" "$synth_log"; then
 fi
 if [ "$synth_wall" -gt 240 ]; then
   echo "ci: FAIL — synth smoke took ${synth_wall}s (budget 240s)" >&2
+  exit 1
+fi
+# The DES queue holds only live events (beaten timeouts are cancelled, not
+# left queued until their deadline), so its high-water mark follows the
+# simulated concurrency: about 200 here. A leak of dead timers shows up as
+# a peak in the thousands.
+synth_peak=$(awk -F': ' '/^peak heap events:/ { print $2 }' "$synth_log")
+if [ -z "$synth_peak" ] || [ "$synth_peak" -gt 500 ]; then
+  echo "ci: FAIL — synth smoke peak heap events '${synth_peak}' (limit 500)" >&2
   exit 1
 fi
 

@@ -120,10 +120,7 @@ let measure_shard_tiers = 32
 let run_inner cfg ~load (app : Spec.t) =
   let tiers = app.Spec.tiers in
   let ntiers = List.length tiers in
-  (* Pending events scale with workers + connections + in-flight requests:
-     pre-size the heap so thousand-tier graphs never pay repeated array
-     doubling inside the hot push path. *)
-  let engine = Ditto_sim.Engine.create ~capacity:(256 + (64 * ntiers)) () in
+  let engine = Ditto_sim.Engine.create () in
   Ditto_sim.Engine.set_profile_label engine app.Spec.app_name;
   let page_cache_bytes =
     match cfg.page_cache_bytes with Some b -> Some b | None -> app.Spec.page_cache_hint
@@ -248,7 +245,7 @@ let run_inner cfg ~load (app : Spec.t) =
               let pool = Ditto_util.Pool.default () in
               Ditto_util.Pool.map pool
                 (fun (si, shard) ->
-                  let scratch_engine = Ditto_sim.Engine.create ~capacity:64 () in
+                  let scratch_engine = Ditto_sim.Engine.create () in
                   let sm =
                     Machine.create ?page_cache_bytes ?cores:cfg.cores scratch_engine cfg.platform
                   in

@@ -3,14 +3,25 @@ open Ditto_sim
 type msg = { bytes : int; err : bool; arrived : float; meta : int }
 type verdict = Deliver | Delay of float | Drop
 
+(* [watchers] are processes blocked on this endpoint directly (recv). An
+   endpoint added to an epoll records it as [owner]; readiness waiters then
+   park on the epoll, and the epoll counts the messages queued across its
+   endpoints in [queued], kept current on every delivery and every take. *)
 type endpoint = {
   engine : Engine.t;
   inbox : msg Queue.t;
   mutable watchers : unit Engine.waker list;
+  mutable owner : poller option;
   nic : Nic.t;
   latency : float;
   mutable peer : endpoint option;
   mutable disruptor : (bytes:int -> verdict) option;
+}
+
+and poller = {
+  mutable endpoints : endpoint list;
+  mutable waiters : unit Engine.waker list;
+  mutable queued : int;
 }
 
 let make engine nic latency =
@@ -18,6 +29,7 @@ let make engine nic latency =
     engine;
     inbox = Queue.create ();
     watchers = [];
+    owner = None;
     nic;
     latency;
     peer = None;
@@ -32,10 +44,30 @@ let pair engine ~a_nic ~b_nic ~latency =
 
 let set_disruptor ep f = ep.disruptor <- f
 
-let notify_watchers ep =
+let wake_all ws = List.iter (fun w -> Engine.wake w ()) ws
+
+(* Direct waiters first, then the epoll's: no process blocks in [recv] on
+   an endpoint an epoll owns, so at most one of the two lists holds a live
+   waiter, and each is newest-first. *)
+let deliver ep msg =
+  Queue.push msg ep.inbox;
   let ws = ep.watchers in
   ep.watchers <- [];
-  List.iter (fun w -> Engine.wake w ()) ws
+  wake_all ws;
+  match ep.owner with
+  | None -> ()
+  | Some p ->
+      p.queued <- p.queued + 1;
+      let ws = p.waiters in
+      p.waiters <- [];
+      wake_all ws
+
+let take ep =
+  match Queue.take_opt ep.inbox with
+  | None -> None
+  | Some _ as m ->
+      (match ep.owner with Some p -> p.queued <- p.queued - 1 | None -> ());
+      m
 
 let send ?(err = false) ?(meta = 0) ep ~bytes =
   match ep.peer with
@@ -50,11 +82,10 @@ let send ?(err = false) ?(meta = 0) ep ~bytes =
           let deliver_at = Engine.time () +. ep.latency +. extra in
           Engine.schedule ep.engine deliver_at (fun () ->
               Nic.note_received peer.nic ~bytes;
-              Queue.push { bytes; err; arrived = deliver_at; meta } peer.inbox;
-              notify_watchers peer))
+              deliver peer { bytes; err; arrived = deliver_at; meta }))
 
 let rec recv_msg ep =
-  match Queue.take_opt ep.inbox with
+  match take ep with
   | Some msg -> msg
   | None ->
       Engine.suspend (fun w -> ep.watchers <- w :: ep.watchers);
@@ -65,14 +96,14 @@ let recv_timed ep =
   (m.bytes, m.arrived)
 
 let recv ep = (recv_msg ep).bytes
-let try_recv_msg ep = Queue.take_opt ep.inbox
+let try_recv_msg ep = take ep
 let try_recv_timed ep = Option.map (fun m -> (m.bytes, m.arrived)) (try_recv_msg ep)
 let try_recv ep = Option.map (fun m -> m.bytes) (try_recv_msg ep)
 
 let recv_msg_timeout ep ~timeout =
   let deadline = Engine.time () +. timeout in
   let rec go () =
-    match Queue.take_opt ep.inbox with
+    match take ep with
     | Some msg -> Some msg
     | None ->
         let left = deadline -. Engine.time () in
@@ -87,28 +118,32 @@ let recv_msg_timeout ep ~timeout =
 let pending ep = Queue.length ep.inbox
 
 module Epoll = struct
-  type t = { mutable endpoints : endpoint list; mutable waiters : unit Engine.waker list }
+  type t = poller
 
-  let create () = { endpoints = []; waiters = [] }
+  let create () = { endpoints = []; waiters = []; queued = 0 }
 
-  (* A connection can be added while a worker is already parked in [wait];
-     the pending waiters must hear about traffic on the new endpoint (or be
-     woken immediately if it is already readable). *)
+  (* A connection can be added while a worker is already parked in [wait]:
+     if it is already readable, the parked waiters wake now; otherwise the
+     next delivery on it wakes them through [owner]. *)
   let add t ep =
+    if Option.is_some ep.owner then
+      invalid_arg "Socket.Epoll.add: endpoint already belongs to an epoll";
+    ep.owner <- Some t;
     t.endpoints <- ep :: t.endpoints;
-    let live = List.filter (fun w -> not (Engine.is_woken w)) t.waiters in
-    t.waiters <- live;
-    if Queue.is_empty ep.inbox then ep.watchers <- live @ ep.watchers
-    else List.iter (fun w -> Engine.wake w ()) live
+    let n = Queue.length ep.inbox in
+    if n > 0 then begin
+      t.queued <- t.queued + n;
+      let ws = t.waiters in
+      t.waiters <- [];
+      wake_all ws
+    end
 
-  let ready t = List.filter (fun ep -> not (Queue.is_empty ep.inbox)) t.endpoints
+  let ready t =
+    if t.queued = 0 then [] else List.filter (fun ep -> not (Queue.is_empty ep.inbox)) t.endpoints
 
-  let pending_total t =
-    List.fold_left (fun acc ep -> acc + Queue.length ep.inbox) 0 t.endpoints
+  let pending_total t = t.queued
 
-  let register t w =
-    t.waiters <- w :: List.filter (fun w' -> not (Engine.is_woken w')) t.waiters;
-    List.iter (fun ep -> ep.watchers <- w :: ep.watchers) t.endpoints
+  let register t w = t.waiters <- w :: List.filter (fun w' -> not (Engine.is_woken w')) t.waiters
 
   let rec wait ?timeout t =
     match ready t with

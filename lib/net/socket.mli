@@ -66,15 +66,22 @@ module Epoll : sig
   type t
 
   val create : unit -> t
+
   val add : t -> endpoint -> unit
+  (** Register an endpoint for readiness. An endpoint belongs to at most one
+      epoll: adding it a second time, to this epoll or another, raises
+      [Invalid_argument]. Processes waiting on the epoll are woken by every
+      delivery to its endpoints; do not also block in {!recv} on an endpoint
+      an epoll owns. *)
 
   val wait : ?timeout:float -> t -> endpoint list
   (** Block until at least one registered endpoint is readable; returns the
-      ready endpoints ([] only on timeout). A non-positive [timeout] polls:
-      it returns the currently ready endpoints — possibly [] — without
-      blocking or yielding. *)
+      ready endpoints, most recently added first ([] only on timeout). A
+      non-positive [timeout] polls: it returns the currently ready
+      endpoints — possibly [] — without blocking or yielding. *)
 
   val pending_total : t -> int
   (** Total queued messages across all registered endpoints (the tier's
-      accept-queue depth, used for load shedding). *)
+      accept-queue depth, used for load shedding). O(1): the epoll keeps
+      the count current on every delivery and every take. *)
 end

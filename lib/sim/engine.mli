@@ -12,18 +12,18 @@
 type t
 (** An engine instance: virtual clock plus pending-event queue. *)
 
-val create : ?capacity:int -> unit -> t
-(** [create ?capacity ()] builds an engine. [capacity] (default 256) is a
-    hint for the number of simultaneously pending events: the event heap is
-    pre-sized to it so wide runs (hundreds of tiers) never pay repeated
-    array doubling, and an undersized guess grows straight back to the hint
-    rather than by powers of two from the current size. *)
+val create : unit -> t
+(** A fresh engine at time 0 with an empty queue. Event storage starts
+    small and doubles as needed: the queue holds only live events, so its
+    size follows the simulated concurrency (workers, connections, requests
+    in flight), not the run length. *)
 
 val reset : t -> unit
-(** Drop the engine's event storage (heap array and immediate queue) and
-    rewind the clock, releasing peak memory once a run is over so pooled or
-    still-referenced engines don't pin it between back-to-back clones.
-    [events_processed] and {!peak_live_events} survive for reporting. *)
+(** Drop the engine's event storage (slots, heap and current-instant ring,
+    along with any events still pending) and rewind the clock, releasing
+    peak memory once a run is over so pooled or still-referenced engines
+    don't pin it between back-to-back clones. [events_processed] and
+    {!peak_live_events} survive for reporting. *)
 
 val now : t -> float
 (** Current virtual time. *)
@@ -46,15 +46,22 @@ val every : t -> start:float -> period:float -> until:float -> (float -> unit) -
 
 val run : ?until:float -> t -> unit
 (** Drain the event queue, advancing the clock; stop early once the clock
-    would exceed [until]. *)
+    would exceed [until] (the first event beyond it is dropped, so a run
+    with [until] is terminal). When the queue drains, the clock moves on to
+    the latest deadline among timers that {!wake} cancelled, if that is
+    later (capped at [until]) — the instant those timers would have
+    reached as no-op events — so [now] after [run] does not depend on
+    whether beaten timeouts were cancelled. *)
 
 val events_processed : t -> int
-(** Total events executed so far (for engine benchmarking). *)
+(** Total events executed so far (for engine benchmarking). A
+    {!suspend_timeout} timer that was beaten by a {!wake} is cancelled, not
+    executed, and is not counted. *)
 
 val peak_live_events : t -> int
-(** High-water mark of simultaneously pending events (heap + immediate
-    queue) over this engine's lifetime — the number [create]'s [?capacity]
-    hint should cover. *)
+(** High-water mark of simultaneously pending events (heap + current-instant
+    ring) over this engine's lifetime. Cancelled timers leave the queue at
+    once, so only live events count. *)
 
 val global_peak_heap_events : unit -> int
 (** Largest {!peak_live_events} observed by any engine in this process
@@ -80,7 +87,8 @@ type 'a waker
 
 val wake : 'a waker -> 'a -> unit
 (** Resume the suspended process with a value, at the engine's current
-    time. Waking an already-woken waker is a no-op. *)
+    time. Waking an already-woken waker is a no-op. Waking a
+    {!suspend_timeout} waker cancels its pending timer in O(log n). *)
 
 val is_woken : 'a waker -> bool
 
@@ -90,7 +98,8 @@ val suspend : ('a waker -> unit) -> 'a
 
 val suspend_timeout : float -> ('a waker -> unit) -> 'a option
 (** Like [suspend], but resumes with [None] after the timeout if not woken
-    earlier. *)
+    earlier. A wake that beats the timeout removes the timer from the
+    queue. *)
 
 val fork : (unit -> unit) -> unit
 (** Spawn a sibling process on the same engine, starting now. *)

@@ -231,6 +231,81 @@ let test_epoll_multiple_endpoints () =
   Engine.run engine;
   Alcotest.(check bool) "at least one ready" true (!ready_count >= 1)
 
+let test_epoll_single_owner () =
+  let engine = Engine.create () in
+  let _, b = make_pair engine in
+  let e1 = Socket.Epoll.create () and e2 = Socket.Epoll.create () in
+  Socket.Epoll.add e1 b;
+  let refused f = match f () with () -> false | exception Invalid_argument _ -> true in
+  Alcotest.(check bool) "a second epoll is refused" true (refused (fun () -> Socket.Epoll.add e2 b));
+  Alcotest.(check bool) "the same epoll twice is refused" true
+    (refused (fun () -> Socket.Epoll.add e1 b))
+
+(* Six endpoints split across two epolls (endpoint [i] joins epoll
+   [i mod 2], in ascending order), driven by random sends, passes of time
+   (which let deliveries land) and takes. After every step each epoll's
+   [pending_total] equals the sum of its endpoints' [pending], and a
+   zero-timeout [wait] returns exactly the non-empty endpoints, most
+   recently added first. *)
+type sock_op = Send of int | Pass of int | Take of int
+
+let show_sock_op = function
+  | Send i -> Printf.sprintf "send %d" i
+  | Pass n -> Printf.sprintf "pass %dus" (10 * n)
+  | Take i -> Printf.sprintf "take %d" i
+
+let nsock = 6
+
+let prop_epoll_counts_and_readiness =
+  let sock = QCheck.Gen.int_bound (nsock - 1) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun i -> Send i) sock);
+          (2, map (fun n -> Pass n) (int_bound 20));
+          (3, map (fun i -> Take i) sock);
+        ])
+  in
+  QCheck.Test.make ~name:"epoll counts and readiness" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_sock_op ops))
+       QCheck.Gen.(list_size (int_range 1 80) op))
+    (fun ops ->
+      let engine = Engine.create () in
+      let pairs = Array.init nsock (fun _ -> make_pair engine) in
+      let server i = snd pairs.(i) in
+      let polls = [| Socket.Epoll.create (); Socket.Epoll.create () |] in
+      for i = 0 to nsock - 1 do
+        Socket.Epoll.add polls.(i mod 2) (server i)
+      done;
+      let consistent () =
+        List.for_all
+          (fun k ->
+            let mine = List.filter (fun i -> i mod 2 = k) (List.init nsock Fun.id) in
+            let queued = List.fold_left (fun acc i -> acc + Socket.pending (server i)) 0 mine in
+            let expected =
+              List.rev_map server (List.filter (fun i -> Socket.pending (server i) > 0) mine)
+            in
+            let ready = Socket.Epoll.wait ~timeout:0.0 polls.(k) in
+            Socket.Epoll.pending_total polls.(k) = queued
+            && List.length ready = List.length expected
+            && List.for_all2 ( == ) ready expected)
+          [ 0; 1 ]
+      in
+      let ok = ref true in
+      Engine.spawn engine (fun () ->
+          List.iter
+            (fun op ->
+              (match op with
+              | Send i -> Socket.send (fst pairs.(i)) ~bytes:64
+              | Pass n -> Engine.wait (float_of_int n *. 1e-5)
+              | Take i -> ignore (Socket.try_recv_msg (server i)));
+              if not (consistent ()) then ok := false)
+            ops);
+      Engine.run engine;
+      !ok && consistent ())
+
 let () =
   Alcotest.run "net_storage"
     [
@@ -261,5 +336,7 @@ let () =
           Alcotest.test_case "zero timeout polls" `Quick test_epoll_zero_timeout_polls;
           Alcotest.test_case "add while waiting" `Quick test_epoll_add_while_waiting;
           Alcotest.test_case "multiple endpoints" `Quick test_epoll_multiple_endpoints;
+          Alcotest.test_case "single owner" `Quick test_epoll_single_owner;
+          QCheck_alcotest.to_alcotest prop_epoll_counts_and_readiness;
         ] );
     ]

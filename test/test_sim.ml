@@ -255,6 +255,114 @@ let test_events_processed () =
   Engine.run engine;
   Alcotest.(check bool) "counted" true (Engine.events_processed engine >= 2)
 
+(* {1 Dispatch order}
+
+   A seeded mix of every way an event enters the queue: zero and non-zero
+   waits, [fork], [schedule], [spawn ~at], [suspend_timeout] both beaten
+   and expired, [Mailbox.recv_timeout] and a contended [Resource]. Each
+   process draws its next action from one shared RNG in dispatch order, so
+   any change to the order of events changes the (time, process, step)
+   trace. Durations are multiples of 0.25 ms so that events tie often. *)
+let dispatch_mix () =
+  let engine = Engine.create () in
+  let rng = Ditto_util.Rng.create 42 in
+  let buf = Buffer.create 65536 in
+  let log at p step = Printf.bprintf buf "%h %d %d\n" at p step in
+  let mb : int Engine.Mailbox.m = Engine.Mailbox.create () in
+  let res = Engine.Resource.create 2 in
+  let parked : unit Engine.waker Queue.t = Queue.create () in
+  let tick () = float_of_int (Ditto_util.Rng.int rng 4) *. 0.25e-3 in
+  let wake_parked () =
+    match Queue.take_opt parked with Some w -> Engine.wake w () | None -> ()
+  in
+  let rec proc p step =
+    if step < 40 then begin
+      log (Engine.time ()) p step;
+      (match Ditto_util.Rng.int rng 8 with
+      | 0 -> Engine.wait 0.0
+      | 1 -> Engine.wait (tick ())
+      | 2 ->
+          let child = (100 * (p + 1)) + step in
+          Engine.fork (fun () ->
+              log (Engine.time ()) child 0;
+              Engine.wait (tick ());
+              log (Engine.time ()) child 1)
+      | 3 ->
+          Engine.schedule engine
+            (Engine.time () +. tick ())
+            (fun () ->
+              log (Engine.now engine) (-p - 1) step;
+              if Ditto_util.Rng.int rng 3 = 0 then wake_parked ())
+      | 4 -> (
+          match Engine.suspend_timeout (0.1e-3 +. tick ()) (fun w -> Queue.push w parked) with
+          | Some () -> log (Engine.time ()) p 1000
+          | None -> log (Engine.time ()) p 1001)
+      | 5 -> (
+          match Engine.Mailbox.recv_timeout mb (0.1e-3 +. tick ()) with
+          | Some v -> log (Engine.time ()) p (2000 + v)
+          | None -> log (Engine.time ()) p 2999)
+      | 6 -> Engine.Mailbox.send mb step
+      | _ -> Engine.Resource.with_resource res (fun () -> Engine.wait (tick ())));
+      proc p (step + 1)
+    end
+  in
+  (* A long timeout, parked first and so beaten first: its deadline is the
+     latest of the run and decides the final clock. *)
+  Engine.spawn engine (fun () ->
+      match Engine.suspend_timeout 5.0 (fun w -> Queue.push w parked) with
+      | Some () -> log (Engine.time ()) 99 1000
+      | None -> log (Engine.time ()) 99 1001);
+  for p = 0 to 7 do
+    Engine.spawn engine ~at:(float_of_int p *. 0.1e-3) (fun () -> proc p 0)
+  done;
+  Engine.spawn engine (fun () ->
+      for _ = 1 to 12 do
+        Engine.wait (tick ());
+        wake_parked ()
+      done);
+  Engine.run engine;
+  (Digest.to_hex (Digest.string (Buffer.contents buf)), Engine.now engine)
+
+(* Pinned from the heap that kept beaten timeouts queued as no-op events:
+   cancelling them must not move any other event, nor the final clock (5.0
+   is the deadline of the long timeout beaten first). *)
+let test_dispatch_order_pinned () =
+  let digest, final = dispatch_mix () in
+  Alcotest.(check string) "trace digest" "ac91225e1b7955c2594bbc814e30477d" digest;
+  Alcotest.(check (float 0.0)) "final clock" 5.0 final
+
+(* A beaten timeout leaves the queue at once: it is neither executed nor
+   counted, and only live events reach the high-water mark. The clock still
+   ends at the cancelled deadline, as when the timer ran as a no-op. *)
+let test_beaten_timeout_cancelled () =
+  let engine = Engine.create () in
+  let waker = ref None in
+  Engine.spawn engine (fun () ->
+      ignore (Engine.suspend_timeout 10.0 (fun w -> waker := Some w)));
+  Engine.spawn engine (fun () ->
+      Engine.wait 0.5;
+      Engine.wake (Option.get !waker) ());
+  Engine.run engine;
+  (* two starts, the waker's wait, the timeout's inner wake and the resume *)
+  Alcotest.(check int) "cancelled timer not processed" 5 (Engine.events_processed engine);
+  check_float "clock ends at the cancelled deadline" 10.0 (Engine.now engine);
+  let engine = Engine.create () in
+  let waker = ref None and last_deadline = ref 0.0 in
+  Engine.spawn engine (fun () ->
+      for _ = 1 to 100 do
+        last_deadline := Engine.time () +. 10.0;
+        ignore (Engine.suspend_timeout 10.0 (fun w -> waker := Some w))
+      done);
+  Engine.spawn engine (fun () ->
+      for _ = 1 to 100 do
+        Engine.wait 0.01;
+        Engine.wake (Option.get !waker) ()
+      done);
+  Engine.run engine;
+  Alcotest.(check int) "only live events peak" 2 (Engine.peak_live_events engine);
+  Alcotest.(check int) "no timer processed" 302 (Engine.events_processed engine);
+  check_float "clock ends at the last cancelled deadline" !last_deadline (Engine.now engine)
+
 let () =
   Alcotest.run "sim"
     [
@@ -275,7 +383,9 @@ let () =
           Alcotest.test_case "double wake" `Quick test_double_wake_ignored;
           Alcotest.test_case "timeout fires" `Quick test_suspend_timeout_fires;
           Alcotest.test_case "timeout beaten" `Quick test_suspend_timeout_wakes;
+          Alcotest.test_case "beaten timeout cancelled" `Quick test_beaten_timeout_cancelled;
         ] );
+      ("dispatch", [ Alcotest.test_case "order pinned" `Quick test_dispatch_order_pinned ]);
       ( "ivar",
         [
           Alcotest.test_case "broadcast" `Quick test_ivar;
