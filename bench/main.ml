@@ -52,15 +52,16 @@ let banner title = Printf.printf "\n================ %s ================\n%!" ti
 let duration = 0.6
 let wall = Unix.gettimeofday
 
-(* {1 Clone cache: each app is profiled and cloned once, at medium load}
+(* {1 Clones: each app is profiled and cloned once, at medium load}
 
    Cloning the registry is the dominant cost of the harness and every app
    is independent, so [preclone] submits one future per requested clone on
    the shared domain pool — longest-processing-time first, so the slowest
-   clone starts earliest — and chains each app's medium-load validation
-   behind its clone. Experiments then [await] exactly the clone they need
-   instead of a barrier over the whole batch. [get_clone] stays as the
-   sequential fallback for names cloned outside a preclone pass. *)
+   clone starts earliest. Each future also runs the clone at its medium
+   load on platform A, the cell every registry-wide experiment reads.
+   Experiments then [await] exactly the clone they need instead of a
+   barrier over the whole batch. [get_clone] stays as the sequential
+   fallback for names cloned outside a preclone pass. *)
 
 let pool = Ditto_util.Pool.default ()
 
@@ -94,8 +95,26 @@ let registry_entries () =
         (fun (e : Registry.entry) -> List.exists (fun p -> glob_match p e.Registry.name) pats)
         (Registry.all @ Registry.extras)
 
-let clones : (string, Service.load * Pipeline.clone_result) Hashtbl.t = Hashtbl.create 8
+(* A clone made at [load] on platform A with the default runner config,
+   and [med], the clone's own run at that same cell. [Pipeline.clone] ran
+   the original there as [result.reference], so the pair is the cell's
+   whole validation and neither side is ever run again. *)
+type clone = {
+  load : Service.load;
+  result : Pipeline.clone_result;
+  med : Runner.output;
+  secs : float; (* wall time of the clone alone *)
+}
+
+let clones : (string, clone) Hashtbl.t = Hashtbl.create 8
 let clone_secs : (string * float) list ref = ref []
+
+let med_run ~load (result : Pipeline.clone_result) =
+  Runner.run (Runner.config Platform.a) ~load result.Pipeline.synthetic
+
+(* The medium-load, platform-A validation of a clone, under [label]. *)
+let med_comparison ~label c =
+  Pipeline.comparison_of_outputs ~label c.result.Pipeline.reference c.med
 
 let clone_one name =
   let entry = Registry.by_name name in
@@ -108,9 +127,10 @@ let clone_one name =
     Obs.Span.with_span ~name:"bench.clone" ~attrs:[ ("app", Obs.Str name) ] (fun () ->
         Pipeline.clone ~pool ~platform:Platform.a ~load (entry.Registry.spec ()))
   in
-  (name, load, result, wall () -. t0)
+  let secs = wall () -. t0 in
+  { load; result; med = med_run ~load result; secs }
 
-let report_clone (name, _load, result, secs) =
+let report_clone name { result; secs; _ } =
   clone_secs := (name, secs) :: !clone_secs;
   Printf.printf "[clone] %s profiled+generated+tuned in %.1fs%s\n%!" name secs
     (match result.Pipeline.tuning with
@@ -125,69 +145,30 @@ let report_clone (name, _load, result, secs) =
                infinity r.Ditto_tune.Tuner.iterations)
     | None -> "")
 
-(* {1 Validation cache}
-
-   Several experiments validate the same clone under the same (platform,
-   load) pair with the default runner config — fig5's medium cell, fig7's
-   platform-A cell, fig8's top-down breakdown and the scorecards are all
-   the same simulation. Each distinct cell runs once; hits only rewrite
-   the comparison's label. Experiments that customise the config (fig10's
-   stressors, fig11's core scaling) bypass the cache. *)
-
-let validate_mutex = Mutex.create ()
-
-let validate_cache : (string * string * float * float, Pipeline.comparison) Hashtbl.t =
-  Hashtbl.create 32
-
-let validate_cached ~platform ~load ~label result =
-  let key =
-    ( result.Pipeline.original.Spec.app_name,
-      platform.Platform.name,
-      load.Service.qps,
-      load.Service.duration )
-  in
-  let cached =
-    Mutex.lock validate_mutex;
-    let c = Hashtbl.find_opt validate_cache key in
-    Mutex.unlock validate_mutex;
-    c
-  in
-  match cached with
-  | Some c -> { c with Pipeline.label }
-  | None ->
-      let c = Pipeline.validate ~pool ~platform ~load ~label result in
-      Mutex.lock validate_mutex;
-      if not (Hashtbl.mem validate_cache key) then Hashtbl.add validate_cache key c;
-      Mutex.unlock validate_mutex;
-      c
-
 (* In-flight preclone futures: [get_clone] claims these before falling back
    to cloning inline. *)
-type clone_timed = string * Service.load * Pipeline.clone_result * float
+let clone_futures : (string, clone Ditto_util.Pool.future) Hashtbl.t = Hashtbl.create 8
 
-let clone_futures : (string, clone_timed Ditto_util.Pool.future) Hashtbl.t = Hashtbl.create 8
+let add_clone name c =
+  report_clone name c;
+  Hashtbl.add clones name c;
+  c
 
 let claim_future name =
   match Hashtbl.find_opt clone_futures name with
   | None -> None
   | Some fut ->
-      let ((_, load, result, _) as timed) = Ditto_util.Pool.await pool fut in
+      let c = Ditto_util.Pool.await pool fut in
       Hashtbl.remove clone_futures name;
-      report_clone timed;
-      Hashtbl.add clones name (load, result);
-      Some (load, result)
+      Some (add_clone name c)
 
 let get_clone name =
   match Hashtbl.find_opt clones name with
-  | Some (load, result) -> (load, result)
+  | Some c -> c
   | None -> (
       match claim_future name with
-      | Some pair -> pair
-      | None ->
-          let ((_, load, result, _) as timed) = clone_one name in
-          report_clone timed;
-          Hashtbl.add clones name (load, result);
-          (load, result))
+      | Some c -> c
+      | None -> add_clone name (clone_one name))
 
 (* Approximate clone cost (seconds at BENCH_4), for longest-processing-time
    scheduling of the preclone futures: submitting the most expensive clone
@@ -218,15 +199,8 @@ let preclone names =
       (fun () ->
         List.iter
           (fun name ->
-            let fut = Ditto_util.Pool.submit pool (fun () -> clone_one name) in
-            Hashtbl.replace clone_futures name fut;
-            (* DAG edge clone -> validate: the medium-load cell every
-               registry-wide experiment reads is warmed as soon as its
-               clone lands, without waiting for the other apps. *)
-            ignore
-              (Ditto_util.Pool.submit pool (fun () ->
-                   let _, load, result, _ = Ditto_util.Pool.await pool fut in
-                   ignore (validate_cached ~platform:Platform.a ~load ~label:"med" result))))
+            Hashtbl.replace clone_futures name
+              (Ditto_util.Pool.submit pool (fun () -> clone_one name)))
           names;
         (* Claim every future here so clone wall-clock is attributed to the
            preclone stage, not to whichever experiment touches it first. *)
@@ -284,17 +258,20 @@ let fig5_header =
 let fig5_one app_name =
   let entry = Registry.by_name app_name in
   let low, med, high = entry.Registry.loads in
-  let _, result = get_clone app_name in
+  let c = get_clone app_name in
   let rows = ref [] in
-  (* The three load points are independent cells: validate them on the
-     pool, then print and accumulate errors in deterministic order. *)
+  (* The medium cell is the clone's own; low and high are independent
+     cells: validate them on the pool, then print and accumulate errors in
+     deterministic order. *)
   let cells =
     Ditto_util.Pool.map pool
       (fun (label, qps) ->
-        let load =
-          Ditto_loadgen.Workload.to_load entry.Registry.workload ~qps ~duration ()
-        in
-        (label, qps, validate_cached ~platform:Platform.a ~load ~label result))
+        if label = "med" then (label, qps, med_comparison ~label c)
+        else
+          let load =
+            Ditto_loadgen.Workload.to_load entry.Registry.workload ~qps ~duration ()
+          in
+          (label, qps, Pipeline.validate ~pool ~platform:Platform.a ~load ~label c.result))
       [ ("low", low); ("med", med); ("high", high) ]
   in
   List.iter
@@ -333,14 +310,14 @@ let fig5 () =
 let fig6 () =
   banner "Figure 6: Social Network end-to-end latency vs QPS";
   let entry = Registry.by_name "social_network" in
-  let _, result = get_clone "social_network" in
+  let { result; _ } = get_clone "social_network" in
   let rows =
     Ditto_util.Pool.map pool
       (fun qps ->
         let load =
           Ditto_loadgen.Workload.to_load entry.Registry.workload ~qps ~duration ()
         in
-        let c = validate_cached ~platform:Platform.a ~load ~label:(fmt "%.0f" qps) result in
+        let c = Pipeline.validate ~pool ~platform:Platform.a ~load ~label:(fmt "%.0f" qps) result in
         let a = c.Pipeline.actual_end_to_end and s = c.Pipeline.synthetic_end_to_end in
         (* Whole-distribution agreement, not just percentiles. *)
         let ks = Stats.ks_distance c.Pipeline.actual_raw c.Pipeline.synthetic_raw in
@@ -364,18 +341,22 @@ let fig7 () =
   List.iter
     (fun (entry : Registry.entry) ->
       let _, med, _ = entry.Registry.loads in
-      let _, result = get_clone entry.Registry.name in
+      let clone = get_clone entry.Registry.name in
       let rows = ref [] in
       let cells =
         Ditto_util.Pool.map pool
           (fun (plat : Platform.t) ->
-            (* B and C are smaller machines: drive them at a fraction of A's
-               medium load, same for original and synthetic. *)
-            let qps = if plat.Platform.name = "A" then med else med /. 2.5 in
-            let load =
-              Ditto_loadgen.Workload.to_load entry.Registry.workload ~qps ~duration ()
-            in
-            (plat, validate_cached ~platform:plat ~load ~label:plat.Platform.name result))
+            let label = plat.Platform.name in
+            (* A is the clone's own medium cell. B and C are smaller
+               machines: drive them at a fraction of A's medium load, same
+               for original and synthetic. *)
+            if label = "A" then (plat, med_comparison ~label clone)
+            else
+              let load =
+                Ditto_loadgen.Workload.to_load entry.Registry.workload ~qps:(med /. 2.5)
+                  ~duration ()
+              in
+              (plat, Pipeline.validate ~pool ~platform:plat ~load ~label clone.result))
           [ Platform.a; Platform.b; Platform.c ]
       in
       List.iter
@@ -405,8 +386,7 @@ let fig8 () =
   let rows = ref [] in
   List.iter
     (fun (entry : Registry.entry) ->
-      let load, result = get_clone entry.Registry.name in
-      let c = validate_cached ~platform:Platform.a ~load ~label:"topdown" result in
+      let c = med_comparison ~label:"topdown" (get_clone entry.Registry.name) in
       List.iter
         (fun tier ->
           let show who (m : Metrics.t) =
@@ -432,11 +412,10 @@ let fig8 () =
 
 let fig9 () =
   banner "Figure 9: IPC/instructions/cycles/p99 as Ditto adds sophistication (MongoDB)";
-  let load, result = get_clone "mongodb" in
+  let { load; result; med; _ } = get_clone "mongodb" in
   let cfg = Runner.config Platform.a in
   let rows = ref [] in
-  let add label spec =
-    let out = Runner.run cfg ~load spec in
+  let add_output label out =
     let m = Runner.tier_metrics out "mongodb" in
     let c = m.Metrics.counters in
     let per_req v = v /. float_of_int (max 1 (List.assoc "mongodb" out.Runner.measured).Measure.requests_measured) in
@@ -450,7 +429,8 @@ let fig9 () =
       ]
       :: !rows
   in
-  add "target (original)" result.Pipeline.original;
+  let add label spec = add_output label (Runner.run cfg ~load spec) in
+  add_output "target (original)" result.Pipeline.reference;
   List.iter
     (fun (stage, label) ->
       let features = Ditto_gen.Body_gen.stage stage in
@@ -460,7 +440,7 @@ let fig9 () =
       ('A', "skeleton"); ('B', "+syscalls"); ('C', "+#insts"); ('D', "+inst mix");
       ('E', "+branch"); ('F', "+I-mem"); ('G', "+D-mem"); ('H', "+data dep");
     ];
-  add "I:+tune (final clone)" result.Pipeline.synthetic;
+  add_output "I:+tune (final clone)" med;
   add "user-level baseline" (Ditto_baseline.Userlevel_clone.synth_app result.Pipeline.profile);
   Table.print ~title:"Fig. 9 — decomposition of Ditto's accuracy (MongoDB, medium load)"
     ~header:[ "stage"; "IPC"; "insts/req"; "cycles/req"; "p99 ms" ]
@@ -470,7 +450,7 @@ let fig9 () =
 
 let fig10 () =
   banner "Figure 10: interference impact on NGINX (profiled in isolation)";
-  let load, result = get_clone "nginx" in
+  let { load; result; _ } = get_clone "nginx" in
   let scenarios =
     [
       ("Orig.", fun p -> Runner.config p);
@@ -655,23 +635,22 @@ let ablation () =
   in
   List.iter
     (fun (entry : Registry.entry) ->
-      let load, result = get_clone entry.Registry.name in
+      let { load; result; med; _ } = get_clone entry.Registry.name in
       let cfg = Runner.config Platform.a in
-      (* The clone pipeline already ran the original at this exact
-         (config, load): its reference output is bit-identical to
-         re-running it here, so reuse it. *)
+      (* The tuned clone and the original both already ran at this exact
+         (config, load): the stored run and the clone's reference. *)
       let actual_out = result.Pipeline.reference in
       let variants =
         [
-          ("ditto (tuned)", result.Pipeline.synthetic);
           ("ditto (untuned)", Ditto_gen.Clone.synth_app result.Pipeline.profile);
           ("user-level baseline", Ditto_baseline.Userlevel_clone.synth_app result.Pipeline.profile);
         ]
       in
       let outs =
-        Ditto_util.Pool.map pool
-          (fun (variant, spec) -> (variant, Runner.run cfg ~load spec))
-          variants
+        ("ditto (tuned)", med)
+        :: Ditto_util.Pool.map pool
+             (fun (variant, spec) -> (variant, Runner.run cfg ~load spec))
+             variants
       in
       List.iter
         (fun (variant, out) ->
@@ -893,10 +872,10 @@ let scorecards () =
   List.iter
     (fun (entry : Registry.entry) ->
       let name = entry.Registry.name in
-      let load, result = get_clone name in
-      let c = validate_cached ~platform:Platform.a ~load ~label:"med" result in
+      let clone = get_clone name in
+      let c = med_comparison ~label:"med" clone in
       let card =
-        Scorecard.of_comparison ~app:name ?tuning:result.Pipeline.tuning c
+        Scorecard.of_comparison ~app:name ?tuning:clone.result.Pipeline.tuning c
       in
       Scorecard.print card;
       Hashtbl.replace scorecards_tbl name card)
@@ -918,44 +897,13 @@ let gate g () =
     List.concat_map
       (fun (entry : Registry.entry) ->
         let name = entry.Registry.name in
-        let load, result = get_clone name in
+        let { load; result; _ } = get_clone name in
         let r = Gate.run ~pool g ~app:name ~load result in
         Gate.print r;
         Gate.flat r)
       (registry_entries ())
   in
   gate_keys := (g, List.sort compare keys) :: !gate_keys
-
-(* {1 Perf smoke: the warm-memo fast path (gated by bin/ci.sh)} *)
-
-let perfsmoke () =
-  banner "Perf smoke: warm measurement-memo revalidation (redis, platform B)";
-  let load, result = get_clone "redis" in
-  (* Direct Pipeline.validate — not the bench-level comparison cache — so
-     the second run exercises the runner's measurement-phase memo rather
-     than reusing a finished comparison. A size-1 pool pins both runs to
-     this domain (the memo is domain-local), and platform B keeps the cell
-     disjoint from the preclone-warmed medium/A cell. *)
-  let seq = Ditto_util.Pool.create ~size:1 () in
-  let run () =
-    ignore (Pipeline.validate ~pool:seq ~platform:Platform.b ~load ~label:"perfsmoke" result)
-  in
-  let time f =
-    let t0 = wall () in
-    f ();
-    wall () -. t0
-  in
-  let cold = time run in
-  let warm = time run in
-  let s = Runner.measure_memo_stats () in
-  Printf.printf
-    "  cold %.3fs, warm %.3fs (%.2fx); measurement memo: %d hit(s), %d miss(es), %d entries\n%!"
-    cold warm
-    (cold /. Float.max 1e-9 warm)
-    s.Ditto_uarch.Memo.hits s.Ditto_uarch.Memo.misses s.Ditto_uarch.Memo.entries;
-  (* With memoization disabled (DITTO_MEMO=0) the smoke is vacuous: pass. *)
-  if (not (Ditto_uarch.Memo.enabled ())) || warm < cold then print_endline "  PERF-SMOKE-OK"
-  else print_endline "  PERF-SMOKE-FAIL (warm run not faster than cold)"
 
 (* {1 Synth scale: production-shaped graphs through the full pipeline}
 
@@ -980,9 +928,10 @@ let synth_one ~tune n =
   let result = Pipeline.clone ~pool ~tune ~platform:Platform.a ~load (entry.Registry.spec ()) in
   let cloned = wall () -. t0 in
   clone_secs := (name, cloned) :: !clone_secs;
-  let c = Pipeline.validate ~pool ~platform:Platform.a ~load ~label:"synth" result in
+  let clone = { load; result; med = med_run ~load result; secs = cloned } in
+  let c = med_comparison ~label:"synth" clone in
   let card = Scorecard.of_comparison ~app:name ?tuning:result.Pipeline.tuning c in
-  Hashtbl.replace clones name (load, result);
+  Hashtbl.replace clones name clone;
   (* A 1000-tier scorecard is ~12k rows; print the verdict, not the table. *)
   let knob_rows =
     List.filter (fun (r : Scorecard.row) -> r.Scorecard.knob_group <> None) card.Scorecard.rows
@@ -1022,13 +971,10 @@ let all_experiments =
   ]
 
 (* Off the default path, reachable by experiment name: the validation
-   gates, the CI warm-memo gate (perfsmoke) and the synth scale stages. *)
+   gates and the synth scale stages. *)
 let opt_in_experiments =
   List.map (fun g -> (Gate.name g, gate g)) Gate.all
-  @ [
-      ("perfsmoke", perfsmoke);
-      ("synth100", synth100); ("synth500", synth500); ("synth1000", synth1000);
-    ]
+  @ [ ("synth100", synth100); ("synth500", synth500); ("synth1000", synth1000) ]
 
 (* Which registry clones an experiment consumes, so the preclone pass can
    build exactly those concurrently before the (ordered, printing)
@@ -1041,7 +987,6 @@ let clone_needs = function
   | "fig6" -> [ "social_network" ]
   | "fig9" -> [ "mongodb" ]
   | "fig10" -> [ "nginx" ]
-  | "perfsmoke" -> [ "redis" ]
   | _ -> []
 
 module Baseline = Ditto_report.Baseline
@@ -1049,11 +994,19 @@ module Bench_json = Ditto_report.Bench_json
 
 let default_baseline_path = "bench/baselines/default.json"
 
-let read_json path =
-  Ditto_util.Jsonx.of_string (In_channel.with_open_bin path In_channel.input_all)
+(* Parse a JSON file named on the command line with [f], or exit 2 naming
+   the file: a missing, truncated or foreign document is a usage error,
+   not a crash. *)
+let read_json_or_exit path f =
+  match f (Ditto_util.Jsonx.of_string (In_channel.with_open_bin path In_channel.input_all)) with
+  | v -> v
+  | exception (Sys_error reason | Ditto_util.Jsonx.Parse_error reason) ->
+      Printf.eprintf "[bench] cannot read %s: %s\n" path reason;
+      exit 2
 
 (* Diff [current] (flattened metrics) against the baseline file; prints the
-   verdict and returns false on regression. *)
+   verdict and returns false on regression, or when the two share no
+   metric at all (a truncated or foreign document must not pass). *)
 let run_check ~baseline_path current =
   if not (Sys.file_exists baseline_path) then begin
     Printf.eprintf
@@ -1061,7 +1014,7 @@ let run_check ~baseline_path current =
       baseline_path;
     exit 2
   end;
-  let baseline = Baseline.load baseline_path in
+  let baseline = read_json_or_exit baseline_path Baseline.of_json in
   (* A filtered run's total wall covers only the experiments it ran, so
      gating it against the full-sweep pin would flag any subset slower
      than the whole default sweep (the synth stages alone are). Rebuild
@@ -1089,6 +1042,9 @@ let run_check ~baseline_path current =
   in
   let regressions, checked = Baseline.diff baseline current in
   match regressions with
+  | [] when checked = 0 ->
+      Printf.printf "[bench] check FAILED: no metric in common with %s\n" baseline_path;
+      false
   | [] ->
       Printf.printf "[bench] check OK: %d metric(s) within tolerance of %s\n" checked
         baseline_path;
@@ -1154,11 +1110,11 @@ let () =
   (* Merge into the committed baseline (keeping its tolerances): a partial
      run — --apps, a single gate — refreshes its slice without discarding
      everyone else's metrics. *)
-  let update_baseline doc =
+  let update_baseline metrics =
     let next =
       if Sys.file_exists baseline_path then
-        Baseline.merge ~into:(Baseline.load baseline_path) (Baseline.flatten doc)
-      else Baseline.make (Baseline.flatten doc)
+        Baseline.merge ~into:(read_json_or_exit baseline_path Baseline.of_json) metrics
+      else Baseline.make metrics
     in
     Baseline.save ~path:baseline_path next;
     Printf.printf "[bench] wrote baseline %s\n" baseline_path
@@ -1168,13 +1124,13 @@ let () =
   (match !update_json with
   | None -> ()
   | Some path ->
-      update_baseline (read_json path);
+      update_baseline (read_json_or_exit path Baseline.flatten);
       exit 0);
   (match !check_json with
   | None -> ()
   | Some path ->
-      let doc = read_json path in
-      exit (if run_check ~baseline_path (Baseline.flatten doc) then 0 else 1));
+      let current = read_json_or_exit path Baseline.flatten in
+      exit (if run_check ~baseline_path current then 0 else 1));
   if !trace_file <> None || !trace_jaeger_file <> None then Obs.enable ();
   let selected =
     match names with
@@ -1238,7 +1194,7 @@ let () =
          knob vectors kept at each step (see README for the schema). *)
       let tuning =
         Hashtbl.fold
-          (fun name (_, result) acc ->
+          (fun name { result; _ } acc ->
             match result.Pipeline.tuning with
             | Some report -> (name, Ditto_tune.Tuner.report_to_json report) :: acc
             | None -> acc)
@@ -1264,7 +1220,7 @@ let () =
              peak_heap_events = Ditto_sim.Engine.global_peak_heap_events ();
              tier_counts =
                Hashtbl.fold
-                 (fun name (_, result) acc ->
+                 (fun name { result; _ } acc ->
                    (name, List.length result.Pipeline.original.Ditto_app.Spec.tiers) :: acc)
                  clones []
                |> List.sort (fun (a, _) (b, _) -> compare a b);
@@ -1280,7 +1236,7 @@ let () =
       Printf.printf "[bench] wrote %s\n" path
   | _ -> ());
   (match (!update_baselines, doc) with
-  | true, Some json -> update_baseline json
+  | true, Some json -> update_baseline (Baseline.flatten json)
   | _ -> ());
   let check_ok =
     match (!check, doc) with

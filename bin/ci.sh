@@ -10,8 +10,10 @@
 # fired on both sides) gates, one redis clone through the critpath gate
 # (critical-path divergence + Jaeger round-trip), and a check that an
 # unknown gate is refused — and the fidelity regression gate (scorecards
-# diffed against the committed baseline, plus a proof that the gate
-# rejects a perturbed baseline).
+# diffed against the committed baseline, plus proof that the gate rejects
+# a perturbed baseline, fails a document sharing no metric with the
+# baseline, and refuses a truncated document with exit 2 instead of
+# crashing).
 # Usage: bin/ci.sh   (from the repo root; DITTO_DOMAINS caps the pool)
 set -eu
 
@@ -47,17 +49,6 @@ dune runtest
 
 echo "== bench smoke (micro kernels) =="
 dune exec bench/main.exe -- micro
-
-echo "== perf smoke (warm measurement memo beats the cold run) =="
-# perfsmoke clones redis once, then validates the same cell twice through
-# the runner: the second pass must be served by the measurement-phase memo
-# and come back faster. The experiment prints PERF-SMOKE-OK/FAIL.
-perf_log="$tmpdir/perfsmoke.log"
-dune exec bench/main.exe -- perfsmoke | tee "$perf_log"
-if ! grep -q "PERF-SMOKE-OK" "$perf_log"; then
-  echo "ci: FAIL — warm-memo run was not faster than the cold run" >&2
-  exit 1
-fi
 
 echo "== trace smoke (ditto_cli --trace, re-parsed with Jsonx) =="
 trace_file="$tmpdir/trace.json"
@@ -226,5 +217,30 @@ if dune exec bench/main.exe -- --check-json "$bench_json" --baseline "$bad_basel
   exit 1
 fi
 echo "(rejected, as intended)"
+
+echo "== regression gate fails a document with no metric in common =="
+empty_json="$tmpdir/empty.json"
+echo '{}' > "$empty_json"
+if dune exec bench/main.exe -- --check-json "$empty_json"; then
+  echo "ci: FAIL — regression gate accepted an empty document" >&2
+  exit 1
+fi
+echo "(rejected, as intended)"
+
+echo "== regression gate refuses a truncated document (exit 2, no crash) =="
+truncated_json="$tmpdir/truncated.json"
+head -c 200 "$bench_json" > "$truncated_json"
+truncated_log="$tmpdir/truncated.log"
+truncated_rc=0
+dune exec bench/main.exe -- --check-json "$truncated_json" >"$truncated_log" 2>&1 || truncated_rc=$?
+cat "$truncated_log"
+if [ "$truncated_rc" -ne 2 ]; then
+  echo "ci: FAIL — --check-json on a truncated file exited $truncated_rc, expected 2" >&2
+  exit 1
+fi
+if grep -q "Fatal error" "$truncated_log"; then
+  echo "ci: FAIL — --check-json crashed on a truncated file" >&2
+  exit 1
+fi
 
 echo "ci: OK"

@@ -57,58 +57,17 @@ let estimate_idle_per_request ~qps ~workers =
   if qps <= 0.0 then 5e-3
   else Float.min 5e-3 (float_of_int (max 1 workers) /. qps *. 0.8)
 
-(* Measurement-phase memo.
+let measure_config cfg ~qps ~avg_workers =
+  {
+    Measure.default_config with
+    Measure.syscall_scale = cfg.syscall_scale;
+    idle_per_request = estimate_idle_per_request ~qps ~workers:avg_workers;
+    stressor = cfg.stressor;
+    stressor_placement = cfg.stressor_placement;
+    smt_pressure = cfg.smt_pressure;
+  }
 
-   The measurement phase is a deterministic function of (spec, hosted
-   tiers, platform, core count, page-cache size, measure-config scalars,
-   seed, request count): it runs synchronously on the machine's cores and
-   never touches the DES engine, and the service phase reads only the
-   returned traces/counters (never the machine's caches or page cache).
-   So identical keys — e.g. the same app re-validated under a different
-   load whose idle estimate clamps to the same value — can reuse the
-   measured tier results outright. Results are shared by reference; all
-   consumers treat counters and traces as read-only.
-
-   Specs contain closures, so they are identified physically via a
-   domain-local uid registry (uids are monotonic and never reused, so a
-   dropped registration only strands a cache entry for FIFO eviction).
-   Skipped whenever a stressor is configured (the interference stream has
-   its own RNG draw order) or the profiler is sampling (a memo hit would
-   silently drop the run's profile). *)
-let spec_registry_key : (int ref * (Spec.t * int) list ref) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> (ref 0, ref []))
-
-let spec_uid (app : Spec.t) =
-  let next, reg = Domain.DLS.get spec_registry_key in
-  match List.find_opt (fun (s, _) -> s == app) !reg with
-  | Some (_, uid) -> uid
-  | None ->
-      let uid = !next in
-      incr next;
-      if List.length !reg >= 256 then
-        (* Keep the most recent registrations; stranded uids are never
-           reused so stale cache entries just age out. *)
-        reg := (app, uid) :: List.filteri (fun i _ -> i < 64) !reg
-      else reg := (app, uid) :: !reg;
-      uid
-
-type measure_key = {
-  mk_spec : int;
-  mk_tiers : string list;
-  mk_platform : Platform.t;
-  mk_ncores : int;
-  mk_page_cache : int option;
-  mk_syscall_scale : float;
-  mk_idle : float;
-  mk_smt : float;
-  mk_seed : int;
-  mk_requests : int;
-}
-
-let measure_memo_key : (measure_key, (string * Measure.tier_result) list) Memo.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Memo.create ~max_entries:64 ())
-
-let measure_memo_stats () = Memo.stats (Domain.DLS.get measure_memo_key)
+let measure_memo_stats () = { Memo.hits = 0 }
 
 (* Above this many tiers on one machine, the measurement phase is sharded
    across the Pool's domains. The threshold exceeds every hand-written app
@@ -174,40 +133,10 @@ let run_inner cfg ~load (app : Spec.t) =
     in
     max 1 (total / List.length tiers)
   in
-  let mcfg =
-    {
-      Measure.default_config with
-      Measure.syscall_scale = cfg.syscall_scale;
-      idle_per_request = estimate_idle_per_request ~qps:load.Service.qps ~workers:avg_workers;
-      stressor = cfg.stressor;
-      stressor_placement = cfg.stressor_placement;
-      smt_pressure = cfg.smt_pressure;
-    }
-  in
-  let memoizable = cfg.stressor = None && not (Ditto_obs.Profiler.enabled ()) in
-  let app_uid = spec_uid app in
+  let mcfg = measure_config cfg ~qps:load.Service.qps ~avg_workers in
   let measure_on m ~seed hosted =
-    let do_measure () =
-      Measure.run ~config:mcfg ~machine:m ~seed ~requests:cfg.requests hosted
-      |> List.map (fun (r : Measure.tier_result) -> (r.Measure.tier.Spec.tier_name, r))
-    in
-    if not memoizable then do_measure ()
-    else
-      let key =
-        {
-          mk_spec = app_uid;
-          mk_tiers = List.map (fun ((t : Spec.tier), _) -> t.Spec.tier_name) hosted;
-          mk_platform = cfg.platform;
-          mk_ncores = Machine.ncores m;
-          mk_page_cache = page_cache_bytes;
-          mk_syscall_scale = mcfg.Measure.syscall_scale;
-          mk_idle = mcfg.Measure.idle_per_request;
-          mk_smt = mcfg.Measure.smt_pressure;
-          mk_seed = seed;
-          mk_requests = cfg.requests;
-        }
-      in
-      Memo.find_or_add (Domain.DLS.get measure_memo_key) key do_measure
+    Measure.run ~config:mcfg ~machine:m ~seed ~requests:cfg.requests hosted
+    |> List.map (fun (r : Measure.tier_result) -> (r.Measure.tier.Spec.tier_name, r))
   in
   let measured =
     Ditto_obs.Obs.Span.with_span ~name:"runner.measure" (fun () ->

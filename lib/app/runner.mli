@@ -61,9 +61,13 @@ val estimate_idle_per_request : qps:float -> workers:int -> float
 (** The mean per-worker idle gap used to scale kernel housekeeping
     pollution (exposed for tests). *)
 
+val measure_config : config -> qps:float -> avg_workers:int -> Measure.config
+(** The measurement-phase config a run at [qps] uses, for tiers averaging
+    [avg_workers] workers. {!run} builds its measurement from this, and the
+    tuner's single-tier calibration path builds from it too, so both
+    measure a tier the same way. *)
+
 val measure_memo_stats : unit -> Ditto_uarch.Memo.stats
-(** Hit/miss statistics of this domain's measurement-phase memo. The
-    measurement phase is a deterministic function of (spec identity,
-    hosted tiers, platform, core count, page-cache size, measure scalars,
-    seed, requests) and is reused across runs with identical keys; memo
-    use is disabled under stressors or an active profiler. *)
+(** Always [{ hits = 0 }]: the runner caches no measurement, and every
+    {!run} re-measures. Exists only for the benchmark in [perfbench/],
+    which reports the count. *)

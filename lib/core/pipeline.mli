@@ -5,7 +5,10 @@
 
 type clone_result = {
   original : Ditto_app.Spec.t;
-  reference : Ditto_app.Runner.output;  (** original's run at the profiling load *)
+  reference : Ditto_app.Runner.output;
+      (** original's run at the profiling load and platform, under
+          [Runner.config ~requests ~seed platform] with {!clone}'s
+          arguments *)
   dag : Ditto_trace.Dag.t option;
   profile : Ditto_profile.Tier_profile.app;
   synthetic : Ditto_app.Spec.t;
@@ -60,6 +63,15 @@ val validate :
     capacity (each run builds its own engine, so the pair is domain-safe
     and the outputs match the sequential schedule exactly). [config_of]
     customises the runner config (interference, core counts, ...). *)
+
+val comparison_of_outputs :
+  label:string -> Ditto_app.Runner.output -> Ditto_app.Runner.output -> comparison
+(** [comparison_of_outputs ~label actual synthetic] pairs two runs already
+    held, the original's first, as {!validate} pairs the two it makes. A
+    run is a deterministic function of its config, load and spec, so a
+    clone's [reference] can stand for the original's side of a validation
+    at the clone's own platform and load, under the runner config
+    {!clone} used. *)
 
 val comparison_errors : comparison -> (string * (string * float) list) list
 (** Per tier: the radar-axis error percentages. *)

@@ -170,8 +170,8 @@ let adjust (p : Params.t) ~(orig : Counters.t) ~(synth : Counters.t) ~orig_reque
    and the derived error terms. Candidates are evaluated on pool domains,
    so everything here is built inside the evaluation — no mutable state is
    shared between concurrent evaluations. [e_synth] is only populated on
-   the legacy whole-app path; the isolated path regenerates the winning
-   spec once at the end. *)
+   the whole-app path; the isolated path regenerates the winning spec
+   once at the end. *)
 type evaluation = {
   e_params : (string * Params.t) list;
   e_synth : Spec.t option;
@@ -208,32 +208,19 @@ let tune ?(max_iterations = 10) ?(target_error = 0.05) ?(seed = 1009) ?(speculat
   let tune_load = { load with Service.duration = Float.min load.Service.duration 0.4 } in
   let tiers = profile.P.Tier_profile.tiers in
   let ntiers = List.length tiers in
-  (* Isolated calibration: the tier is generated and measured alone on a
-     pooled machine, so a repeated knob vector re-simulates nothing
-     (identical (tier, params) keys hit the memo below) and the
-     service/DES phase — which tuning never reads — is skipped entirely.
-     This is only sound for single-tier apps: a non-cluster Runner hosts
-     every tier on ONE machine and measures them together, so multi-tier
-     counters include cross-tier cache/TLB/page-cache contention that an
-     isolated measurement cannot reproduce. Multi-tier apps, cluster
-     placements and stressor configs therefore keep the legacy whole-app
-     evaluation, whose machine sharing is the thing being modelled. *)
+  (* Isolated calibration: a single-tier app's only tier is generated and
+     measured alone on a pooled machine, with no service/DES phase, which
+     tuning never reads. Multi-tier apps, cluster placements and stressor
+     configs take the whole-app evaluation instead: a non-cluster Runner
+     hosts every tier on ONE machine and measures them together, and that
+     run is the only one that sees the cross-tier cache/TLB/page-cache
+     contention being modelled. *)
   let isolated =
     ntiers = 1 && (not config.Runner.cluster) && config.Runner.stressor = None
   in
-  let measure_config ~avg_workers =
-    {
-      Measure.default_config with
-      Measure.syscall_scale = config.Runner.syscall_scale;
-      idle_per_request =
-        Runner.estimate_idle_per_request ~qps:tune_load.Service.qps ~workers:avg_workers;
-      smt_pressure = config.Runner.smt_pressure;
-    }
-  in
-  let avg_workers_of total = max 1 (total / ntiers) in
-  (* Measure one tier alone, replicating exactly what Runner does for a
-     single hosted tier: same measure config, seed, request count, layout
-     space (at the tier's app-level index) and machine construction. *)
+  (* Measure one tier alone, the way Runner measures a single hosted tier:
+     same measure config, seed, request count, layout space (at the tier's
+     app-level index) and machine construction. *)
   let measure_isolated ~mcfg ~page_cache_hint ~tier ~space =
     let engine = Ditto_sim.Engine.create () in
     let page_cache_bytes =
@@ -251,21 +238,10 @@ let tune ?(max_iterations = 10) ?(target_error = 0.05) ?(seed = 1009) ?(speculat
   in
   (* Calibration targets: for a single-tier app the reference's own
      measurement already is the one-hosted-tier run the isolated path
-     replays, bit-identically; the legacy path compares against it
+     replays, bit-identically; the whole-app path compares against it
      directly. *)
   let orig_targets = reference.Runner.measured in
   let orig_measured name = List.assoc name orig_targets in
-  (* Per-(tier index, knob vector) measurement memo, scoped to this tune
-     call so the profile never needs to appear in the key. Guarded by a
-     mutex because candidates evaluate on pool domains; on a miss the
-     measurement runs outside the lock (a racing duplicate computes the
-     same value, so a double store is harmless). *)
-  let memo : (int * Params.t, Measure.tier_result) Memo.t = Memo.create ~max_entries:256 () in
-  let memo_mutex = Mutex.create () in
-  let with_lock f =
-    Mutex.lock memo_mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock memo_mutex) f
-  in
   let synth_mcfg =
     lazy
       (let total =
@@ -274,33 +250,26 @@ let tune ?(max_iterations = 10) ?(target_error = 0.05) ?(seed = 1009) ?(speculat
              a + tp.P.Tier_profile.skeleton.P.Skeleton.worker_threads)
            0 tiers
        in
-       measure_config ~avg_workers:(avg_workers_of total))
+       Runner.measure_config config ~qps:tune_load.Service.qps
+         ~avg_workers:(max 1 (total / ntiers)))
   in
   let measure_synth_tier i (tp : P.Tier_profile.t) (p : Params.t) =
-    let key = (i, p) in
-    match with_lock (fun () -> Memo.find_opt memo key) with
-    | Some r -> r
-    | None ->
-        let name = tp.P.Tier_profile.tier_name in
-        let space =
-          Layout.space ~tier_index:i ~heap_bytes:tp.P.Tier_profile.heap_bytes
-            ~shared_bytes:tp.P.Tier_profile.shared_bytes
-        in
-        let downstream =
-          match profile.P.Tier_profile.dag with
-          | None -> []
-          | Some dag -> Ditto_trace.Dag.downstreams dag name
-        in
-        let tier =
-          Ditto_gen.Clone.synth_tier ~params:p ~seed:(seed + (17 * i)) ~profile:tp ~space
-            ~downstream ()
-        in
-        let r =
-          measure_isolated ~mcfg:(Lazy.force synth_mcfg)
-            ~page_cache_hint:profile.P.Tier_profile.page_cache_hint ~tier ~space
-        in
-        with_lock (fun () -> Memo.add memo key r);
-        r
+    let name = tp.P.Tier_profile.tier_name in
+    let space =
+      Layout.space ~tier_index:i ~heap_bytes:tp.P.Tier_profile.heap_bytes
+        ~shared_bytes:tp.P.Tier_profile.shared_bytes
+    in
+    let downstream =
+      match profile.P.Tier_profile.dag with
+      | None -> []
+      | Some dag -> Ditto_trace.Dag.downstreams dag name
+    in
+    let tier =
+      Ditto_gen.Clone.synth_tier ~params:p ~seed:(seed + (17 * i)) ~profile:tp ~space
+        ~downstream ()
+    in
+    measure_isolated ~mcfg:(Lazy.force synth_mcfg)
+      ~page_cache_hint:profile.P.Tier_profile.page_cache_hint ~tier ~space
   in
   let errors_of measured =
     List.concat_map
@@ -347,59 +316,42 @@ let tune ?(max_iterations = 10) ?(target_error = 0.05) ?(seed = 1009) ?(speculat
       evaluation_of ~synth:(Some synth) ~measured:out.Runner.measured params
     end
   in
-  (* A tier whose every calibrated counter is already within the target
-     has nothing left to learn: freeze its knobs so adjustment/perturbation
-     stop touching them — its (tier, params) key then hits the memo and the
-     tier is never re-simulated (the per-group attribution of a frozen
-     tier is simply carried forward). Only meaningful on the isolated
-     path; the single-tier case never freezes while the loop runs (an
-     unconverged worst error is that tier's error). *)
-  let tier_within_target name errors =
-    let prefix = name ^ "/" in
-    List.for_all (fun (k, e) -> (not (String.starts_with ~prefix k)) || e <= target_error) errors
-  in
-  let is_frozen_in (ev : evaluation) name = isolated && tier_within_target name ev.e_errors in
   let adjust_all (ev : evaluation) =
     List.map
       (fun (tp : P.Tier_profile.t) ->
         let name = tp.P.Tier_profile.tier_name in
         let p = Option.value ~default:Params.default (List.assoc_opt name ev.e_params) in
-        if is_frozen_in ev name then (name, p)
-        else
-          let o = orig_measured name and s = List.assoc name ev.e_measured in
-          ( name,
-            adjust p ~orig:o.Measure.counters ~synth:s.Measure.counters
-              ~orig_requests:o.Measure.requests_measured
-              ~synth_requests:s.Measure.requests_measured ))
+        let o = orig_measured name and s = List.assoc name ev.e_measured in
+        ( name,
+          adjust p ~orig:o.Measure.counters ~synth:s.Measure.counters
+            ~orig_requests:o.Measure.requests_measured
+            ~synth_requests:s.Measure.requests_measured ))
       tiers
   in
   (* Speculative candidates: multiplicative jitter around the damped
      adjustment, from an RNG keyed on (seed, iteration, candidate) so the
      candidate set — and hence the whole search trajectory — is identical
-     whatever the pool size. Frozen tiers keep their knobs and consume no
-     draws, so freezing one tier does not scramble the others' jitter. *)
-  let perturb ~iter ~k ~frozen params =
+     whatever the pool size. *)
+  let perturb ~iter ~k params =
     let rng = Ditto_util.Rng.create (seed lxor ((iter * 73856093) + ((k + 1) * 19349663))) in
     let jitter () = 2.0 ** (Ditto_util.Rng.float rng 0.5 -. 0.25) in
     List.map
       (fun (name, (p : Params.t)) ->
-        if frozen name then (name, p)
-        else
-          let m_shift =
-            if Ditto_util.Rng.int rng 4 = 0 then
-              p.Params.branch_m_shift + (if Ditto_util.Rng.bool rng then 1 else -1)
-            else p.Params.branch_m_shift
-          in
-          ( name,
-            {
-              p with
-              Params.inst_scale = clamp 0.25 4.0 (p.Params.inst_scale *. jitter ());
-              i_ws_scale = clamp 0.25 64.0 (p.Params.i_ws_scale *. jitter ());
-              d_ws_scale = clamp 0.25 16.0 (p.Params.d_ws_scale *. jitter ());
-              big_mass_scale = clamp 0.1 8.0 (p.Params.big_mass_scale *. jitter ());
-              branch_m_shift = max (-4) (min 4 m_shift);
-              chase_scale = clamp 0.0 4.0 (p.Params.chase_scale *. jitter ());
-            } ))
+        let m_shift =
+          if Ditto_util.Rng.int rng 4 = 0 then
+            p.Params.branch_m_shift + (if Ditto_util.Rng.bool rng then 1 else -1)
+          else p.Params.branch_m_shift
+        in
+        ( name,
+          {
+            p with
+            Params.inst_scale = clamp 0.25 4.0 (p.Params.inst_scale *. jitter ());
+            i_ws_scale = clamp 0.25 64.0 (p.Params.i_ws_scale *. jitter ());
+            d_ws_scale = clamp 0.25 16.0 (p.Params.d_ws_scale *. jitter ());
+            big_mass_scale = clamp 0.1 8.0 (p.Params.big_mass_scale *. jitter ());
+            branch_m_shift = max (-4) (min 4 m_shift);
+            chase_scale = clamp 0.0 4.0 (p.Params.chase_scale *. jitter ());
+          } ))
       params
   in
   let initial =
@@ -425,10 +377,7 @@ let tune ?(max_iterations = 10) ?(target_error = 0.05) ?(seed = 1009) ?(speculat
     Obs.Span.with_span ~name:"tune.iteration" ~attrs:[ ("iter", Obs.Int !iter) ]
     @@ fun () ->
     let base = adjust_all !current in
-    let frozen = is_frozen_in !current in
-    let candidates =
-      base :: List.init speculation (fun k -> perturb ~iter:!iter ~k ~frozen base)
-    in
+    let candidates = base :: List.init speculation (fun k -> perturb ~iter:!iter ~k base) in
     let evals = Ditto_util.Pool.map pool evaluate candidates in
     (* Keep the candidate with the lowest objective; ties break toward the
        damped adjustment (list head), so speculation only ever helps. *)
@@ -467,7 +416,7 @@ let tune ?(max_iterations = 10) ?(target_error = 0.05) ?(seed = 1009) ?(speculat
   (* The isolated path never generated whole apps during the search; build
      the winning spec once from the final knob vector (generation is a
      pure function of (params, seed, profile), so this equals what the
-     legacy path would have carried through the search). *)
+     whole-app path would have carried through the search). *)
   let final_synth =
     match final.e_synth with
     | Some s -> s

@@ -1,106 +1,7 @@
-(* Keyed result caches for the simulation hot path.
+(* No simulation result is cached: every run recomputes. These names stay
+   only because the benchmark in perfbench/ reads them, for its
+   [ditto_memo=] environment line and its [memo.hits] metric. *)
 
-   A cache is a structural-key hashtable with FIFO eviction, hit/miss
-   accounting and an explicit invalidation hook. Keys are compared with
-   full structural equality — [Hashtbl.hash] quality only affects lookup
-   speed, never correctness — so callers can key on whole tuples
-   (platform record, seed, request count, parameter fingerprint) without
-   collision hazards.
+type stats = { hits : int }
 
-   Caches are expected to be domain-local (e.g. held in [Domain.DLS]);
-   there is no internal locking. The global [set_enabled] switch turns
-   every cache into a pass-through, which the test suite uses to pin
-   memoized results bit-identical to cold recomputation. *)
-
-type stats = { hits : int; misses : int; invalidations : int; entries : int }
-
-type ('k, 'v) t = {
-  table : ('k, 'v) Hashtbl.t;
-  order : 'k Queue.t; (* insertion order, for FIFO eviction *)
-  max_entries : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable invalidations : int;
-}
-
-let enabled_flag =
-  Atomic.make
-    (match Sys.getenv_opt "DITTO_MEMO" with
-    | Some ("0" | "false" | "off") -> false
-    | Some _ | None -> true)
-
-let set_enabled b = Atomic.set enabled_flag b
-let enabled () = Atomic.get enabled_flag
-
-let create ?(max_entries = 512) () =
-  {
-    table = Hashtbl.create 64;
-    order = Queue.create ();
-    max_entries = max 1 max_entries;
-    hits = 0;
-    misses = 0;
-    invalidations = 0;
-  }
-
-(* Drop oldest inserted keys until under the cap. A queued key may have
-   been invalidated already, in which case popping it frees nothing and we
-   keep going. *)
-let rec evict_to_cap t =
-  if Hashtbl.length t.table >= t.max_entries && not (Queue.is_empty t.order) then begin
-    let k = Queue.pop t.order in
-    if Hashtbl.mem t.table k then Hashtbl.remove t.table k;
-    evict_to_cap t
-  end
-
-let find_opt t key =
-  if not (enabled ()) then None
-  else
-    match Hashtbl.find_opt t.table key with
-    | Some v ->
-        t.hits <- t.hits + 1;
-        Some v
-    | None -> None
-
-let add t key v =
-  if enabled () then begin
-    t.misses <- t.misses + 1;
-    evict_to_cap t;
-    Hashtbl.replace t.table key v;
-    Queue.push key t.order
-  end
-
-let find_or_add t key f =
-  if not (enabled ()) then f ()
-  else
-    match Hashtbl.find_opt t.table key with
-    | Some v ->
-        t.hits <- t.hits + 1;
-        v
-    | None ->
-        let v = f () in
-        t.misses <- t.misses + 1;
-        evict_to_cap t;
-        Hashtbl.replace t.table key v;
-        Queue.push key t.order;
-        v
-
-let invalidate t pred =
-  let doomed = Hashtbl.fold (fun k _ acc -> if pred k then k :: acc else acc) t.table [] in
-  List.iter (Hashtbl.remove t.table) doomed;
-  let n = List.length doomed in
-  t.invalidations <- t.invalidations + n;
-  n
-
-let clear t =
-  let n = Hashtbl.length t.table in
-  Hashtbl.reset t.table;
-  Queue.clear t.order;
-  t.invalidations <- t.invalidations + n
-
-let stats t =
-  {
-    hits = t.hits;
-    misses = t.misses;
-    invalidations = t.invalidations;
-    entries = Hashtbl.length t.table;
-  }
+let enabled () = false

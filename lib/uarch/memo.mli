@@ -1,47 +1,12 @@
-(** Keyed result caches for the simulation hot path.
+(** Constant names kept for the benchmark in [perfbench/].
 
-    Structural-key hashtables with FIFO eviction and hit/miss accounting.
-    Keys are compared with full structural equality, so callers key on
-    whole tuples (platform record, seed, request count, parameter
-    fingerprint) without collision hazards — hash quality only affects
-    lookup speed.
+    No simulation result is cached: every run recomputes. The benchmark
+    still reads these names, for its [ditto_memo=] environment line and
+    its [memo.hits] metric. *)
 
-    Caches carry no internal locking; keep each instance domain-local
-    (e.g. in [Domain.DLS]). *)
-
-type ('k, 'v) t
-
-type stats = { hits : int; misses : int; invalidations : int; entries : int }
-
-val create : ?max_entries:int -> unit -> ('k, 'v) t
-(** [max_entries] bounds the table (default 512); oldest insertions are
-    evicted first. *)
-
-val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
-(** Return the cached value for the key, or compute, store and return it.
-    When memoization is globally disabled the thunk always runs and
-    nothing is stored. *)
-
-val find_opt : ('k, 'v) t -> 'k -> 'v option
-(** Lookup half of {!find_or_add}, for callers that must compute outside a
-    lock; counts a hit on success and always misses when disabled. *)
-
-val add : ('k, 'v) t -> 'k -> 'v -> unit
-(** Store half of {!find_or_add}; counts a miss and applies the entry cap.
-    A no-op when memoization is disabled. *)
-
-val invalidate : ('k, 'v) t -> ('k -> bool) -> int
-(** Drop every entry whose key satisfies the predicate; returns the count
-    dropped. Used when a knob group changes the parameters a key covers. *)
-
-val clear : ('k, 'v) t -> unit
-
-val stats : ('k, 'v) t -> stats
-
-val set_enabled : bool -> unit
-(** Globally enable/disable all memo caches (also settable via the
-    [DITTO_MEMO=0] environment variable). Disabling turns every cache
-    into a pass-through, which tests use to pin memoized results
-    bit-identical to cold recomputation. *)
+type stats = { hits : int }
+(** Returned by [Ditto_app.Runner.measure_memo_stats], always with
+    [hits = 0]. Exists only for [perfbench/]. *)
 
 val enabled : unit -> bool
+(** Always [false]. Exists only for [perfbench/]. *)

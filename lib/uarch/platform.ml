@@ -141,12 +141,6 @@ let with_frequency p freq =
 
 let with_cores p cores = { p with cores }
 
-(* Structural hash over every field (the record is all scalars and
-   strings). A cheap component for memo keys and reports; correctness-
-   critical caches key on the full record structurally and only use this
-   for display/bucketing. *)
-let fingerprint (p : t) = Hashtbl.hash_param 64 256 p
-
 let disk_to_string = function Ssd -> "SSD" | Hdd -> "HDD"
 
 let table1_rows =

@@ -60,12 +60,5 @@ val with_frequency : t -> float -> t
 
 val with_cores : t -> int -> t
 
-val fingerprint : t -> int
-(** Structural hash over every field. Changing any platform parameter
-    (frequency, cache geometry, core count, ...) changes the fingerprint,
-    so memo keys embedding it cannot survive a platform change. Collisions
-    are possible as with any hash; caches that must be exact key on the
-    whole record structurally and use this only as a cheap component. *)
-
 val table1_rows : string list list
 (** Rows for re-printing Table 1. *)

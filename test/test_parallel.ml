@@ -213,41 +213,6 @@ let seq_parallel =
      let par = with_pool 4 clone_with in
      (seq, par))
 
-(* The memoization layer (measurement memo, tuner revalidation cache,
-   machine pooling) must be invisible to results: the {memo on, memo off} x
-   {sequential, 4-domain} matrix agrees bit-for-bit. The memo-on pair is
-   [seq_parallel]; this computes the memo-off pair. *)
-let seq_parallel_memo_off =
-  lazy
-    (Ditto_uarch.Memo.set_enabled false;
-     Fun.protect
-       ~finally:(fun () -> Ditto_uarch.Memo.set_enabled true)
-       (fun () ->
-         let seq = with_pool 1 clone_with in
-         let par = with_pool 4 clone_with in
-         (seq, par)))
-
-let test_memo_pool_matrix () =
-  let (r_on1, v_on1), (r_on4, v_on4) = Lazy.force seq_parallel in
-  let (r_off1, v_off1), (r_off4, v_off4) = Lazy.force seq_parallel_memo_off in
-  let params r =
-    match r.Pipeline.tuning with
-    | Some (rep : Ditto_tune.Tuner.report) -> rep.Ditto_tune.Tuner.final_params
-    | None -> Alcotest.fail "tuning report missing"
-  in
-  let baseline_p = params r_on1 and baseline_v = v_on1 in
-  List.iteri
-    (fun i (r, v) ->
-      let tag s = Printf.sprintf "%s (variant %d)" s i in
-      Alcotest.(check bool) (tag "final params match") true (params r = baseline_p);
-      Alcotest.(check bool) (tag "per-tier metrics match") true
-        (v.Pipeline.actual = baseline_v.Pipeline.actual
-        && v.Pipeline.synthetic = baseline_v.Pipeline.synthetic);
-      Alcotest.(check bool) (tag "end-to-end match") true
-        (v.Pipeline.actual_end_to_end = baseline_v.Pipeline.actual_end_to_end
-        && v.Pipeline.synthetic_end_to_end = baseline_v.Pipeline.synthetic_end_to_end))
-    [ (r_on4, v_on4); (r_off1, v_off1); (r_off4, v_off4) ]
-
 let test_clone_determinism () =
   let (r1, _), (r4, _) = Lazy.force seq_parallel in
   let params r =
@@ -447,7 +412,6 @@ let () =
         [
           Alcotest.test_case "clone across pool sizes" `Slow test_clone_determinism;
           Alcotest.test_case "validate across pool sizes" `Slow test_validate_determinism;
-          Alcotest.test_case "memo x pool-size matrix" `Slow test_memo_pool_matrix;
           Alcotest.test_case "synth graph across pool sizes" `Slow test_synth_determinism;
           Alcotest.test_case "telemetry on/off x pool sizes" `Slow test_telemetry_invariance;
           Alcotest.test_case "reqtrace on/off x pool sizes" `Slow test_reqtrace_invariance;
