@@ -818,6 +818,24 @@ let micro () =
     Test.make ~name:"core.6400-loads"
       (Staged.stage (fun () -> Ditto_uarch.Core_model.exec_block core ~rng block ~iterations:100))
   in
+  (* One 512-byte socket write's kernel path: the branchy load/store
+     templates every request, warm-up and housekeeping tick executes, then
+     the REP MOVSB copy. Its mix of mostly-hitting loads, stores, branches
+     and ALU work is the one measurement runs spend their time in. *)
+  let core_kernel_bench =
+    let mem = Ditto_uarch.Memory.create Platform.a ~ncores:1 in
+    let core = Ditto_uarch.Core_model.create mem ~core:0 in
+    let streams =
+      Ditto_os.Syscall.Kernel.streams ~scale:0.25 (Ditto_os.Syscall.Sock_write { bytes = 512 })
+    in
+    let rng = Ditto_util.Rng.create 1 in
+    Test.make ~name:"core.kernel-path"
+      (Staged.stage (fun () ->
+           List.iter
+             (fun (block, iterations) ->
+               Ditto_uarch.Core_model.exec_block core ~rng block ~iterations)
+             streams))
+  in
   (* A sequential read of twice the cache's capacity: under LRU every page
      misses and evicts, the path Measure.run's page-cache warm-up takes. *)
   let page_cache_bench =
@@ -842,6 +860,7 @@ let micro () =
       epoll_rpc_bench;
       core_bench;
       core_loads_bench;
+      core_kernel_bench;
       page_cache_bench;
       gen_bench;
     ]

@@ -42,8 +42,17 @@ type temp = {
 }
 
 let no_reg = -1
+let num_regs = 32
+
+(* The core model indexes its register scoreboard without bounds checks, so
+   an operand outside [0, num_regs) must be refused here. *)
+let check_reg what r =
+  if r <> no_reg && (r < 0 || r >= num_regs) then
+    invalid_arg (Printf.sprintf "Block.temp: %s register %d not in [0, %d)" what r num_regs)
 
 let temp ?(dst = no_reg) ?(srcs = [||]) ?(mem = No_mem) ?branch ?(rep_count = 0) iform =
+  check_reg "dst" dst;
+  Array.iter (check_reg "src") srcs;
   {
     iform;
     dst;
@@ -69,7 +78,42 @@ type t = {
   addrs : int array;
   code_bytes : int;
   static_insts : int;
+  decode : int array;
+  occupancy : float array;
+  pass_uops : int;
 }
+
+let d_new_line = 1
+let d_store = 2
+let d_lock = 4
+let d_rep = 8
+let d_cond = 16
+let d_control = 32
+
+let rep_chunks temp = max 1 (max 64 temp.rep_count / 64)
+
+(* The class tests the core model makes per dynamic instruction, taken
+   once per template. *)
+let decode_temp ~starts_line temp =
+  let open Iclass in
+  let klass = temp.iform.Iform.klass in
+  let bit b flag = if b then flag else 0 in
+  bit starts_line d_new_line
+  lor bit (is_memory_write klass && not (is_memory_read klass)) d_store
+  lor bit (klass = Lock_rmw) d_lock
+  lor bit (klass = Rep_string) d_rep
+  lor bit (klass = Branch_cond) d_cond
+  lor bit (is_control klass) d_control
+
+(* Dividers are unpipelined: they hold their port for most of their
+   latency. Every other iform frees it the next cycle. *)
+let port_occupancy iform =
+  match iform.Iform.klass with
+  | Iclass.Int_div | Iclass.Float_div -> float_of_int iform.Iform.latency *. 0.6
+  | _ -> 1.0
+
+let uops_of temp =
+  if temp.iform.Iform.klass = Iclass.Rep_string then 2 * rep_chunks temp else temp.iform.Iform.uops
 
 (* Atomic: blocks are built concurrently by parallel clone/tune runs
    (Ditto_util.Pool); uids are identity keys only, so allocation order does
@@ -86,6 +130,10 @@ let make ~label ~code_base temps =
       addrs.(i) <- !pc;
       pc := !pc + t.iform.Iform.bytes)
     temps;
+  (* Template 0 follows the previous pass, or another block, so only the
+     core can tell whether it starts a new fetch line: its flag is always
+     set. *)
+  let line k = addrs.(k) land lnot 63 in
   {
     uid = Atomic.fetch_and_add next_uid 1;
     label;
@@ -94,6 +142,12 @@ let make ~label ~code_base temps =
     addrs;
     code_bytes = !pc - code_base;
     static_insts = n;
+    decode =
+      Array.mapi
+        (fun k temp -> decode_temp ~starts_line:(k = 0 || line k <> line (k - 1)) temp)
+        temps;
+    occupancy = Array.map (fun temp -> port_occupancy temp.iform) temps;
+    pass_uops = Array.fold_left (fun acc temp -> acc + uops_of temp) 0 temps;
   }
 
 let reset_state t =
@@ -111,8 +165,6 @@ let gp i =
 let xmm i =
   assert (i >= 0 && i < 16);
   16 + i
-
-let num_regs = 32
 
 (* Multiplicative hash onto a 64-byte-aligned slot of the window; constants
    from SplitMix64's finaliser so chains visit slots in a scattered order. *)

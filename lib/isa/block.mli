@@ -73,8 +73,12 @@ val temp :
   ?rep_count:int ->
   Iform.t ->
   temp
+(** Raises [Invalid_argument] unless [dst] and every element of [srcs] is
+    {!no_reg} or a register id in [\[0, num_regs)]. *)
 
-type t = {
+(** A block is built only by {!make}, which decodes once what the core
+    model would otherwise re-derive per dynamic instruction. *)
+type t = private {
   uid : int;  (** process-unique block id *)
   label : string;
   code_base : int;  (** virtual address of the first instruction *)
@@ -82,9 +86,44 @@ type t = {
   addrs : int array;  (** per-template instruction addresses *)
   code_bytes : int;
   static_insts : int;
+  decode : int array;  (** per-template set of the [d_*] flags below *)
+  occupancy : float array;
+      (** cycles each template holds its execution port: [0.6 × latency]
+          for the unpipelined dividers, 1 otherwise *)
+  pass_uops : int;
+      (** uops one pass over the templates retires: each iform's uops, but
+          2 per {!rep_chunks} for a REP string *)
 }
 
 val make : label:string -> code_base:int -> temp list -> t
+
+(** {2 Static decode flags} *)
+
+val d_new_line : int
+(** The template starts a new 64-byte fetch line: its line differs from
+    the previous template's. Always set on template 0, whose predecessor
+    (the last template of the previous pass, or another block) only the
+    core knows. *)
+
+val d_store : int
+(** The memory operand is written and not read (its latency is hidden by
+    the store buffer). *)
+
+val d_lock : int
+(** A locked read-modify-write. *)
+
+val d_rep : int
+(** A REP string instruction. *)
+
+val d_cond : int
+(** A conditional branch. *)
+
+val d_control : int
+(** Any control transfer ({!Iclass.is_control}). *)
+
+val rep_chunks : temp -> int
+(** The 64-byte lines a REP string template moves per execution:
+    [rep_count / 64], at least 1. *)
 
 val reset_state : t -> unit
 (** Reset every template's dynamic cursors (branch sequence, stream

@@ -12,7 +12,10 @@ val line_bytes : int
 
 val create : ?replacement:replacement -> size_bytes:int -> assoc:int -> unit -> t
 (** [create ~size_bytes ~assoc ()]: number of sets is
-    [size_bytes / (64 * assoc)], rounded up to a power of two (at least 1). *)
+    [size_bytes / (64 * assoc)], rounded up to a power of two (at least 1).
+    The modelled capacity, [sets × assoc × 64], can therefore exceed
+    [size_bytes] (platform A's 30.25 MiB 11-way LLC holds 44 MiB), while
+    {!size_bytes} reports the nominal size. *)
 
 val size_bytes : t -> int
 val assoc : t -> int

@@ -1,8 +1,9 @@
 open Ditto_isa
 
 (* The per-core float state lives in its own all-float record, stored flat
-   like [Counters.slots]: the per-instruction updates in [exec_block] are
-   raw double stores, with no box allocation and no [caml_modify]. *)
+   like [Counters.slots]: [exec_block] loads it into locals when a call
+   starts and stores it back as raw doubles when it ends, with no box
+   allocation and no [caml_modify]. *)
 type clock = {
   mutable next_issue : float;
   mutable fetch_avail : float;
@@ -10,12 +11,6 @@ type clock = {
   mutable max_done : float;
   mutable last_lock_done : float;
   mutable width_factor : float;
-  (* What the execute stage hands back to the rest of [exec_block] for the
-     current instruction: when the next one may issue and when this one
-     completes. Written by [exec_rep_string] and the memory branch instead
-     of returning a tuple. *)
-  mutable issue_after : float;
-  mutable done_t : float;
 }
 
 type t = {
@@ -57,8 +52,6 @@ let create mem ~core =
         max_done = 0.0;
         last_lock_done = 0.0;
         width_factor = 1.0;
-        issue_after = 0.0;
-        done_t = 0.0;
       };
     last_fetch_line = -1;
     used = false;
@@ -84,8 +77,6 @@ let reset t =
   c.max_done <- 0.0;
   c.last_lock_done <- 0.0;
   c.width_factor <- 1.0;
-  c.issue_after <- 0.0;
-  c.done_t <- 0.0;
   t.last_fetch_line <- -1
 
 let counters t = Memory.counters t.mem t.core
@@ -103,15 +94,15 @@ let drain t = t.c.next_issue <- now t
 
 let effective_width t = float_of_int t.plat.Platform.issue_width *. t.c.width_factor
 
-let choose_port t mask =
-  let best = ref 0 and best_t = ref infinity in
-  for p = 0 to Iform.port_count - 1 do
-    if mask land (1 lsl p) <> 0 && Array.unsafe_get t.port_free p < !best_t then begin
-      best_t := Array.unsafe_get t.port_free p;
-      best := p
-    end
-  done;
-  !best
+(* For each 8-bit port mask, its ports in ascending order, so the issue
+   stage scans only the ports an iform can use. The empty mask maps to
+   port 0, as a scan over no ports would leave it. *)
+let port_lists =
+  let all = List.init Iform.port_count Fun.id in
+  Array.init (1 lsl Iform.port_count) (fun mask ->
+      match List.filter (fun p -> mask land (1 lsl p) <> 0) all with
+      | [] -> [| 0 |]
+      | ports -> Array.of_list ports)
 
 (* Off-core misses contend for a finite set of miss-status registers,
    bounding memory-level parallelism. Returns the adjusted start time. *)
@@ -127,86 +118,114 @@ let mshr_admit t start latency =
   Array.unsafe_set t.mshr !best (start +. latency);
   start
 
-let exec_rep_string t ~width addr shared ~write_only ~count start =
-  let ctr = Memory.counters t.mem t.core in
-  let cs = ctr.Counters.s in
-  let chunks = max 1 (count / Cache.line_bytes) in
-  let issue = ref start and done_t = ref start in
-  for i = 0 to chunks - 1 do
-    let a = addr + (Cache.line_bytes * i) in
-    let rl =
-      if write_only then 1
-      else Memory.access_data t.mem ~core:t.core ~addr:a ~write:false ~shared
-    in
-    ignore (Memory.access_data t.mem ~core:t.core ~addr:(a + 0x40000) ~write:true ~shared:false);
-    done_t := fmax !done_t (!issue +. float_of_int rl);
-    issue := !issue +. (2.0 /. width);
-    cs.Counters.retiring <- cs.Counters.retiring +. 2.0;
-    ctr.Counters.uops <- ctr.Counters.uops + 2
-  done;
-  t.c.issue_after <- !issue;
-  t.c.done_t <- !done_t
-
+(* The whole call keeps the pipeline clock, the ROB cursor, the last fetch
+   line and the top-down accumulators in locals (unboxed float refs) and
+   writes them back once at the end. Float accumulations keep their
+   per-instruction order, so every sum is the one a field-by-field update
+   would give. [insts], [uops] and [retiring] are added once per call:
+   they are sums of small integers, which a double holds exactly below
+   2^53, so the grouping does not change them. *)
 let exec_block t ~rng (block : Block.t) ~iterations =
   t.used <- true;
   let width = effective_width t in
-  let plat = t.plat in
+  let plat = t.plat and mem = t.mem and core = t.core in
+  let reg_ready = t.reg_ready and port_free = t.port_free and rob = t.rob in
   let c = t.c in
-  let ctr = Memory.counters t.mem t.core in
+  let ctr = Memory.counters mem core in
   let cs = ctr.Counters.s in
-  let rob_len = Array.length t.rob in
-  let ntemps = Array.length block.Block.temps in
-  let before = now t in
+  let rob_len = Array.length rob in
+  let temps = block.Block.temps and addrs = block.Block.addrs in
+  let decode = block.Block.decode and occupancy = block.Block.occupancy in
+  let ntemps = Array.length temps in
+  let lat_l2 = plat.Platform.lat_l2 in
+  let next_issue = ref c.next_issue and fetch_avail = ref c.fetch_avail in
+  let resteer_until = ref c.resteer_until and max_done = ref c.max_done in
+  let last_lock_done = ref c.last_lock_done in
+  let rob_pos = ref t.rob_pos and last_line = ref t.last_fetch_line in
+  let bad_spec = ref cs.Counters.bad_spec and frontend = ref cs.Counters.frontend in
+  let backend = ref cs.Counters.backend in
+  (* The execute stage's result for the current instruction. *)
+  let issue_after = ref 0.0 and done_t = ref 0.0 in
+  (* Whatever a pass fetched, the core ends it on the last template's
+     line. *)
+  let pass_end_line =
+    if ntemps = 0 then t.last_fetch_line
+    else addrs.(ntemps - 1) land lnot (Cache.line_bytes - 1)
+  in
+  let before = fmax !next_issue !max_done in
   for _iteration = 0 to iterations - 1 do
     for k = 0 to ntemps - 1 do
-      let temp = Array.unsafe_get block.Block.temps k in
+      let temp = Array.unsafe_get temps k in
       let iform = temp.Block.iform in
-      let pc = Array.unsafe_get block.Block.addrs k in
-      let base = c.next_issue in
-      (* Instruction fetch: one i-cache access per new line. *)
-      let line = pc land lnot (Cache.line_bytes - 1) in
-      if line <> t.last_fetch_line then begin
-        t.last_fetch_line <- line;
-        let bubble = Memory.access_inst t.mem ~core:t.core ~addr:pc in
-        if bubble > 0 then c.fetch_avail <- fmax c.fetch_avail base +. float_of_int bubble
+      let d = Array.unsafe_get decode k in
+      let pc = Array.unsafe_get addrs k in
+      let base = !next_issue in
+      (* Instruction fetch: one i-cache access per new line. Past template
+         0 the block's own layout decides; template 0 follows whatever this
+         core fetched last. *)
+      if d land Block.d_new_line <> 0 then begin
+        let line = pc land lnot (Cache.line_bytes - 1) in
+        if k > 0 || line <> !last_line then begin
+          let bubble = Memory.access_inst mem ~core ~addr:pc in
+          if bubble > 0 then fetch_avail := fmax !fetch_avail base +. float_of_int bubble
+        end
       end;
-      let f = fmax base c.fetch_avail in
+      let f = fmax base !fetch_avail in
       (* Attribute the fetch gap: resteer shadow counts as bad speculation. *)
       let gap = f -. base in
       if gap > 0.0 then begin
-        let bad = fmax 0.0 (fmin f c.resteer_until -. base) in
-        cs.Counters.bad_spec <- cs.Counters.bad_spec +. (bad *. width);
-        cs.Counters.frontend <- cs.Counters.frontend +. ((gap -. bad) *. width)
+        let bad = fmax 0.0 (fmin f !resteer_until -. base) in
+        bad_spec := !bad_spec +. (bad *. width);
+        frontend := !frontend +. ((gap -. bad) *. width)
       end;
       (* Register dependencies. *)
       let ready = ref f in
       let srcs = temp.Block.srcs in
       for s = 0 to Array.length srcs - 1 do
         let r = Array.unsafe_get srcs s in
-        (* Registers are validated at template construction (< num_regs). *)
-        if r >= 0 && Array.unsafe_get t.reg_ready r > !ready then
-          ready := Array.unsafe_get t.reg_ready r
+        (* [Block.temp] admits only [no_reg] and ids below [num_regs]. *)
+        if r >= 0 && Array.unsafe_get reg_ready r > !ready then
+          ready := Array.unsafe_get reg_ready r
       done;
       (* ROB backpressure: cannot dispatch past the window. *)
-      let rob_head = Array.unsafe_get t.rob t.rob_pos in
+      let rob_head = Array.unsafe_get rob !rob_pos in
       if rob_head > !ready then ready := rob_head;
-      (* Execution port. *)
-      let port = choose_port t iform.Iform.ports in
-      if Array.unsafe_get t.port_free port > !ready then
-        ready := Array.unsafe_get t.port_free port;
+      (* Execution port: the earliest free of the iform's ports, the lowest
+         index on a tie. *)
+      let ports = port_lists.(iform.Iform.ports) in
+      let port = ref (Array.unsafe_get ports 0) in
+      let port_t = ref (Array.unsafe_get port_free !port) in
+      for i = 1 to Array.length ports - 1 do
+        let p = Array.unsafe_get ports i in
+        if Array.unsafe_get port_free p < !port_t then begin
+          port_t := Array.unsafe_get port_free p;
+          port := p
+        end
+      done;
+      if !port_t > !ready then ready := !port_t;
       let start = !ready in
-      cs.Counters.backend <- cs.Counters.backend +. ((start -. f) *. width);
-      let klass = iform.Iform.klass in
-      ctr.Counters.insts <- ctr.Counters.insts + 1;
-      (* Execute: sets [c.issue_after] and [c.done_t]. *)
-      if klass = Iclass.Rep_string then begin
+      backend := !backend +. ((start -. f) *. width);
+      (* Execute: sets [issue_after] and [done_t]. *)
+      if d land Block.d_rep <> 0 then begin
+        (* A REP string moves a line per chunk: a read (unless write-only)
+           and a write to a destination 256 KB away, two uops each. It
+           holds no execution port. *)
         let packed = Block.resolve_mem_packed ~rng temp in
         let addr = packed asr 1 and shared = packed land 1 = 1 in
         let addr = if addr < 0 then 0 else addr in
         let write_only = Array.length temp.Block.srcs = 0 in
-        exec_rep_string t ~width addr shared ~write_only
-          ~count:(max Cache.line_bytes temp.Block.rep_count)
-          start
+        let issue = ref start and finish = ref start in
+        for i = 0 to Block.rep_chunks temp - 1 do
+          let a = addr + (Cache.line_bytes * i) in
+          let rl =
+            if write_only then 1 else Memory.access_data mem ~core ~addr:a ~write:false ~shared
+          in
+          ignore (Memory.access_data mem ~core ~addr:(a + 0x40000) ~write:true ~shared:false);
+          finish := fmax !finish (!issue +. float_of_int rl);
+          issue := !issue +. (2.0 /. width)
+        done;
+        issue_after := !issue;
+        done_t := !finish
       end
       else begin
         (* Memory operand. *)
@@ -216,37 +235,26 @@ let exec_block t ~rng (block : Block.t) ~iterations =
           | _ ->
               let packed = Block.resolve_mem_packed ~rng temp in
               let addr = packed asr 1 and shared = packed land 1 = 1 in
-              let write = Iclass.is_memory_write klass && not (Iclass.is_memory_read klass) in
-              let lat = Memory.access_data t.mem ~core:t.core ~addr ~write ~shared in
-              if klass = Iclass.Lock_rmw then
-                ignore (Memory.access_data t.mem ~core:t.core ~addr ~write:true ~shared)
-              else ();
+              let write = d land Block.d_store <> 0 in
+              let lat = Memory.access_data mem ~core ~addr ~write ~shared in
+              if d land Block.d_lock <> 0 then
+                ignore (Memory.access_data mem ~core ~addr ~write:true ~shared);
               if write then 0 (* store latency hidden by the store buffer *) else lat
         in
-        let start =
-          if mem_lat > plat.Platform.lat_l2 then mshr_admit t start (float_of_int mem_lat)
-          else start
-        in
-        let start = if klass = Iclass.Lock_rmw then fmax start c.last_lock_done else start in
+        let start = if mem_lat > lat_l2 then mshr_admit t start (float_of_int mem_lat) else start in
+        let locked = d land Block.d_lock <> 0 in
+        let start = if locked then fmax start !last_lock_done else start in
         let exec_lat = float_of_int (iform.Iform.latency + mem_lat) in
-        let done_t = start +. fmax 1.0 exec_lat in
-        if klass = Iclass.Lock_rmw then c.last_lock_done <- done_t;
-        (* Port occupancy: dividers are unpipelined. *)
-        let occupancy =
-          match klass with
-          | Iclass.Int_div | Iclass.Float_div -> float_of_int iform.Iform.latency *. 0.6
-          | _ -> 1.0
-        in
-        Array.unsafe_set t.port_free port (start +. occupancy);
-        ctr.Counters.uops <- ctr.Counters.uops + iform.Iform.uops;
-        cs.Counters.retiring <- cs.Counters.retiring +. float_of_int iform.Iform.uops;
-        c.issue_after <- start +. (float_of_int iform.Iform.uops /. width);
-        c.done_t <- done_t
+        let finish = start +. fmax 1.0 exec_lat in
+        if locked then last_lock_done := finish;
+        Array.unsafe_set port_free !port (start +. Array.unsafe_get occupancy k);
+        issue_after := start +. (float_of_int iform.Iform.uops /. width);
+        done_t := finish
       end;
-      let done_t = c.done_t in
+      let done_t = !done_t in
       (* Branch resolution. *)
       (match temp.Block.branch with
-      | Some spec when klass = Iclass.Branch_cond ->
+      | Some spec when d land Block.d_cond <> 0 ->
           ctr.Counters.branches <- ctr.Counters.branches + 1;
           let seq = temp.Block.branch_seq in
           temp.Block.branch_seq <- seq + 1;
@@ -258,29 +266,44 @@ let exec_block t ~rng (block : Block.t) ~iterations =
           | `Mispredict ->
               ctr.Counters.mispredicts <- ctr.Counters.mispredicts + 1;
               let redirect = done_t +. float_of_int plat.Platform.mispredict_penalty in
-              c.fetch_avail <- fmax c.fetch_avail redirect;
-              c.resteer_until <- fmax c.resteer_until redirect
+              fetch_avail := fmax !fetch_avail redirect;
+              resteer_until := fmax !resteer_until redirect
           | `Btb_miss ->
               ctr.Counters.btb_misses <- ctr.Counters.btb_misses + 1;
               let redirect = start +. float_of_int plat.Platform.btb_miss_penalty in
-              c.fetch_avail <- fmax c.fetch_avail redirect)
+              fetch_avail := fmax !fetch_avail redirect)
       | Some _ | None ->
-          if Iclass.is_control klass then begin
+          if d land Block.d_control <> 0 then begin
             ctr.Counters.branches <- ctr.Counters.branches + 1;
             match Branch_pred.note_unconditional t.bp ~pc with
             | `Correct -> ()
             | `Btb_miss ->
                 ctr.Counters.btb_misses <- ctr.Counters.btb_misses + 1;
                 let redirect = start +. float_of_int plat.Platform.btb_miss_penalty in
-                c.fetch_avail <- fmax c.fetch_avail redirect
+                fetch_avail := fmax !fetch_avail redirect
           end);
       (* Writeback and retirement bookkeeping. *)
-      if temp.Block.dst >= 0 then Array.unsafe_set t.reg_ready temp.Block.dst done_t;
-      Array.unsafe_set t.rob t.rob_pos done_t;
-      let rp = t.rob_pos + 1 in
-      t.rob_pos <- (if rp = rob_len then 0 else rp);
-      if done_t > c.max_done then c.max_done <- done_t;
-      c.next_issue <- fmax c.next_issue c.issue_after
-    done
+      if temp.Block.dst >= 0 then Array.unsafe_set reg_ready temp.Block.dst done_t;
+      Array.unsafe_set rob !rob_pos done_t;
+      let rp = !rob_pos + 1 in
+      rob_pos := if rp = rob_len then 0 else rp;
+      if done_t > !max_done then max_done := done_t;
+      next_issue := fmax !next_issue !issue_after
+    done;
+    last_line := pass_end_line
   done;
+  c.next_issue <- !next_issue;
+  c.fetch_avail <- !fetch_avail;
+  c.resteer_until <- !resteer_until;
+  c.max_done <- !max_done;
+  c.last_lock_done <- !last_lock_done;
+  t.rob_pos <- !rob_pos;
+  t.last_fetch_line <- !last_line;
+  cs.Counters.bad_spec <- !bad_spec;
+  cs.Counters.frontend <- !frontend;
+  cs.Counters.backend <- !backend;
+  let passes_uops = iterations * block.Block.pass_uops in
+  ctr.Counters.insts <- ctr.Counters.insts + (iterations * ntemps);
+  ctr.Counters.uops <- ctr.Counters.uops + passes_uops;
+  cs.Counters.retiring <- cs.Counters.retiring +. float_of_int passes_uops;
   cs.Counters.cycles <- cs.Counters.cycles +. fmax 0.0 (now t -. before)

@@ -30,7 +30,13 @@ val set_width_factor : t -> float -> unit
 
 val exec_block : t -> rng:Ditto_util.Rng.t -> Ditto_isa.Block.t -> iterations:int -> unit
 (** Run [iterations] passes over the block's templates, updating counters
-    (instructions, cycles, misses, top-down slots). *)
+    (instructions, cycles, misses, top-down slots). The call reads the
+    block's static decode ({!Ditto_isa.Block.make}) instead of classifying
+    each dynamic instruction, keeps the pipeline clock, ROB cursor and
+    top-down accumulators in locals, and writes them back when it
+    returns; [insts], [uops] and [retiring] grow once per call. Results
+    are those of a per-instruction update, bit for bit. Allocates
+    nothing once the hierarchy is warm. *)
 
 val now : t -> float
 (** Current virtual pipeline time in cycles. *)

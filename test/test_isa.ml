@@ -95,6 +95,26 @@ let test_region_alignment () =
   in
   Alcotest.(check bool) "unaligned base rejected" true raised
 
+(* The core model indexes its register scoreboard unchecked, so the
+   template constructor is where an out-of-range operand must stop. *)
+let test_temp_rejects_bad_registers () =
+  let add = Iform.by_name "ADD_GPR64_GPR64" in
+  let rejected f =
+    match f () with
+    | (_ : Block.temp) -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "dst past num_regs" true (rejected (fun () -> Block.temp add ~dst:40));
+  Alcotest.(check bool) "dst = num_regs" true
+    (rejected (fun () -> Block.temp add ~dst:Block.num_regs));
+  Alcotest.(check bool) "negative src" true
+    (rejected (fun () -> Block.temp add ~dst:0 ~srcs:[| 1; -2 |]));
+  Alcotest.(check bool) "src past num_regs" true
+    (rejected (fun () -> Block.temp add ~srcs:[| Block.num_regs + 3 |]));
+  Alcotest.(check bool) "edge registers and no_reg accepted" false
+    (rejected (fun () ->
+         Block.temp add ~dst:(Block.num_regs - 1) ~srcs:[| 0; Block.no_reg; Block.xmm 15 |]))
+
 (* {1 Branch outcome sequences (the bitmask idiom)} *)
 
 let measure_rates ~m ~n count =
@@ -248,6 +268,7 @@ let () =
         [
           Alcotest.test_case "addresses" `Quick test_block_addresses;
           Alcotest.test_case "region alignment" `Quick test_region_alignment;
+          Alcotest.test_case "temp rejects bad registers" `Quick test_temp_rejects_bad_registers;
         ] );
       ( "branch_outcome",
         [

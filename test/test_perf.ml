@@ -139,8 +139,9 @@ let mixed_block () =
     ]
 
 (* Two cores run the block in turn, so core 0's shared accesses find lines
-   core 1 left dirty and take the coherence path. *)
-let test_exec_block_allocation_free () =
+   core 1 left dirty and take the coherence path. [last] runs core 0's
+   final, warm call; the result is (core 0, core 1). *)
+let mixed_sequence ~last =
   let mem = Ditto_uarch.Memory.create Platform.a ~ncores:2 in
   let core = Core_model.create mem ~core:0 and other = Core_model.create mem ~core:1 in
   let rng = Ditto_util.Rng.create 7 in
@@ -148,8 +149,13 @@ let test_exec_block_allocation_free () =
   Core_model.exec_block other ~rng block ~iterations:20;
   Core_model.exec_block core ~rng block ~iterations:20;
   Core_model.exec_block other ~rng block ~iterations:20;
-  let words = minor_words (fun () -> Core_model.exec_block core ~rng block ~iterations:50) in
-  Alcotest.(check (float 0.0)) "exec_block minor words" 0.0 words;
+  last (fun () -> Core_model.exec_block core ~rng block ~iterations:50);
+  (core, other)
+
+let test_exec_block_allocation_free () =
+  let words = ref nan in
+  let core, _ = mixed_sequence ~last:(fun run -> words := minor_words run) in
+  Alcotest.(check (float 0.0)) "exec_block minor words" 0.0 !words;
   Alcotest.(check bool) "the coherence path ran" true
     ((Core_model.counters core).Counters.coherence_misses > 0)
 
@@ -189,6 +195,73 @@ let test_page_cache_allocation_free () =
   in
   Alcotest.(check (float 0.0)) "evicting reads" 0.0 (minor_words evicting);
   Alcotest.(check bool) "evicting pages missed" true (!missed > 0)
+
+(* {1 Golden pin: the measurement layer's output across commits}
+
+   Every other determinism pin compares two runs of one binary, so a
+   rewrite of the core model or the hierarchy that changes results would
+   still pass them. These digests are constants: they may change only in
+   a change that means to move counters, which records the new values and
+   says so. Floats enter as [%h], so a one-ulp drift shows. *)
+
+let counters_fingerprint (c : Counters.t) =
+  let s = c.Counters.s in
+  Printf.sprintf
+    "%d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d|%h %h %h %h %h"
+    c.Counters.insts c.Counters.uops c.Counters.branches c.Counters.mispredicts
+    c.Counters.btb_misses c.Counters.itlb_misses c.Counters.dtlb_misses c.Counters.l1i_accesses
+    c.Counters.l1i_misses c.Counters.l1d_accesses c.Counters.l1d_misses c.Counters.l2_accesses
+    c.Counters.l2_misses c.Counters.llc_accesses c.Counters.llc_misses
+    c.Counters.coherence_misses c.Counters.bytes_read c.Counters.bytes_written s.Counters.cycles
+    s.Counters.retiring s.Counters.frontend s.Counters.bad_spec s.Counters.backend
+
+let digest parts = Digest.to_hex (Digest.string (String.concat "\n" parts))
+
+(* The [alloc] group's sequence: both cores' counters and clocks. *)
+let test_golden_exec_block () =
+  let core, other = mixed_sequence ~last:(fun run -> run ()) in
+  let part c =
+    Printf.sprintf "%s now=%h" (counters_fingerprint (Core_model.counters c)) (Core_model.now c)
+  in
+  Alcotest.(check string)
+    "mixed_block digest" "81ce8ed9d1744551ff6e3432ae6c7b4c"
+    (digest [ part core; part other ])
+
+(* A whole redis run at its medium load: every tier's counters and the
+   on-CPU time of every measured segment. *)
+let test_golden_runner () =
+  let entry = Ditto_apps.Registry.by_name "redis" in
+  let _, med, _ = entry.Ditto_apps.Registry.loads in
+  let load =
+    Ditto_loadgen.Workload.to_load entry.Ditto_apps.Registry.workload ~qps:med ~duration:0.15 ()
+  in
+  let o =
+    Runner.run
+      (Runner.config ~requests:40 ~seed:42 Platform.a)
+      ~load
+      (entry.Ditto_apps.Registry.spec ())
+  in
+  let tiers =
+    List.map
+      (fun (name, m) -> name ^ " " ^ counters_fingerprint m.Metrics.counters)
+      o.Runner.per_tier
+  in
+  let segments =
+    List.concat_map
+      (fun (name, r) ->
+        Array.to_list r.Measure.traces
+        @ Option.to_list r.Measure.background_trace
+        |> List.map (fun trace ->
+               name ^ ":"
+               ^ String.concat ","
+                   (List.filter_map
+                      (function Measure.Cpu s -> Some (Printf.sprintf "%h" s) | _ -> None)
+                      trace)))
+      o.Runner.measured
+  in
+  Alcotest.(check string)
+    "redis medium-load digest" "4e5b3697b42072cde4b3adbbcf294bb2"
+    (digest (tiers @ segments))
 
 (* {1 Allocation per engine event}
 
@@ -255,6 +328,11 @@ let () =
           Alcotest.test_case "Page_cache.read allocates nothing" `Quick
             test_page_cache_allocation_free;
           Alcotest.test_case "engine words per event" `Quick test_engine_event_words;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "exec_block counters and clocks" `Quick test_golden_exec_block;
+          Alcotest.test_case "redis run counters and segments" `Slow test_golden_runner;
         ] );
       ( "engine",
         [

@@ -63,6 +63,101 @@ let test_cache_flush () =
   Cache.flush c;
   Alcotest.(check bool) "cold after flush" false (Cache.access c 0)
 
+(* A list-per-set LRU model: each set holds its lines most recent first.
+   [Cache] under [Lru] must agree with it on every [access] and [probe],
+   whatever mix of invalidations and flushes came before — which also
+   covers the repeat-hit path that skips the way scan. *)
+type cache_op = Access of int | Probe of int | Invalidate of int | Flush
+
+let show_cache_op = function
+  | Access a -> Printf.sprintf "access %#x" a
+  | Probe a -> Printf.sprintf "probe %#x" a
+  | Invalidate a -> Printf.sprintf "invalidate %#x" a
+  | Flush -> "flush"
+
+let model_step ~sets ~assoc model op =
+  let line a = a / Cache.line_bytes in
+  let set a = line a mod sets in
+  match op with
+  | Access a ->
+      let s = set a and l = line a in
+      let hit = List.mem l model.(s) in
+      let rest = List.filter (( <> ) l) model.(s) in
+      let rest =
+        if hit || List.length rest < assoc then rest
+        else List.filteri (fun i _ -> i < assoc - 1) rest
+      in
+      model.(s) <- l :: rest;
+      Some hit
+  | Probe a -> Some (List.mem (line a) model.(set a))
+  | Invalidate a ->
+      let s = set a and l = line a in
+      let present = List.mem l model.(s) in
+      model.(s) <- List.filter (( <> ) l) model.(s);
+      Some present
+  | Flush ->
+      Array.fill model 0 sets [];
+      None
+
+let cache_step c op =
+  match op with
+  | Access a -> Some (Cache.access c a)
+  | Probe a -> Some (Cache.probe c a)
+  | Invalidate a -> Some (Cache.invalidate c a)
+  | Flush ->
+      Cache.flush c;
+      None
+
+(* About 64 distinct lines, at any byte offset within the line, with
+   repeats of the previous address weighted up so the repeat-hit path is
+   exercised as often as real streams do. 4 sets x 4 ways is the L1
+   shape; 2 sets x 11 ways is the LLC's non-power-of-two associativity. *)
+let prop_cache_matches_lru_model =
+  let addr =
+    QCheck.Gen.(map2 (fun l off -> (l * Cache.line_bytes) + off) (int_range 0 63) (int_range 0 63))
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (12, map (fun a -> Access a) addr);
+          (4, return (Access (-1)));
+          (3, map (fun a -> Probe a) addr);
+          (2, map (fun a -> Invalidate a) addr);
+          (1, return (Invalidate (-1)));
+          (1, return Flush);
+        ])
+  in
+  (* [-1] stands for "the previous address": resolved once per case. *)
+  let resolve ops =
+    let prev = ref 0 in
+    List.map
+      (fun op ->
+        let pick a = if a < 0 then !prev else (prev := a; a) in
+        match op with
+        | Access a -> Access (pick a)
+        | Probe a -> Probe (pick a)
+        | Invalidate a -> Invalidate (pick a)
+        | Flush -> Flush)
+      ops
+  in
+  let case =
+    QCheck.make
+      ~print:(fun (geometry, ops) ->
+        let sets, assoc = geometry in
+        Printf.sprintf "%d sets x %d ways: %s" sets assoc
+          (String.concat "; " (List.map show_cache_op (resolve ops))))
+      QCheck.Gen.(pair (oneofl [ (4, 4); (2, 11) ]) (list_size (int_range 1 400) op))
+  in
+  QCheck.Test.make ~name:"cache matches the list LRU model" ~count:300 case
+    (fun ((sets, assoc), ops) ->
+      let c = Cache.create ~size_bytes:(sets * assoc * Cache.line_bytes) ~assoc () in
+      let model = Array.make sets [] in
+      Cache.sets c = sets
+      && List.for_all
+           (fun op -> cache_step c op = model_step ~sets ~assoc model op)
+           (resolve ops))
+
 let test_cache_plru () =
   let c = Cache.create ~replacement:Cache.Plru ~size_bytes:4096 ~assoc:8 () in
   for i = 0 to 7 do
@@ -270,6 +365,23 @@ let test_core_port_contention () =
   let c = run_block divs in
   Alcotest.(check bool) "division-bound IPC << 1" true (Counters.ipc c < 0.3)
 
+(* Of several free ports an iform takes the lowest, and an empty port mask
+   takes port 0. An ADD ahead of a divide so lands on port 0, the lone
+   divider port, and the divide waits a cycle for it; an IMUL (port 1
+   only) ahead of the same divide does not. *)
+let test_core_port_ties () =
+  let idiv = Block.temp (Iform.by_name "IDIV_GPR64") ~dst:2 in
+  let cycles first = Counters.cycles (run_block ~iterations:1 [ first; idiv ]) in
+  let add = Iform.by_name "ADD_GPR64_GPR64" in
+  let expected =
+    cycles (Block.temp (Iform.by_name "IMUL_GPR64_GPR64") ~dst:0)
+    +. 1.0
+    -. (1.0 /. float_of_int Platform.a.Platform.issue_width)
+  in
+  check_close "a tie goes to port 0" 1e-9 expected (cycles (Block.temp add ~dst:0));
+  check_close "an empty mask is port 0" 1e-9 expected
+    (cycles (Block.temp { add with Iform.ports = 0 } ~dst:0))
+
 let test_core_memory_latency_hurts () =
   let hot =
     [ Block.temp (Iform.by_name "MOV_GPR64_MEM") ~dst:0 ~srcs:[| 1 |]
@@ -361,6 +473,7 @@ let () =
           Alcotest.test_case "invalidate/probe" `Quick test_cache_invalidate_probe;
           Alcotest.test_case "flush" `Quick test_cache_flush;
           Alcotest.test_case "plru" `Quick test_cache_plru;
+          QCheck_alcotest.to_alcotest prop_cache_matches_lru_model;
         ] );
       ( "branch_pred",
         [
@@ -398,6 +511,7 @@ let () =
         [
           Alcotest.test_case "serial vs parallel" `Quick test_core_serial_vs_parallel;
           Alcotest.test_case "port contention" `Quick test_core_port_contention;
+          Alcotest.test_case "port ties" `Quick test_core_port_ties;
           Alcotest.test_case "memory latency" `Quick test_core_memory_latency_hurts;
           Alcotest.test_case "pointer chase" `Quick test_core_pointer_chase_serialises;
           Alcotest.test_case "inst counting" `Quick test_core_counts_insts;
