@@ -845,6 +845,13 @@ let micro () =
       (Staged.stage (fun () ->
            ignore (Ditto_os.Page_cache.read pc ~offset:0 ~bytes:(2 * capacity_bytes))))
   in
+  (* Profiling one redis tier: the instrumented stream feeding every
+     profiler, including the working-set sweep over 23 cache sizes. *)
+  let profile_bench =
+    let app = Ditto_apps.Redis.spec () in
+    Test.make ~name:"profile.redis"
+      (Staged.stage (fun () -> ignore (Ditto_profile.Tier_profile.profile_app ~requests:80 app)))
+  in
   let gen_bench =
     let app = Ditto_apps.Redis.spec () in
     let profile = Ditto_profile.Tier_profile.profile_app ~requests:30 ~seed:7 app in
@@ -862,6 +869,7 @@ let micro () =
       core_loads_bench;
       core_kernel_bench;
       page_cache_bench;
+      profile_bench;
       gen_bench;
     ]
   in

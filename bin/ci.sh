@@ -1,19 +1,20 @@
 #!/bin/sh
-# Tier-1 gate: full build, the 23 test suites, a benchmark smoke run, a
-# self-tracing smoke test (Chrome + Jaeger exports re-parsed via Jsonx), a
-# sampled-profiler smoke test, a synth scaling smoke (100-tier generated
-# graph cloned + validated under a wall budget and a DES event-queue peak
-# limit), the validation-gate smokes — one memcached clone through the
-# chaos (fault injection + resilience counters), timeline (windowed
-# telemetry + transient-fidelity scorecard + OpenMetrics export) and surge
-# (flash crowd on top of kill-mid-tier, autoscaling and admission control
-# fired on both sides) gates, one redis clone through the critpath gate
-# (critical-path divergence + Jaeger round-trip), and a check that an
-# unknown gate is refused — and the fidelity regression gate (scorecards
-# diffed against the committed baseline, plus proof that the gate rejects
-# a perturbed baseline, fails a document sharing no metric with the
-# baseline, and refuses a truncated document with exit 2 instead of
-# crashing).
+# Tier-1 gate: a warning-free build of lib/, bench/, bin/, test/ and
+# examples/ (perfbench/ is not gated), the 23 test suites, a benchmark
+# smoke run, a self-tracing smoke test (Chrome + Jaeger exports re-parsed
+# via Jsonx), a sampled-profiler smoke test, a synth scaling smoke
+# (100-tier generated graph cloned + validated under a wall budget and a
+# DES event-queue peak limit), the validation-gate smokes — one memcached
+# clone through the chaos (fault injection + resilience counters),
+# timeline (windowed telemetry + transient-fidelity scorecard +
+# OpenMetrics export) and surge (flash crowd on top of kill-mid-tier,
+# autoscaling and admission control fired on both sides) gates, one redis
+# clone through the critpath gate (critical-path divergence + Jaeger
+# round-trip), and a check that an unknown gate is refused — and the
+# fidelity regression gate (scorecards diffed against the committed
+# baseline, plus proof that the gate rejects a perturbed baseline, fails
+# a document sharing no metric with the baseline, and refuses a truncated
+# document with exit 2 instead of crashing).
 # Usage: bin/ci.sh   (from the repo root; DITTO_DOMAINS caps the pool)
 set -eu
 
@@ -29,14 +30,14 @@ build_log="$tmpdir/build.log"
 build_rc=0
 dune build >"$build_log" 2>&1 || build_rc=$?
 cat "$build_log"
-# Every library under lib/, plus bench/ and bin/, must build
-# warning-clean. Dune names the file on a `File "..."` line and gives the
-# warning a few lines later, so each warning is charged to the last file
-# named.
+# Every library under lib/, plus bench/, bin/, test/ and examples/, must
+# build warning-clean. Dune names the file on a `File "..."` line and
+# gives the warning a few lines later, so each warning is charged to the
+# last file named.
 if awk '/^File "/ { file = $2 }
-        tolower($0) ~ /warning/ && file ~ /^"(lib|bench|bin)\// { found = 1 }
+        tolower($0) ~ /warning/ && file ~ /^"(lib|bench|bin|test|examples)\// { found = 1 }
         END { exit !found }' "$build_log"; then
-  echo "ci: FAIL — build warnings in lib/, bench/ or bin/" >&2
+  echo "ci: FAIL — build warnings in lib/, bench/, bin/, test/ or examples/" >&2
   exit 1
 fi
 if [ "$build_rc" -ne 0 ]; then

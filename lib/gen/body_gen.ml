@@ -104,26 +104,13 @@ let generate ~(profile : P.Tier_profile.t) ~(space : Layout.space) ~features ~(p
   let brs = profile.P.Tier_profile.branches in
   let deps = profile.P.Tier_profile.deps in
 
-  (* Samplers (precomputed). *)
-  let cluster_sampler =
-    match mix.P.Instmix.clusters with
-    | [] -> None
-    | clusters ->
-        let member_samplers =
-          List.map
-            (fun (ids, w) ->
-              let weighted =
-                List.map
-                  (fun id ->
-                    let c = try List.assoc id mix.P.Instmix.iform_counts with Not_found -> 1 in
-                    (id, float_of_int (max 1 c)))
-                  ids
-              in
-              (Dist.discrete weighted, w))
-            clusters
-        in
-        Some (Dist.discrete member_samplers)
-  in
+  (* Samplers, built once per call: each draw below takes the same
+     uniforms in the same order as sampling the profile directly. *)
+  let mix_sampler = P.Instmix.iform_sampler mix in
+  let site_sampler = P.Branches.site_sampler brs in
+  let raw_distance = P.Deps.distance_sampler deps.P.Deps.raw in
+  let addr_distance = P.Deps.distance_sampler deps.P.Deps.raw_addr in
+  let waw_distance = P.Deps.distance_sampler deps.P.Deps.waw in
   (* REP-prefixed instructions are rare but account for whole cache-line
      bursts; they are planned as a dedicated per-request block below rather
      than sampled (a sampled rep landing in a cold block would execute
@@ -131,11 +118,8 @@ let generate ~(profile : P.Tier_profile.t) ~(space : Layout.space) ~features ~(p
   let rec sample_iform () =
     if not features.f_inst_mix then Iform.by_name "ADD_GPR64_GPR64"
     else
-      match cluster_sampler with
-      | None -> Iform.by_name "ADD_GPR64_GPR64"
-      | Some cs ->
-          let f = Iform.of_id (Dist.discrete_sample (Dist.discrete_sample cs rng) rng) in
-          if f.Iform.klass = Iclass.Rep_string then sample_iform () else f
+      let f = mix_sampler rng in
+      if f.Iform.klass = Iclass.Rep_string then sample_iform () else f
   in
   (* Bulk REP copies stream the largest working set and consume their line
      touches from its A_d mass; the remaining mass drives scattered loads
@@ -251,7 +235,7 @@ let generate ~(profile : P.Tier_profile.t) ~(space : Layout.space) ~features ~(p
   let branch_spec () =
     if not features.f_branches then { Block.m = 1; n = 1; invert = false }
     else begin
-      let site = P.Branches.sample_site brs rng in
+      let site = site_sampler rng in
       {
         Block.m = max 0 (min 10 (site.P.Branches.m + params.Params.branch_m_shift));
         n = max 0 (min 10 (site.P.Branches.n + params.Params.branch_n_shift));
@@ -269,19 +253,19 @@ let generate ~(profile : P.Tier_profile.t) ~(space : Layout.space) ~features ~(p
     let pool = if is_xmm then xmm_pool else gp_pool in
     let pick_src () =
       if features.f_deps then
-        pick_by_distance st pool (P.Deps.sample_distance deps.P.Deps.raw st.rng)
+        pick_by_distance st pool (raw_distance rng)
       else pick_by_distance st pool 1 (* strongest dependencies: chain *)
     in
     (* Address registers get their own measured distance profile: memory
        parallelism depends on how early addresses are known. *)
     let pick_addr_src () =
       if features.f_deps then
-        pick_by_distance st pool (P.Deps.sample_distance deps.P.Deps.raw_addr st.rng)
+        pick_by_distance st pool (addr_distance rng)
       else pick_by_distance st pool 1
     in
     let pick_dst () =
       if features.f_deps then
-        pick_by_distance st pool (P.Deps.sample_distance deps.P.Deps.waw st.rng)
+        pick_by_distance st pool (waw_distance rng)
       else pool.(0)
     in
     let klass = iform.Iform.klass in

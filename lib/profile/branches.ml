@@ -84,7 +84,7 @@ let observer ?(live = ref true) () =
   in
   (obs, finish)
 
-let sample_site t rng =
-  match t.sites with
-  | [] -> { m = 2; n = 3; invert = false }
-  | sites -> Ditto_util.Dist.discrete_sample (Ditto_util.Dist.discrete sites) rng
+let site_sampler t =
+  if List.exists (fun (_, w) -> w > 0.0) t.sites then
+    Ditto_util.Dist.discrete_sample (Ditto_util.Dist.discrete t.sites)
+  else fun _ -> { m = 2; n = 3; invert = false }

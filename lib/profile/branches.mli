@@ -21,4 +21,7 @@ val observer : ?live:bool ref -> unit -> Stream.observer * (unit -> t)
 val quantize : taken:int -> transitions:int -> total:int -> site
 (** Quantization of one branch site's counts (exposed for tests). *)
 
-val sample_site : t -> Ditto_util.Rng.t -> site
+val site_sampler : t -> (Ditto_util.Rng.t -> site)
+(** [site_sampler t] builds, once, a sampler of sites weighted by
+    [t.sites]; each draw takes one uniform. Without a positive weight it
+    yields [{m = 2; n = 3; invert = false}] without drawing. *)

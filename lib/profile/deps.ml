@@ -1,7 +1,7 @@
 open Ditto_isa
 
 let bins = 11
-let bin_of_distance d = min (bins - 1) (Ditto_util.Histogram.log2_bin (max 1 d))
+let bin_of_distance d = Int.min (bins - 1) (Ditto_util.Histogram.log2_bin d)
 
 type t = {
   raw : float array;
@@ -82,11 +82,8 @@ let observer ?(live = ref true) () =
   in
   (obs, finish)
 
-let sample_distance hist rng =
-  let pairs = Array.to_list (Array.mapi (fun i w -> (i, w)) hist) in
-  let live = List.filter (fun (_, w) -> w > 0.0) pairs in
-  match live with
-  | [] -> 8
-  | _ ->
-      let bin = Ditto_util.Dist.discrete_sample (Ditto_util.Dist.discrete live) rng in
-      1 lsl bin
+let distance_sampler hist =
+  if Array.exists (fun w -> w > 0.0) hist then
+    Ditto_util.Dist.discrete_sample
+      (Ditto_util.Dist.discrete (List.mapi (fun bin w -> (1 lsl bin, w)) (Array.to_list hist)))
+  else fun _ -> 8

@@ -27,5 +27,7 @@ type t = {
 
 val observer : ?live:bool ref -> unit -> Stream.observer * (unit -> t)
 
-val sample_distance : float array -> Ditto_util.Rng.t -> int
-(** Draw a distance (bin midpoint) from a normalised histogram. *)
+val distance_sampler : float array -> (Ditto_util.Rng.t -> int)
+(** [distance_sampler hist] builds, once, a sampler of distances [2^bin]
+    weighted by the histogram; each draw takes one uniform. A histogram
+    with no positive weight yields 8 without drawing. *)

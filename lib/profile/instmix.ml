@@ -64,14 +64,21 @@ let observer ?(live = ref true) () =
   in
   (obs, finish)
 
-let sample_iform t rng =
-  let cluster_dist = Ditto_util.Dist.discrete (List.map (fun (ids, w) -> (ids, w)) t.clusters) in
-  let ids = Ditto_util.Dist.discrete_sample cluster_dist rng in
-  let weighted =
-    List.map
-      (fun id ->
-        let c = try List.assoc id t.iform_counts with Not_found -> 0 in
-        (id, float_of_int (max 1 c)))
-      ids
-  in
-  Iform.of_id (Ditto_util.Dist.discrete_sample (Ditto_util.Dist.discrete weighted) rng)
+let iform_sampler t =
+  match t.clusters with
+  | [] ->
+      let add = Iform.by_name "ADD_GPR64_GPR64" in
+      fun _ -> add
+  | clusters ->
+      let module Dist = Ditto_util.Dist in
+      let counts = Hashtbl.of_seq (List.to_seq t.iform_counts) in
+      let member ids =
+        Dist.discrete
+          (List.map
+             (fun id ->
+               let c = Option.value ~default:0 (Hashtbl.find_opt counts id) in
+               (Iform.of_id id, float_of_int (max 1 c)))
+             ids)
+      in
+      let d = Dist.discrete (List.map (fun (ids, w) -> (member ids, w)) clusters) in
+      fun rng -> Dist.discrete_sample (Dist.discrete_sample d rng) rng

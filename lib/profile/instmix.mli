@@ -24,6 +24,8 @@ val observer : ?live:bool ref -> unit -> Stream.observer * (unit -> t)
 val cluster_threshold : float
 (** Feature-space distance below which iforms merge (exposed for tests). *)
 
-val sample_iform : t -> Ditto_util.Rng.t -> Ditto_isa.Iform.t
-(** Draw an iform per the profiled mix: pick a cluster by weight, then a
-    member weighted by its in-cluster count. *)
+val iform_sampler : t -> (Ditto_util.Rng.t -> Ditto_isa.Iform.t)
+(** [iform_sampler t] builds, once, a sampler of the profiled mix: each
+    draw picks a cluster by weight, then a member weighted by its dynamic
+    count (two uniforms). Without clusters it yields [ADD_GPR64_GPR64]
+    without drawing. *)

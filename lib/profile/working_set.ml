@@ -1,5 +1,4 @@
 open Ditto_isa
-module Cache = Ditto_uarch.Cache
 
 type t = {
   d_hits : (int * int) list;
@@ -14,14 +13,57 @@ type t = {
 }
 
 let min_log2 = 6
+let line_bytes = 1 lsl min_log2
+
+module Sweep = struct
+  (* Each set is its resident lines, most recent first, padded with -1;
+     a set stays the shared empty array until its first access. A sweep
+     of a large heap touches few of its sets, so it allocates for the
+     lines it touches rather than for every set of every size. *)
+  type t = { mask : int; assoc : int; sets : int array array }
+
+  let create ~sets ~assoc =
+    if sets <= 0 || sets land (sets - 1) <> 0 then invalid_arg "Working_set.Sweep.create: sets";
+    if assoc <= 0 then invalid_arg "Working_set.Sweep.create: assoc";
+    { mask = sets - 1; assoc; sets = Array.make sets [||] }
+
+  (* Position of [line] among the set's resident lines, or the number of
+     resident lines when absent (the scan stops at the -1 padding or at
+     [assoc]). *)
+  let rec find (ways : int array) (line : int) i stop =
+    if i = stop then i
+    else
+      let w = Array.unsafe_get ways i in
+      if w = line || w < 0 then i else find ways line (i + 1) stop
+
+  let access t addr =
+    let line = addr lsr min_log2 in
+    let s = line land t.mask in
+    let ways =
+      match Array.unsafe_get t.sets s with
+      | [||] ->
+          let ways = Array.make t.assoc (-1) in
+          Array.unsafe_set t.sets s ways;
+          ways
+      | ways -> ways
+    in
+    let i = find ways line 0 t.assoc in
+    let hit = i < t.assoc && Array.unsafe_get ways i = line in
+    (* Move the line to the front: on a hit from its old place, on a miss
+       from past the last resident line, dropping the oldest when full. *)
+    for j = (if i = t.assoc then i - 1 else i) downto 1 do
+      Array.unsafe_set ways j (Array.unsafe_get ways (j - 1))
+    done;
+    Array.unsafe_set ways 0 line;
+    hit
+end
 
 (* Per the paper: 8-way below 1MB, 16-way at or above; tiny caches shrink
    associativity so capacity is exactly 2^log2 bytes. *)
 let sweep_cache log2 =
-  let size = 1 lsl log2 in
-  let assoc = if size >= 1 lsl 20 then 16 else 8 in
-  let assoc = min assoc (max 1 (size / Cache.line_bytes)) in
-  Cache.create ~size_bytes:size ~assoc ()
+  let lines = 1 lsl (log2 - min_log2) in
+  let assoc = Int.min (if log2 >= 20 then 16 else 8) lines in
+  Sweep.create ~sets:(lines / assoc) ~assoc
 
 let eq1 ?(total_accesses = 0) ~requests hits =
   let r = float_of_int (max 1 requests) in
@@ -69,9 +111,15 @@ type stride_entry = { mutable last : int; mutable stride : int }
 
 let observer ?(live = ref true) ~max_log2 () =
   let max_log2 = max (min_log2 + 1) max_log2 in
-  let sizes = List.init (max_log2 - min_log2 + 1) (fun i -> min_log2 + i) in
-  let d_caches = List.map (fun l -> (l, sweep_cache l, ref 0)) sizes in
-  let i_caches = List.map (fun l -> (l, sweep_cache l, ref 0)) sizes in
+  let sizes = Array.init (max_log2 - min_log2 + 1) (fun i -> min_log2 + i) in
+  let d_caches = Array.map sweep_cache sizes and d_hits = Array.make (Array.length sizes) 0 in
+  let i_caches = Array.map sweep_cache sizes and i_hits = Array.make (Array.length sizes) 0 in
+  let sweep caches hits line =
+    let live = !live in
+    for k = 0 to Array.length caches - 1 do
+      if Sweep.access caches.(k) line && live then hits.(k) <- hits.(k) + 1
+    done
+  in
   let d_total = ref 0 and i_total = ref 0 in
   let writes = ref 0 and shared = ref 0 and regular = ref 0 and loads = ref 0 in
   let requests = ref 0 in
@@ -79,14 +127,11 @@ let observer ?(live = ref true) ~max_log2 () =
   let last_line = ref (-1) in
   let on_event (ev : Block.event) =
     (* Instruction side: one access per line transition. *)
-    let line = ev.Block.ev_pc land lnot (Cache.line_bytes - 1) in
+    let line = ev.Block.ev_pc land lnot (line_bytes - 1) in
     if line <> !last_line then begin
       last_line := line;
       if !live then incr i_total;
-      List.iter
-        (fun (_, c, hits) ->
-          if Cache.access c line && !live then incr hits)
-        i_caches
+      sweep i_caches i_hits line
     end;
     (* Data side. *)
     if ev.Block.ev_addr >= 0 then begin
@@ -113,27 +158,20 @@ let observer ?(live = ref true) ~max_log2 () =
         end;
         e.last <- ev.Block.ev_addr
       end;
-      let touch addr =
-        let dline = addr land lnot (Cache.line_bytes - 1) in
-        List.iter
-          (fun (_, c, hits) ->
-            if Cache.access c dline && !live then incr hits)
-          d_caches
-      in
       if klass = Iclass.Rep_string then begin
         (* A REP MOVS/STOS touches every line of its operand, sequentially
            — a regular (prefetch-friendly) stream. *)
-        let lines = max 1 (ev.Block.ev_temp.Block.rep_count / Cache.line_bytes) in
+        let lines = max 1 (ev.Block.ev_temp.Block.rep_count / line_bytes) in
         if !live then begin
           d_total := !d_total + (lines - 1);
           loads := !loads + (lines - 1);
           regular := !regular + (lines - 1)
         end;
         for i = 0 to lines - 1 do
-          touch (ev.Block.ev_addr + (i * Cache.line_bytes))
+          sweep d_caches d_hits (ev.Block.ev_addr + (i * line_bytes))
         done
       end
-      else touch ev.Block.ev_addr
+      else sweep d_caches d_hits ev.Block.ev_addr
     end
   in
   let obs =
@@ -144,8 +182,8 @@ let observer ?(live = ref true) ~max_log2 () =
     }
   in
   let finish () =
-    let d_hits = List.map (fun (l, _, h) -> (l, !h)) d_caches in
-    let i_hits = List.map (fun (l, _, h) -> (l, !h)) i_caches in
+    let d_hits = List.combine (Array.to_list sizes) (Array.to_list d_hits) in
+    let i_hits = List.combine (Array.to_list sizes) (Array.to_list i_hits) in
     {
       d_hits;
       d_accesses_total = !d_total;

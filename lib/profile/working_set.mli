@@ -29,6 +29,22 @@ type t = {
 val min_log2 : int
 (** 6: one 64-byte line. *)
 
+(** The sweep's set-associative, exact-LRU tag store. A set's state is
+    allocated on its first access, so a sweep over a large heap costs what
+    the stream touches rather than the caches' capacity. *)
+module Sweep : sig
+  type t
+
+  val create : sets:int -> assoc:int -> t
+  (** Raises [Invalid_argument] unless [sets] is a power of two and
+      [assoc] positive. *)
+
+  val access : t -> int -> bool
+  (** [access t addr] looks up [addr]'s 64-byte line, makes it the most
+      recently used of its set (filling on a miss, evicting the least
+      recently used line of a full set) and returns whether it hit. *)
+end
+
 val observer : ?live:bool ref -> max_log2:int -> unit -> Stream.observer * (unit -> t)
 (** [max_log2] bounds the largest simulated cache (e.g. log2 of the tier's
     heap). While [!live] is false (warmup) the sweep caches and stride

@@ -40,7 +40,7 @@ let zipf ~n ~s =
   { cdf }
 
 (* Binary search for the first index with cdf >= u. *)
-let search_cdf cdf u =
+let search_cdf (cdf : float array) (u : float) =
   let lo = ref 0 and hi = ref (Array.length cdf - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in

@@ -263,6 +263,185 @@ let test_golden_runner () =
     "redis medium-load digest" "4e5b3697b42072cde4b3adbbcf294bb2"
     (digest (tiers @ segments))
 
+(* {2 Clone construction: profiles and generated code}
+
+   Profiling and generation draw from seeded RNGs; a reordered or extra
+   draw changes every later sample, which these digests catch. *)
+
+module P = Ditto_profile
+
+let floats xs = String.concat " " (List.map (Printf.sprintf "%h") xs)
+let bins xs = String.concat " " (List.map (fun (l, x) -> Printf.sprintf "%d:%h" l x) xs)
+
+let rec profile_parts (t : P.Tier_profile.t) =
+  let mix = t.P.Tier_profile.instmix
+  and ws = t.P.Tier_profile.working_set
+  and br = t.P.Tier_profile.branches
+  and deps = t.P.Tier_profile.deps
+  and sys = t.P.Tier_profile.syscalls in
+  let hits hs = String.concat " " (List.map (fun (l, h) -> Printf.sprintf "%d:%d" l h) hs) in
+  [
+    t.P.Tier_profile.tier_name;
+    Printf.sprintf "mix %h %h %h %s | %s" mix.P.Instmix.insts_per_request
+      mix.P.Instmix.rep_mean_count mix.P.Instmix.rep_fraction
+      (hits mix.P.Instmix.iform_counts)
+      (String.concat ";"
+         (List.map
+            (fun (ids, w) ->
+              Printf.sprintf "%s=%h" (String.concat "," (List.map string_of_int ids)) w)
+            mix.P.Instmix.clusters));
+    Printf.sprintf "ws d %d %s | %s | i %d %s | %s | %h %h %h" ws.P.Working_set.d_accesses_total
+      (hits ws.P.Working_set.d_hits) (bins ws.P.Working_set.d_working_sets)
+      ws.P.Working_set.i_accesses_total (hits ws.P.Working_set.i_hits)
+      (bins ws.P.Working_set.i_working_sets) ws.P.Working_set.regular_ratio
+      ws.P.Working_set.shared_ratio ws.P.Working_set.write_ratio;
+    Printf.sprintf "br %d %h %s" br.P.Branches.static_branches br.P.Branches.branch_fraction
+      (String.concat " "
+         (List.map
+            (fun ((s : P.Branches.site), p) ->
+              Printf.sprintf "%d/%d/%b=%h" s.P.Branches.m s.P.Branches.n s.P.Branches.invert p)
+            br.P.Branches.sites));
+    Printf.sprintf "deps %s | %s | %s | %s | %h"
+      (floats (Array.to_list deps.P.Deps.raw))
+      (floats (Array.to_list deps.P.Deps.raw_addr))
+      (floats (Array.to_list deps.P.Deps.war))
+      (floats (Array.to_list deps.P.Deps.waw))
+      deps.P.Deps.chase_fraction;
+    Printf.sprintf "sys %s | %s"
+      (match sys.P.Syscalls.file with
+      | None -> "-"
+      | Some f ->
+          Printf.sprintf "%h %d %h %d %h %d" f.P.Syscalls.reads_per_request
+            f.P.Syscalls.read_bytes_mean f.P.Syscalls.random_ratio f.P.Syscalls.offset_span
+            f.P.Syscalls.writes_per_request f.P.Syscalls.write_bytes_mean)
+      (String.concat " "
+         (List.map
+            (fun (k, mean) ->
+              Printf.sprintf "%s/%d=%h" (Ditto_os.Syscall.name k)
+                (Ditto_os.Syscall.payload_bytes k) mean)
+            sys.P.Syscalls.misc));
+  ]
+  @ match t.P.Tier_profile.background with None -> [] | Some bg -> "bg" :: profile_parts bg
+
+let golden_profiles =
+  lazy
+    (List.map
+       (fun name ->
+         let spec = (Ditto_apps.Registry.by_name name).Ditto_apps.Registry.spec () in
+         (name, P.Tier_profile.profile_app ~requests:80 ~seed:47 spec))
+       [
+         "memcached"; "nginx"; "mongodb"; "redis"; "social_network"; "hotel_reservation";
+         "media_service";
+       ])
+
+let test_golden_profiles () =
+  List.iter
+    (fun (name, expected) ->
+      let app = List.assoc name (Lazy.force golden_profiles) in
+      Alcotest.(check string)
+        (name ^ " profile digest") expected
+        (digest (List.concat_map profile_parts app.P.Tier_profile.tiers)))
+    [
+      ("memcached", "9f88fc2b53794015e068dc22c8b2fb38");
+      ("nginx", "9c4edb05a118773e94086a7fed71170a");
+      ("mongodb", "91d8f23f473fc38ca43628cc38a30ed3");
+      ("redis", "792977639ceee7cceca47bda643847e6");
+      ("social_network", "b77869074dfef6a00f4b8bf45ac8a789");
+      ("hotel_reservation", "ce177d3a43ee6b8322bb712a7f634169");
+      ("media_service", "af2b72b6d5f7ebad7b8eac047326f4e5");
+    ]
+
+let pattern_part = function
+  | Ditto_isa.Block.No_mem -> "-"
+  | Fixed_offset { region; offset } ->
+      Printf.sprintf "fix %d+%d %d" region.region_base region.region_bytes offset
+  | Seq_stride { region; start; stride; span } ->
+      Printf.sprintf "seq %d+%d %d %d %d" region.region_base region.region_bytes start stride span
+  | Rand_uniform { region; start; span } ->
+      Printf.sprintf "rand %d+%d %d %d" region.region_base region.region_bytes start span
+  | Chase { region; start; span } ->
+      Printf.sprintf "chase %d+%d %d %d" region.region_base region.region_bytes start span
+
+let block_part (b : Ditto_isa.Block.t) =
+  let open Ditto_isa.Block in
+  Printf.sprintf "%s@%d %s" b.label b.code_base
+    (String.concat ";"
+       (Array.to_list
+          (Array.map
+             (fun t ->
+               Printf.sprintf "%s %d [%s] %s %s %d %d" t.iform.Ditto_isa.Iform.name t.dst
+                 (String.concat "," (Array.to_list (Array.map string_of_int t.srcs)))
+                 (pattern_part t.mem)
+                 (match t.branch with
+                 | None -> "-"
+                 | Some s -> Printf.sprintf "%d/%d/%b" s.m s.n s.invert)
+                 t.rep_count t.seq_phase)
+             b.temps)))
+
+(* Every block the generated handlers (request and background) return over
+   eight requests, each block printed at its first appearance. *)
+let tier_parts (tier : Spec.tier) =
+  let seen = Hashtbl.create 16 in
+  let ops_part = function
+    | Spec.Compute (b, n) ->
+        if Hashtbl.mem seen b.Ditto_isa.Block.uid then Printf.sprintf "%s x%d" b.label n
+        else begin
+          Hashtbl.add seen b.Ditto_isa.Block.uid ();
+          Printf.sprintf "%s x%d" (block_part b) n
+        end
+    | Spec.Syscall k -> Ditto_os.Syscall.name k
+    | Spec.File_read { offset; bytes; random } -> Printf.sprintf "read %d %d %b" offset bytes random
+    | Spec.File_write { bytes } -> Printf.sprintf "write %d" bytes
+    | Spec.Call { target; req_bytes; resp_bytes } ->
+        Printf.sprintf "call %s %d %d" target req_bytes resp_bytes
+  in
+  let rng = Ditto_util.Rng.create 5 in
+  List.concat
+    (List.init 8 (fun req ->
+         List.map ops_part
+           (tier.Spec.handler rng req
+           @ match tier.Spec.background_handler with None -> [] | Some bg -> bg rng)))
+
+let golden_knobs =
+  let d = Ditto_gen.Params.default in
+  [
+    d;
+    { d with Ditto_gen.Params.i_ws_scale = 2.6; d_ws_scale = 0.3 };
+    { d with Ditto_gen.Params.branch_m_shift = 2; branch_n_shift = -1; chase_scale = 1.7 };
+    {
+      Ditto_gen.Params.inst_scale = 0.7;
+      i_ws_scale = 4.4;
+      d_ws_scale = 3.0;
+      big_mass_scale = 0.4;
+      branch_m_shift = -1;
+      branch_n_shift = 1;
+      chase_scale = 0.5;
+    };
+  ]
+
+let test_golden_generation () =
+  List.iter
+    (fun (name, expected) ->
+      let app = List.assoc name (Lazy.force golden_profiles) in
+      let tp = List.hd app.P.Tier_profile.tiers in
+      let space =
+        Layout.space ~tier_index:0 ~heap_bytes:tp.P.Tier_profile.heap_bytes
+          ~shared_bytes:tp.P.Tier_profile.shared_bytes
+      in
+      let parts =
+        List.concat_map
+          (fun params ->
+            tier_parts (Ditto_gen.Clone.synth_tier ~params ~profile:tp ~space ~downstream:[] ()))
+          golden_knobs
+      in
+      Alcotest.(check string) (name ^ " generated blocks digest") expected (digest parts))
+    [
+      ("redis", "631cd04aec707bc678115589c74ba4f9");
+      ("memcached", "441de5ebc42d04ac97ed0b9cdef6321c");
+      ("nginx", "396f9b988b901d65e95d7bb87652f0a3");
+      ("mongodb", "2e737988701e6737560525b15b0438b2");
+    ]
+
 (* {1 Allocation per engine event}
 
    The queue itself allocates nothing per event: slots, flat heap keys and
@@ -333,6 +512,8 @@ let () =
         [
           Alcotest.test_case "exec_block counters and clocks" `Quick test_golden_exec_block;
           Alcotest.test_case "redis run counters and segments" `Slow test_golden_runner;
+          Alcotest.test_case "registry profiles" `Slow test_golden_profiles;
+          Alcotest.test_case "generated blocks" `Slow test_golden_generation;
         ] );
       ( "engine",
         [

@@ -70,19 +70,61 @@ let test_instmix_rep_stats () =
   check_close "rep mean count" 1e-9 2048.0 t.Instmix.rep_mean_count;
   check_close "rep fraction" 1e-9 0.5 t.Instmix.rep_fraction
 
+(* Sampling an observed mix draws only its iforms (IMUL, so the
+   ADD_GPR64_GPR64 default of an empty mix cannot pass for a draw), and
+   an empty mix yields the default without consuming the RNG. *)
 let test_instmix_sampler () =
-  let temps = [ Block.temp (Iform.by_name "ADD_GPR64_GPR64") ~dst:0 ~srcs:[| 1 |] ] in
+  let temps = [ Block.temp (Iform.by_name "IMUL_GPR64_GPR64") ~dst:0 ~srcs:[| 1 |] ] in
   let b = Block.make ~label:"s" ~code_base:space.Layout.code_base temps in
   let obs, fin = Instmix.observer () in
   Stream.drive ~tier:(tier_of_blocks [ (b, 4) ]) ~requests:4 ~seed:4 [ obs ];
   let t = fin () in
   let rng = Rng.create 5 in
+  let sample = Instmix.iform_sampler t in
   for _ = 1 to 20 do
-    Alcotest.(check string) "only observed iform sampled" "ADD_GPR64_GPR64"
-      (Instmix.sample_iform t rng).Iform.name
-  done
+    Alcotest.(check string) "only observed iform sampled" "IMUL_GPR64_GPR64"
+      (sample rng).Iform.name
+  done;
+  let empty = Instmix.iform_sampler { t with Instmix.clusters = [] } in
+  let before = Rng.float (Rng.copy rng) 1.0 in
+  Alcotest.(check string) "empty mix default" "ADD_GPR64_GPR64" (empty rng).Iform.name;
+  Alcotest.(check (float 0.0)) "empty mix draws nothing" before (Rng.float rng 1.0)
 
 (* {1 Working sets (Eq. 1 and Eq. 2)} *)
+
+(* The sweep's touch-allocated sets against [Ditto_uarch.Cache]'s LRU on
+   the same geometry. Streams draw most lines from a few hot sets with
+   tags spanning a few times the associativity, so sets fill, hit and
+   evict. *)
+let prop_sweep_matches_cache =
+  let case =
+    QCheck.Gen.(
+      let* assoc = oneofl [ 1; 2; 4; 8; 16 ] in
+      let* sets = map (fun k -> 1 lsl k) (int_range 0 12) in
+      let* hot = list_size (int_range 1 3) (int_bound (sets - 1)) in
+      let addr =
+        frequency
+          [
+            ( 9,
+              map3
+                (fun set tag off -> ((((tag * sets) + set) * 64) + off))
+                (oneofl hot) (int_bound ((3 * assoc) + 1)) (int_bound 63) );
+            (1, int_bound (1 lsl 30));
+          ]
+      in
+      let* stream = list_size (int_range 1 2000) addr in
+      return (assoc, sets, stream))
+  in
+  let print (assoc, sets, stream) =
+    Printf.sprintf "assoc=%d sets=%d stream of %d" assoc sets (List.length stream)
+  in
+  QCheck.Test.make ~name:"sweep cache matches Cache LRU" ~count:300 (QCheck.make ~print case)
+    (fun (assoc, sets, stream) ->
+      let sweep = Working_set.Sweep.create ~sets ~assoc in
+      let cache = Ditto_uarch.Cache.create ~size_bytes:(sets * assoc * 64) ~assoc () in
+      List.for_all
+        (fun a -> Working_set.Sweep.access sweep a = Ditto_uarch.Cache.access cache a)
+        stream)
 
 let test_eq1_pure () =
   (* H(64)=100, H(128)=150, H(256)=150: A(64)=100, A(128)=50, A(256)=0 *)
@@ -353,6 +395,7 @@ let () =
           Alcotest.test_case "small loop" `Quick test_working_set_small_loop;
           Alcotest.test_case "streaming residual" `Quick test_working_set_streaming_residual;
           Alcotest.test_case "ratios" `Quick test_working_set_ratios;
+          QCheck_alcotest.to_alcotest prop_sweep_matches_cache;
         ] );
       ( "branches",
         [
