@@ -826,7 +826,7 @@ let micro () =
     let mem = Ditto_uarch.Memory.create Platform.a ~ncores:1 in
     let core = Ditto_uarch.Core_model.create mem ~core:0 in
     let streams =
-      Ditto_os.Syscall.Kernel.streams ~scale:0.25 (Ditto_os.Syscall.Sock_write { bytes = 512 })
+      Ditto_os.Syscall.Kernel.streams (Ditto_os.Syscall.Sock_write { bytes = 512 })
     in
     let rng = Ditto_util.Rng.create 1 in
     Test.make ~name:"core.kernel-path"

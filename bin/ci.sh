@@ -1,8 +1,10 @@
 #!/bin/sh
 # Tier-1 gate: a warning-free build of lib/, bench/, bin/, test/ and
-# examples/ (perfbench/ is not gated), the 23 test suites, a benchmark
-# smoke run, a self-tracing smoke test (Chrome + Jaeger exports re-parsed
-# via Jsonx), a sampled-profiler smoke test, a synth scaling smoke
+# examples/ (perfbench/ is not gated), the 23 test suites, test_perf's
+# golden group alone (a digest that passes only after earlier tests of
+# the suite warmed the domain-local kernel-path memo fails here), a
+# benchmark smoke run, a self-tracing smoke test (Chrome + Jaeger exports
+# re-parsed via Jsonx), a sampled-profiler smoke test, a synth scaling smoke
 # (100-tier generated graph cloned + validated under a wall budget and a
 # DES event-queue peak limit), the validation-gate smokes — one memcached
 # clone through the chaos (fault injection + resilience counters),
@@ -47,6 +49,9 @@ fi
 
 echo "== dune runtest =="
 dune runtest
+
+echo "== golden digests alone (test_perf golden group) =="
+dune exec test/test_perf.exe -- test golden
 
 echo "== bench smoke (micro kernels) =="
 dune exec bench/main.exe -- micro

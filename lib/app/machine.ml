@@ -1,5 +1,4 @@
 type t = {
-  uid : int;
   engine : Ditto_sim.Engine.t;
   platform : Ditto_uarch.Platform.t;
   mem : Ditto_uarch.Memory.t;
@@ -27,11 +26,6 @@ let pool_key : (Ditto_uarch.Platform.t * int, pooled list ref) Hashtbl.t Domain.
 
 let max_pooled_per_key = 4
 
-(* Dense per-process ids let callers key machines in int hash tables (O(1)
-   tier-to-machine routing) instead of scanning lists under physical
-   equality, which is what made teardown O(tiers^2) on wide graphs. *)
-let next_uid = Atomic.make 0
-
 let create ?page_cache_bytes ?cores engine (platform : Ditto_uarch.Platform.t) =
   let ncores = match cores with Some n -> n | None -> platform.Ditto_uarch.Platform.cores in
   let mem, cores =
@@ -52,7 +46,6 @@ let create ?page_cache_bytes ?cores engine (platform : Ditto_uarch.Platform.t) =
     | None -> platform.Ditto_uarch.Platform.ram_gb * 1024 * 1024 * 1024 / 4
   in
   {
-    uid = Atomic.fetch_and_add next_uid 1;
     engine;
     platform;
     mem;

@@ -2,7 +2,6 @@
     disk and page cache, built from a {!Ditto_uarch.Platform} spec. *)
 
 type t = {
-  uid : int;  (** dense per-process id, for int-keyed machine tables *)
   engine : Ditto_sim.Engine.t;
   platform : Ditto_uarch.Platform.t;
   mem : Ditto_uarch.Memory.t;

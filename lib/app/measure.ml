@@ -24,25 +24,21 @@ let trace_cpu_seconds trace =
   List.fold_left (fun acc seg -> match seg with Cpu s -> acc +. s | _ -> acc) 0.0 trace
 
 type config = {
-  warmup : int;
-  syscall_scale : float;
   idle_per_request : float;
-  interleave : int;
   stressor : (Ditto_util.Rng.t -> int -> Spec.op list) option;
   stressor_placement : [ `Same_core | `Other_core ];
   smt_pressure : float;
 }
 
 let default_config =
-  {
-    warmup = 40;
-    syscall_scale = 0.25;
-    idle_per_request = 0.0;
-    interleave = 4;
-    stressor = None;
-    stressor_placement = `Same_core;
-    smt_pressure = 1.0;
-  }
+  { idle_per_request = 0.0; stressor = None; stressor_placement = `Same_core; smt_pressure = 1.0 }
+
+(* Unrecorded requests per tier before measurement: fill caches, predictor
+   and page cache. *)
+let warmup = 40
+
+(* Requests a tier runs before the measurement loop switches tiers. *)
+let interleave = 4
 
 type stream = {
   s_tier : Spec.tier;
@@ -92,10 +88,10 @@ let exec_block core ~rng block ~iterations =
   end;
   Core_model.exec_block core ~rng block ~iterations
 
-let exec_kernel cfg core rng kind =
+let exec_kernel core rng kind =
   List.iter
     (fun (block, iterations) -> exec_block core ~rng block ~iterations)
-    (Syscall.Kernel.streams ~scale:cfg.syscall_scale kind)
+    (Syscall.Kernel.streams kind)
 
 let run_housekeeping cfg (machine : Machine.t) core_id rng scratch =
   if cfg.idle_per_request > 0.0 then begin
@@ -111,7 +107,7 @@ let run_housekeeping cfg (machine : Machine.t) core_id rng scratch =
       int_of_float expected
       + (if Ditto_util.Rng.float rng 1.0 < Float.rem expected 1.0 then 1 else 0)
     in
-    let block, iterations = Syscall.Kernel.housekeeping ~scale:cfg.syscall_scale () in
+    let block, iterations = Syscall.Kernel.housekeeping () in
     let core = machine.Machine.cores.(core_id) in
     for _ = 1 to (if ticks < 64 then ticks else 64) do
       exec_block core ~rng block ~iterations
@@ -126,7 +122,7 @@ let run_housekeeping cfg (machine : Machine.t) core_id rng scratch =
    followed by an attribution of the counter's cycle delta, so sampled
    weights cover exactly the cycles that [flush_cpu] turns into Cpu
    segments. Warmup requests pass [profile:false]. *)
-let run_request ?(profile = false) cfg (machine : Machine.t) stream ctr =
+let run_request ?(profile = false) (machine : Machine.t) stream ctr =
   let core_id = stream.s_cores.(stream.s_rr mod Array.length stream.s_cores) in
   stream.s_rr <- stream.s_rr + 1;
   let core = machine.Machine.cores.(core_id) in
@@ -151,7 +147,7 @@ let run_request ?(profile = false) cfg (machine : Machine.t) stream ctr =
     end
   in
   let kernel kind =
-    exec_kernel cfg core rng kind;
+    exec_kernel core rng kind;
     (* Build the frame label only when profiling: this runs per syscall. *)
     if profile then prof ("syscall:" ^ Syscall.name kind)
   in
@@ -237,7 +233,7 @@ let assign_cores ~ncores ~ntiers ~workers idx =
   end
   else [| idx mod ncores |]
 
-let measure_background cfg machine stream =
+let measure_background machine stream =
   match stream.s_tier.Spec.background_handler with
   | None -> None
   | Some bg ->
@@ -267,7 +263,7 @@ let measure_background cfg machine stream =
         end
       in
       let kernel kind =
-        exec_kernel cfg core rng kind;
+        exec_kernel core rng kind;
         if profile then prof ("syscall:" ^ Syscall.name kind)
       in
       List.iter
@@ -347,11 +343,11 @@ let run ?(config = default_config) ~(machine : Machine.t) ~seed ~requests tiers 
         ignore
           (Page_cache.read machine.Machine.page_cache ~offset:0 ~bytes:file))
     tiers;
-  (* Warmup: fill caches, predictor and page cache; nothing recorded. *)
+  (* Warmup: nothing recorded. *)
   List.iter
     (fun stream ->
-      for _ = 1 to cfg.warmup do
-        ignore (run_request cfg machine stream scratch)
+      for _ = 1 to warmup do
+        ignore (run_request machine stream scratch)
       done)
     streams;
   (* Measurement: interleave tiers (and the stressor) over the cores. *)
@@ -361,12 +357,12 @@ let run ?(config = default_config) ~(machine : Machine.t) ~seed ~requests tiers 
     List.iter
       (fun stream ->
         let burst =
-          if cfg.interleave < stream.s_remaining then cfg.interleave else stream.s_remaining
+          if interleave < stream.s_remaining then interleave else stream.s_remaining
         in
         for _ = 1 to burst do
           let core_id0 = stream.s_cores.(stream.s_rr mod Array.length stream.s_cores) in
           run_housekeeping cfg machine core_id0 stream.s_rng scratch;
-          let core_id, trace = run_request ~profile cfg machine stream stream.s_ctr in
+          let core_id, trace = run_request ~profile machine stream stream.s_ctr in
           stream.s_traces <- trace :: stream.s_traces;
           stream.s_remaining <- stream.s_remaining - 1;
           incr stress_seq;
@@ -377,7 +373,7 @@ let run ?(config = default_config) ~(machine : Machine.t) ~seed ~requests tiers 
   List.map
     (fun stream ->
       let traces = Array.of_list (List.rev stream.s_traces) in
-      let background_trace = measure_background cfg machine stream in
+      let background_trace = measure_background machine stream in
       let cpu_mean =
         if Array.length traces = 0 then 0.0
         else

@@ -34,13 +34,12 @@ type tier_result = {
 
 val trace_cpu_seconds : trace -> float
 
+(** Each tier runs 40 unrecorded warm-up requests, then the measured ones
+    in bursts of 4 per tier, the tiers taking turns. *)
 type config = {
-  warmup : int;  (** per-tier unrecorded requests before measurement *)
-  syscall_scale : float;  (** kernel path-length scale (see {!Ditto_os.Syscall.Kernel}) *)
   idle_per_request : float;
       (** mean idle seconds between requests: drives timer/housekeeping
           pollution of i-cache and predictor (low-load frontend effects) *)
-  interleave : int;  (** requests executed per tier before switching tiers *)
   stressor : (Ditto_util.Rng.t -> int -> Spec.op list) option;
       (** colocated interference stream *)
   stressor_placement : [ `Same_core | `Other_core ];

@@ -2,36 +2,30 @@ open Ditto_uarch
 
 type config = {
   platform : Platform.t;
-  cluster : bool;
   requests : int;
   seed : int;
-  syscall_scale : float;
   stressor : (Ditto_util.Rng.t -> int -> Spec.op list) option;
   stressor_placement : [ `Same_core | `Other_core ];
   smt_pressure : float;
   net_interference_gbps : float;
   cores : int option;
-  page_cache_bytes : int option;
   fault_plan : Ditto_fault.Plan.t option;
   timeline : bool;
   reqtrace : bool;
 }
 
-let config ?(cluster = false) ?(requests = 220) ?(seed = 42) ?(syscall_scale = 0.25) ?stressor
-    ?(stressor_placement = `Same_core) ?(smt_pressure = 1.0) ?(net_interference_gbps = 0.0)
-    ?cores ?page_cache_bytes ?fault_plan ?(timeline = false) ?(reqtrace = false) platform =
+let config ?(requests = 220) ?(seed = 42) ?stressor ?(stressor_placement = `Same_core)
+    ?(smt_pressure = 1.0) ?(net_interference_gbps = 0.0) ?cores ?fault_plan ?(timeline = false)
+    ?(reqtrace = false) platform =
   {
     platform;
-    cluster;
     requests;
     seed;
-    syscall_scale;
     stressor;
     stressor_placement;
     smt_pressure;
     net_interference_gbps;
     cores;
-    page_cache_bytes;
     fault_plan;
     timeline;
     reqtrace;
@@ -59,13 +53,20 @@ let estimate_idle_per_request ~qps ~workers =
 
 let measure_config cfg ~qps ~avg_workers =
   {
-    Measure.default_config with
-    Measure.syscall_scale = cfg.syscall_scale;
-    idle_per_request = estimate_idle_per_request ~qps ~workers:avg_workers;
+    Measure.idle_per_request = estimate_idle_per_request ~qps ~workers:avg_workers;
     stressor = cfg.stressor;
     stressor_placement = cfg.stressor_placement;
     smt_pressure = cfg.smt_pressure;
   }
+
+let make_machine cfg engine ~page_cache_hint =
+  Machine.create ?page_cache_bytes:page_cache_hint ?cores:cfg.cores engine cfg.platform
+
+let measure_alone cfg mcfg ~page_cache_hint ~seed hosted =
+  let machine = make_machine cfg (Ditto_sim.Engine.create ()) ~page_cache_hint in
+  let r = Measure.run ~config:mcfg ~machine ~seed ~requests:cfg.requests hosted in
+  Machine.release machine;
+  r
 
 let measure_memo_stats () = { Memo.hits = 0 }
 
@@ -81,110 +82,54 @@ let run_inner cfg ~load (app : Spec.t) =
   let ntiers = List.length tiers in
   let engine = Ditto_sim.Engine.create () in
   Ditto_sim.Engine.set_profile_label engine app.Spec.app_name;
-  let page_cache_bytes =
-    match cfg.page_cache_bytes with Some b -> Some b | None -> app.Spec.page_cache_hint
+  let page_cache_hint = app.Spec.page_cache_hint in
+  let machine = make_machine cfg engine ~page_cache_hint in
+  let hosted =
+    List.mapi
+      (fun i (t : Spec.tier) ->
+        ( t,
+          Layout.space ~tier_index:i ~heap_bytes:t.Spec.heap_bytes
+            ~shared_bytes:t.Spec.shared_bytes ))
+      tiers
   in
-  let make_machine () = Machine.create ?page_cache_bytes ?cores:cfg.cores engine cfg.platform in
-  (* O(1) int/string-indexed routing: tier -> machine and tier -> space are
-     hash lookups, never tier-list scans (those made wide graphs O(n^2)). *)
-  let placement_tbl : (string, Machine.t) Hashtbl.t = Hashtbl.create (2 * ntiers) in
-  let machines =
-    if cfg.cluster then
-      List.map
-        (fun (t : Spec.tier) ->
-          let m = make_machine () in
-          Hashtbl.replace placement_tbl t.Spec.tier_name m;
-          m)
-        tiers
-    else begin
-      let m = make_machine () in
-      List.iter (fun (t : Spec.tier) -> Hashtbl.replace placement_tbl t.Spec.tier_name m) tiers;
-      [ m ]
-    end
-  in
-  let placement name = Hashtbl.find placement_tbl name in
-  let space_tbl : (string, Layout.space) Hashtbl.t = Hashtbl.create (2 * ntiers) in
-  List.iteri
-    (fun i (t : Spec.tier) ->
-      Hashtbl.replace space_tbl t.Spec.tier_name
-        (Layout.space ~tier_index:i ~heap_bytes:t.Spec.heap_bytes
-           ~shared_bytes:t.Spec.shared_bytes))
-    tiers;
-  (* Group tiers by machine (uid-keyed, order-preserving) for measurement. *)
-  let hosted_by_machine : (int, (Spec.tier * Layout.space) list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  List.iter
-    (fun (t : Spec.tier) ->
-      let m = placement t.Spec.tier_name in
-      let cell =
-        match Hashtbl.find_opt hosted_by_machine m.Machine.uid with
-        | Some c -> c
-        | None ->
-            let c = ref [] in
-            Hashtbl.add hosted_by_machine m.Machine.uid c;
-            c
-      in
-      cell := (t, Hashtbl.find space_tbl t.Spec.tier_name) :: !cell)
-    tiers;
   let avg_workers =
     let total =
       List.fold_left (fun a (t : Spec.tier) -> a + t.Spec.thread_model.Spec.workers) 0 tiers
     in
-    max 1 (total / List.length tiers)
+    max 1 (total / ntiers)
   in
   let mcfg = measure_config cfg ~qps:load.Service.qps ~avg_workers in
-  let measure_on m ~seed hosted =
-    Measure.run ~config:mcfg ~machine:m ~seed ~requests:cfg.requests hosted
-    |> List.map (fun (r : Measure.tier_result) -> (r.Measure.tier.Spec.tier_name, r))
-  in
   let measured =
     Ditto_obs.Obs.Span.with_span ~name:"runner.measure" (fun () ->
-        List.concat_map
-          (fun m ->
-            let hosted =
-              match Hashtbl.find_opt hosted_by_machine m.Machine.uid with
-              | Some cell -> List.rev !cell
-              | None -> []
-            in
-            if hosted = [] then []
-            else if List.length hosted <= measure_shard_tiers then
-              measure_on m ~seed:cfg.seed hosted
-            else begin
-              (* Wide graphs: shard the hosted tiers into fixed-size groups
-                 and measure them across the Pool's domains, each shard on
-                 its own scratch machine (per-domain machine pooling keeps
-                 this cheap, and no mutable hardware state crosses domains).
-                 Shard boundaries and seeds depend only on the tier list, so
-                 results are bit-identical at any pool size. *)
-              let shards = ref [] and cur = ref [] and k = ref 0 and si = ref 0 in
-              List.iter
-                (fun t ->
-                  cur := t :: !cur;
-                  incr k;
-                  if !k = measure_shard_tiers then begin
-                    shards := (!si, List.rev !cur) :: !shards;
-                    incr si;
-                    cur := [];
-                    k := 0
-                  end)
-                hosted;
-              if !cur <> [] then shards := (!si, List.rev !cur) :: !shards;
-              let shards = List.rev !shards in
-              let pool = Ditto_util.Pool.default () in
-              Ditto_util.Pool.map pool
-                (fun (si, shard) ->
-                  let scratch_engine = Ditto_sim.Engine.create () in
-                  let sm =
-                    Machine.create ?page_cache_bytes ?cores:cfg.cores scratch_engine cfg.platform
-                  in
-                  let r = measure_on sm ~seed:(cfg.seed + (7919 * si)) shard in
-                  Machine.release sm;
-                  r)
-                shards
-              |> List.concat
-            end)
-          machines)
+        (if ntiers <= measure_shard_tiers then
+           Measure.run ~config:mcfg ~machine ~seed:cfg.seed ~requests:cfg.requests hosted
+         else begin
+           (* Wide graphs: shard the tiers into fixed-size groups and
+              measure them across the Pool's domains, each shard on its own
+              scratch machine (per-domain machine pooling keeps this cheap,
+              and no mutable hardware state crosses domains). Shard
+              boundaries and seeds depend only on the tier list, so results
+              are bit-identical at any pool size. *)
+           let shards = ref [] and cur = ref [] and k = ref 0 and si = ref 0 in
+           List.iter
+             (fun t ->
+               cur := t :: !cur;
+               incr k;
+               if !k = measure_shard_tiers then begin
+                 shards := (!si, List.rev !cur) :: !shards;
+                 incr si;
+                 cur := [];
+                 k := 0
+               end)
+             hosted;
+           if !cur <> [] then shards := (!si, List.rev !cur) :: !shards;
+           Ditto_util.Pool.map (Ditto_util.Pool.default ())
+             (fun (si, shard) ->
+               measure_alone cfg mcfg ~page_cache_hint ~seed:(cfg.seed + (7919 * si)) shard)
+             (List.rev !shards)
+           |> List.concat
+         end)
+        |> List.map (fun (r : Measure.tier_result) -> (r.Measure.tier.Spec.tier_name, r)))
   in
   let measured_tbl : (string, Measure.tier_result) Hashtbl.t = Hashtbl.create (2 * ntiers) in
   List.iter (fun (name, r) -> Hashtbl.replace measured_tbl name r) measured;
@@ -192,7 +137,7 @@ let run_inner cfg ~load (app : Spec.t) =
   let service =
     Ditto_obs.Obs.Span.with_span ~name:"runner.service" (fun () ->
         let r =
-          Service.run ~engine ~app ~placement ~results ~seed:(cfg.seed + 1)
+          Service.run ~app ~machine ~results ~seed:(cfg.seed + 1)
             ~net_interference_gbps:cfg.net_interference_gbps ?fault_plan:cfg.fault_plan
             ~timeline:cfg.timeline ~reqtrace:cfg.reqtrace load
         in
@@ -292,10 +237,9 @@ let run_inner cfg ~load (app : Spec.t) =
       tiers
   in
   (* Both phases are done and every consumer reads results through the
-     returned traces/counters, so the machines can rejoin the free pool.
-     (On an exception the machines are simply dropped — correct, just not
-     reused.) *)
-  List.iter Machine.release machines;
+     returned traces/counters, so the machine can rejoin the free pool.
+     (On an exception it is simply dropped — correct, just not reused.) *)
+  Machine.release machine;
   (* Drop the run's event storage so back-to-back wide clones never hold
      two peak-sized heaps at once. *)
   Ditto_sim.Engine.reset engine;

@@ -1,23 +1,23 @@
-(** End-to-end run orchestration: build machines, measure instruction
+(** End-to-end run orchestration: build the machine, measure instruction
     streams, serve load, and assemble per-tier {!Metrics}.
 
-    A run is fully deterministic from [seed] and creates fresh hardware
-    state, so original-vs-synthetic comparisons see identical environments.
+    A run hosts every tier on one machine of [platform], its page cache
+    sized by the app's [page_cache_hint] (autoscaled replicas aside, see
+    {!Service.run}). It is fully deterministic from
+    [seed] and creates fresh hardware state, so original-vs-synthetic
+    comparisons see identical environments.
     The same runner executes original model applications and generated
     clones — the validation harness of §6. *)
 
 type config = {
   platform : Ditto_uarch.Platform.t;
-  cluster : bool;  (** one machine per tier instead of a single node *)
   requests : int;  (** measurement-phase requests per tier *)
   seed : int;
-  syscall_scale : float;
   stressor : (Ditto_util.Rng.t -> int -> Spec.op list) option;
   stressor_placement : [ `Same_core | `Other_core ];
   smt_pressure : float;
   net_interference_gbps : float;
   cores : int option;  (** override machine core count (Fig. 11) *)
-  page_cache_bytes : int option;
   fault_plan : Ditto_fault.Plan.t option;
       (** arm this fault plan against the serving phase (chaos layer) *)
   timeline : bool;
@@ -27,16 +27,13 @@ type config = {
 }
 
 val config :
-  ?cluster:bool ->
   ?requests:int ->
   ?seed:int ->
-  ?syscall_scale:float ->
   ?stressor:(Ditto_util.Rng.t -> int -> Spec.op list) ->
   ?stressor_placement:[ `Same_core | `Other_core ] ->
   ?smt_pressure:float ->
   ?net_interference_gbps:float ->
   ?cores:int ->
-  ?page_cache_bytes:int ->
   ?fault_plan:Ditto_fault.Plan.t ->
   ?timeline:bool ->
   ?reqtrace:bool ->
@@ -63,9 +60,24 @@ val estimate_idle_per_request : qps:float -> workers:int -> float
 
 val measure_config : config -> qps:float -> avg_workers:int -> Measure.config
 (** The measurement-phase config a run at [qps] uses, for tiers averaging
-    [avg_workers] workers. {!run} builds its measurement from this, and the
-    tuner's single-tier calibration path builds from it too, so both
-    measure a tier the same way. *)
+    [avg_workers] workers: the housekeeping idle gap at that load plus the
+    config's stressor settings. {!run} builds its measurement from this,
+    and so does the tuner's single-tier calibration path, which measures
+    through {!measure_alone}. *)
+
+val measure_alone :
+  config ->
+  Measure.config ->
+  page_cache_hint:int option ->
+  seed:int ->
+  (Spec.tier * Layout.space) list ->
+  Measure.tier_result list
+(** Measure [hosted] on a scratch machine of its own (a fresh engine, the
+    config's platform and core count, a page cache of [page_cache_hint]
+    bytes or the platform default), released afterwards. {!run}'s
+    wide-graph shards and the tuner's isolated path both measure this
+    way, so an isolated tier sees exactly what a one-tier run's
+    measurement sees. *)
 
 val measure_memo_stats : unit -> Ditto_uarch.Memo.stats
 (** Always [{ hits = 0 }]: the runner caches no measurement, and every

@@ -61,29 +61,27 @@ type result = {
           was set *)
 }
 
-(* One horizontally-scaled copy of a tier beyond the built-in primary: its
-   own machine (fresh cores/NIC/disk) plus the per-server-model connection
-   state. Deactivated replicas drain their attached connections but take
-   no new ones, and are reactivated before any new machine is created. *)
-type replica = {
-  rep_id : int;
-  rep_machine : Machine.t;
-  rep_epolls : Socket.Epoll.t array;
-  mutable rep_epoll_rr : int;
-  mutable rep_poll_conns : Socket.endpoint list;
-  mutable rep_active : bool;
-  rep_nic0 : int;  (* NIC odometer at creation, for teardown bandwidth *)
-  rep_disk0 : int;
+(* One serving copy of a tier: its machine plus the per-server-model
+   connection state. Server 0 is the primary, on the run's machine; the
+   autoscaler appends replicas, each on a fresh machine. A drained replica
+   keeps serving its attached connections but takes no new ones, and is
+   reactivated before any new machine is created. *)
+type server = {
+  machine : Machine.t;
+  epolls : Socket.Epoll.t array;  (* I/O multiplexing only *)
+  mutable epoll_rr : int;
+  mutable poll_conns : Socket.endpoint list;  (* non-blocking only *)
+  mutable active : bool;
+  nic0 : int;  (* NIC and disk odometers at creation, for teardown bandwidth *)
+  disk0 : int;
 }
 
 type tier_rt = {
   spec : Spec.tier;
-  machine : Machine.t;
   mres : Measure.tier_result;
   rng : Rng.t;
-  epolls : Socket.Epoll.t array;
-  mutable epoll_rr : int;
-  mutable poll_conns : Socket.endpoint list;
+  mutable servers : server list;  (* creation order, the primary first *)
+  mutable rr : int;  (* round-robin cursor over the active servers *)
   pools : (string, Socket.endpoint Queue.t) Hashtbl.t;
   breakers : (string, Breaker.t) Hashtbl.t;
   lat : Stats.t;
@@ -94,8 +92,6 @@ type tier_rt = {
   mutable shed : int;
   mutable failures : int;
   mutable degraded : int;
-  mutable replicas : replica list;  (* creation order; [] when autoscaling off *)
-  mutable rep_rr : int;  (* round-robin cursor over primary + active replicas *)
   mutable stopped : bool;
 }
 
@@ -157,9 +153,8 @@ let rq_server_end sys span ?bytes outcome =
   | Some c when span <> 0 -> Rq.server_end c ~span ?bytes ~at:(Engine.time ()) outcome
   | _ -> ()
 
-(* [mach] is the machine serving the current request: the tier's primary,
-   or a replica's when the autoscaler routed the connection there. With
-   autoscaling off it is always [rt.machine]. *)
+(* [mach] is the machine of the server handling the current request: the
+   run's machine for a primary, a replica's own otherwise. *)
 let run_cpu sys rt ~tid ~mach s =
   let s =
     match sys.inj with
@@ -174,52 +169,37 @@ let run_cpu sys rt ~tid ~mach s =
   Ditto_os.Sched.run_oncpu mach.Machine.sched ~thread:tid s
 
 (* Accept-queue depth for load shedding: undelivered messages plus requests
-   already being replayed, summed over the primary and every replica. *)
+   already being replayed, summed over every server, drained ones too. *)
 let backlog rt =
-  let base =
-    match rt.spec.Spec.server_model with
-    | Spec.Io_multiplexing ->
-        Array.fold_left (fun acc e -> acc + Socket.Epoll.pending_total e) rt.inflight rt.epolls
-    | Spec.Nonblocking ->
-        List.fold_left (fun acc ep -> acc + Socket.pending ep) rt.inflight rt.poll_conns
-    | Spec.Blocking -> rt.inflight
-  in
-  match rt.replicas with
-  | [] -> base
-  | reps ->
+  match rt.spec.Spec.server_model with
+  | Spec.Io_multiplexing ->
       List.fold_left
-        (fun acc rep ->
-          match rt.spec.Spec.server_model with
-          | Spec.Io_multiplexing ->
-              Array.fold_left (fun a e -> a + Socket.Epoll.pending_total e) acc rep.rep_epolls
-          | Spec.Nonblocking ->
-              List.fold_left (fun a ep -> a + Socket.pending ep) acc rep.rep_poll_conns
-          | Spec.Blocking -> acc)
-        base reps
+        (fun acc srv ->
+          Array.fold_left (fun a e -> a + Socket.Epoll.pending_total e) acc srv.epolls)
+        rt.inflight rt.servers
+  | Spec.Nonblocking ->
+      List.fold_left
+        (fun acc srv -> List.fold_left (fun a ep -> a + Socket.pending ep) acc srv.poll_conns)
+        rt.inflight rt.servers
+  | Spec.Blocking -> rt.inflight
 
-(* Live serving capacity: the primary plus active replicas. The shed and
-   degradation thresholds scale with it — the bounded accept queue is a
-   per-replica resource. *)
+(* Live serving capacity: the active servers, the primary always among
+   them. The shed and degradation thresholds scale with it — the bounded
+   accept queue is a per-server resource. *)
 let replica_count rt =
-  1 + List.fold_left (fun acc r -> if r.rep_active then acc + 1 else acc) 0 rt.replicas
+  List.fold_left (fun acc srv -> if srv.active then acc + 1 else acc) 0 rt.servers
 
-type slot = Primary | Rep of replica
-
-let slot_machine rt = function Primary -> rt.machine | Rep r -> r.rep_machine
-
-(* Replica-aware routing: new connections round-robin over the primary and
-   the active replicas. With no replicas this is branch-free [Primary] and
-   the cursor is never touched, keeping the disabled path identical. *)
-let pick_slot rt =
-  match rt.replicas with
-  | [] -> Primary
-  | reps ->
-      let slots =
-        Primary :: List.filter_map (fun r -> if r.rep_active then Some (Rep r) else None) reps
-      in
-      let k = rt.rep_rr mod List.length slots in
-      rt.rep_rr <- rt.rep_rr + 1;
-      List.nth slots k
+(* Routing: new connections round-robin over the active servers. A tier
+   that never had a replica routes to its primary without touching the
+   cursor. *)
+let pick rt =
+  match rt.servers with
+  | [ primary ] -> primary
+  | servers ->
+      let active = List.filter (fun srv -> srv.active) servers in
+      let srv = List.nth active (rt.rr mod List.length active) in
+      rt.rr <- rt.rr + 1;
+      srv
 
 (* Serve one request whose bytes arrived at [arrived]: replay a measured
    trace (CPU, disk, sleeps, downstream RPCs) then send the response — or
@@ -320,16 +300,14 @@ and replay sys rt ~tid ~mach ~span ~deg trace =
             match deg with
             | Some d when d.Spec.degrade_skip_sleeps -> ()
             | _ -> timed (fun () -> Engine.wait s))
-        | Measure.Downstream { target; req_bytes; resp_bytes } -> (
+        | Measure.Downstream { target; req_bytes; _ } -> (
             match rt.spec.Spec.client_model with
             | Spec.Sync_client ->
-                if not (downstream sys rt ~tid ~mach ~span target req_bytes resp_bytes) then
-                  failed := true
+                if not (downstream sys rt ~mach ~span target req_bytes) then failed := true
             | Spec.Async_client ->
                 let iv = Engine.Ivar.create () in
                 Engine.fork (fun () ->
-                    Engine.Ivar.fill iv
-                      (downstream sys rt ~tid ~mach ~span target req_bytes resp_bytes));
+                    Engine.Ivar.fill iv (downstream sys rt ~mach ~span target req_bytes));
                 pending := iv :: !pending))
     trace;
   List.iter (fun iv -> if not (Engine.Ivar.read iv) then failed := true) !pending;
@@ -341,8 +319,7 @@ and replay sys rt ~tid ~mach ~span ~deg trace =
    pairing, so it is dropped like a closed TCP connection), and bounded
    retries with exponential backoff + deterministic jitter from the tier's
    seeded RNG. Returns true on success. *)
-and downstream sys rt ~tid ~mach ~span target req_bytes _resp_bytes =
-  ignore tid;
+and downstream sys rt ~mach ~span target req_bytes =
   let drt =
     match Hashtbl.find_opt sys.registry target with
     | Some d -> d
@@ -434,10 +411,10 @@ and downstream sys rt ~tid ~mach ~span target req_bytes _resp_bytes =
   go 0
 
 and connect sys rt ~mach drt =
-  (* Pick the destination replica first: the socket pair must land on the
+  (* Pick the destination server first: the socket pair must land on the
      machine whose NIC will carry the bytes. *)
-  let slot = pick_slot drt in
-  let dmach = slot_machine drt slot in
+  let srv = pick drt in
+  let dmach = srv.machine in
   let same = mach == dmach in
   let a_nic = if same then mach.Machine.loopback else mach.Machine.nic in
   let b_nic = if same then dmach.Machine.loopback else dmach.Machine.nic in
@@ -449,28 +426,22 @@ and connect sys rt ~mach drt =
       let src = rt.spec.Spec.tier_name and dst = drt.spec.Spec.tier_name in
       Socket.set_disruptor client_ep (Some (Injector.disruptor inj ~src ~dst));
       Socket.set_disruptor server_ep (Some (Injector.disruptor inj ~src:dst ~dst:src)));
-  attach_slot sys drt slot server_ep;
+  attach sys drt srv server_ep;
   client_ep
 
-(* Register a new inbound connection according to the server's network and
-   thread model, on the routing slot chosen by [pick_slot]. *)
-and attach_slot sys rt slot ep =
-  match (rt.spec.Spec.server_model, slot) with
-  | Spec.Io_multiplexing, Primary ->
-      Socket.Epoll.add rt.epolls.(rt.epoll_rr mod Array.length rt.epolls) ep;
-      rt.epoll_rr <- rt.epoll_rr + 1
-  | Spec.Io_multiplexing, Rep r ->
-      Socket.Epoll.add r.rep_epolls.(r.rep_epoll_rr mod Array.length r.rep_epolls) ep;
-      r.rep_epoll_rr <- r.rep_epoll_rr + 1
-  | Spec.Blocking, _ ->
+(* Register a new inbound connection on the server chosen by [pick],
+   according to the tier's network and thread model. *)
+and attach sys rt srv ep =
+  match rt.spec.Spec.server_model with
+  | Spec.Io_multiplexing ->
+      Socket.Epoll.add srv.epolls.(srv.epoll_rr mod Array.length srv.epolls) ep;
+      srv.epoll_rr <- srv.epoll_rr + 1
+  | Spec.Blocking ->
       (* Thread-per-connection (spawned dynamically for services like
          MongoDB whose thread count follows the connection count). *)
       let tid = fresh_tid sys.tids in
-      let mach = slot_machine rt slot in
-      Engine.fork (fun () -> blocking_loop sys rt ~tid ~mach ep)
-  | Spec.Nonblocking, Primary -> rt.poll_conns <- ep :: rt.poll_conns
-  | Spec.Nonblocking, Rep r -> r.rep_poll_conns <- ep :: r.rep_poll_conns
-
+      Engine.fork (fun () -> blocking_loop sys rt ~tid ~mach:srv.machine ep)
+  | Spec.Nonblocking -> srv.poll_conns <- ep :: srv.poll_conns
 
 and blocking_loop sys rt ~tid ~mach ep =
   if not rt.stopped then
@@ -485,8 +456,8 @@ and blocking_loop sys rt ~tid ~mach ep =
       blocking_loop sys rt ~tid ~mach ep
     end
 
-(* Workers are bound to one machine (primary or replica) and, for the
-   polling models, to that machine's connection set. *)
+(* Workers are bound to one server: its machine and, for the polling
+   models, its connection set. *)
 let epoll_worker sys rt ~tid ~mach epoll =
   let rec loop () =
     if not rt.stopped then
@@ -517,7 +488,8 @@ let epoll_worker sys rt ~tid ~mach epoll =
   in
   loop ()
 
-let nonblocking_worker sys rt ~tid ~mach ~conns =
+let nonblocking_worker sys rt ~tid srv =
+  let mach = srv.machine in
   let poll_interval = 20e-6 and poll_cpu = 1.5e-6 in
   let rec loop () =
     if not rt.stopped then
@@ -535,7 +507,7 @@ let nonblocking_worker sys rt ~tid ~mach ~conns =
                 handle sys rt ~tid ~mach ep ~arrived:m.Socket.arrived ~meta:m.Socket.meta
                   ~bytes:m.Socket.bytes
             | None -> ())
-          (conns ());
+          srv.poll_conns;
         (* Polling burns CPU even when idle — the §4.3.1 caveat. *)
         run_cpu sys rt ~tid ~mach poll_cpu;
         if not !got then Engine.wait poll_interval;
@@ -544,7 +516,9 @@ let nonblocking_worker sys rt ~tid ~mach ~conns =
   in
   loop ()
 
+(* Background work runs on the primary's machine only. *)
 let background_thread sys rt ~tid period trace =
+  let mach = (List.hd rt.servers).machine in
   let rec loop () =
     if not rt.stopped then begin
       Engine.wait period;
@@ -552,11 +526,11 @@ let background_thread sys rt ~tid period trace =
         List.iter
           (fun seg ->
             match seg with
-            | Measure.Cpu s -> run_cpu sys rt ~tid ~mach:rt.machine s
+            | Measure.Cpu s -> run_cpu sys rt ~tid ~mach s
             | Measure.Disk_read { bytes; random } ->
-                Ditto_storage.Disk.read rt.machine.Machine.disk ~bytes ~random
+                Ditto_storage.Disk.read mach.Machine.disk ~bytes ~random
             | Measure.Disk_write { bytes } ->
-                Engine.fork (fun () -> Ditto_storage.Disk.write rt.machine.Machine.disk ~bytes)
+                Engine.fork (fun () -> Ditto_storage.Disk.write mach.Machine.disk ~bytes)
             | Measure.Sleep s -> Engine.wait s
             | Measure.Downstream _ -> ())
           trace;
@@ -565,60 +539,72 @@ let background_thread sys rt ~tid period trace =
   in
   loop ()
 
+(* Bytes through a machine's NIC (both directions) and its disk so far. *)
+let odometers (m : Machine.t) =
+  ( Nic.bytes_sent m.Machine.nic + Nic.bytes_received m.Machine.nic,
+    Ditto_storage.Disk.bytes_read m.Machine.disk + Ditto_storage.Disk.bytes_written m.Machine.disk
+  )
+
+(* A fresh, active server of [spec] on [machine]. *)
+let server (spec : Spec.tier) machine =
+  let nepolls =
+    match spec.Spec.server_model with
+    | Spec.Io_multiplexing -> max 1 spec.Spec.thread_model.Spec.workers
+    | Spec.Nonblocking | Spec.Blocking -> 0
+  in
+  let nic0, disk0 = odometers machine in
+  {
+    machine;
+    epolls = Array.init nepolls (fun _ -> Socket.Epoll.create ());
+    epoll_rr = 0;
+    poll_conns = [];
+    active = true;
+    nic0;
+    disk0;
+  }
+
+(* Start a server's workers. [spawn] is [Engine.spawn engine] at setup time
+   and [Engine.fork] from inside the autoscaler's process. A blocking tier
+   has none: its threads start per connection, in [attach]. *)
+let start_workers sys rt srv ~spawn =
+  match rt.spec.Spec.server_model with
+  | Spec.Io_multiplexing ->
+      Array.iter
+        (fun epoll ->
+          let tid = fresh_tid sys.tids in
+          spawn (fun () -> epoll_worker sys rt ~tid ~mach:srv.machine epoll))
+        srv.epolls
+  | Spec.Nonblocking ->
+      for _ = 1 to max 1 rt.spec.Spec.thread_model.Spec.workers do
+        let tid = fresh_tid sys.tids in
+        spawn (fun () -> nonblocking_worker sys rt ~tid srv)
+      done
+  | Spec.Blocking -> ()
+
 (* --- Horizontal autoscaling ------------------------------------------ *)
 
-(* Bring one more replica online: reactivate a drained one if available
-   (no machine churn), otherwise create a fresh machine mirroring the
-   primary's platform/core count and spawn its worker set. [spawn] is
-   [Engine.spawn engine] at setup time and [Engine.fork] from inside the
-   controller process. *)
+(* Bring one more replica online: reactivate the first drained one if any
+   (no machine churn), otherwise append a server on a fresh machine
+   mirroring the primary's platform and core count. *)
 let scale_up_one sys rt ~spawn =
-  match List.find_opt (fun r -> not r.rep_active) rt.replicas with
-  | Some r -> r.rep_active <- true
+  match List.find_opt (fun srv -> not srv.active) rt.servers with
+  | Some srv -> srv.active <- true
   | None ->
-      let mach =
-        Machine.create ~cores:(Machine.ncores rt.machine) rt.machine.Machine.engine
-          rt.machine.Machine.platform
+      let m = (List.hd rt.servers).machine in
+      let srv =
+        server rt.spec
+          (Machine.create ~cores:(Machine.ncores m) m.Machine.engine m.Machine.platform)
       in
-      let workers = max 1 rt.spec.Spec.thread_model.Spec.workers in
-      let nepolls =
-        match rt.spec.Spec.server_model with Spec.Io_multiplexing -> workers | _ -> 0
-      in
-      let rep =
-        {
-          rep_id = List.length rt.replicas + 1;
-          rep_machine = mach;
-          rep_epolls = Array.init nepolls (fun _ -> Socket.Epoll.create ());
-          rep_epoll_rr = 0;
-          rep_poll_conns = [];
-          rep_active = true;
-          rep_nic0 = Nic.bytes_sent mach.Machine.nic + Nic.bytes_received mach.Machine.nic;
-          rep_disk0 =
-            Ditto_storage.Disk.bytes_read mach.Machine.disk
-            + Ditto_storage.Disk.bytes_written mach.Machine.disk;
-        }
-      in
-      rt.replicas <- rt.replicas @ [ rep ];
-      (match rt.spec.Spec.server_model with
-      | Spec.Io_multiplexing ->
-          Array.iter
-            (fun epoll ->
-              let tid = fresh_tid sys.tids in
-              spawn (fun () -> epoll_worker sys rt ~tid ~mach epoll))
-            rep.rep_epolls
-      | Spec.Nonblocking ->
-          for _ = 1 to workers do
-            let tid = fresh_tid sys.tids in
-            spawn (fun () -> nonblocking_worker sys rt ~tid ~mach ~conns:(fun () -> rep.rep_poll_conns))
-          done
-      | Spec.Blocking -> (* threads spawn per connection in [attach_slot] *) ())
+      rt.servers <- rt.servers @ [ srv ];
+      start_workers sys rt srv ~spawn
 
 (* Drain the newest active replica: it stops taking new connections but
-   keeps serving the ones it has. The primary never scales in. *)
+   keeps serving the ones it has. The primary, first and never drained,
+   is never the newest of two or more active servers. *)
 let scale_down_one rt =
-  match List.rev (List.filter (fun r -> r.rep_active) rt.replicas) with
-  | r :: _ -> r.rep_active <- false
-  | [] -> ()
+  match List.rev (List.filter (fun srv -> srv.active) rt.servers) with
+  | srv :: _ :: _ -> srv.active <- false
+  | _ -> ()
 
 let apply_scale sys rt ~spawn ~from_n ~to_n =
   if to_n > from_n then
@@ -678,19 +664,9 @@ let autoscaler sys rt ~engine ~t_end (pol : Spec.autoscale) =
       in
       loop ())
 
-let dedupe_machines rts =
-  let seen = Hashtbl.create 16 in
-  List.fold_left
-    (fun acc rt ->
-      if Hashtbl.mem seen rt.machine.Machine.uid then acc
-      else begin
-        Hashtbl.add seen rt.machine.Machine.uid ();
-        rt.machine :: acc
-      end)
-    [] rts
-
-let run ~engine ~(app : Spec.t) ~placement ~results ~seed ?(net_interference_gbps = 0.0)
-    ?fault_plan ?(timeline = false) ?(reqtrace = false) l =
+let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?fault_plan
+    ?(timeline = false) ?(reqtrace = false) l =
+  let engine = machine.Machine.engine in
   let registry : (string, tier_rt) Hashtbl.t = Hashtbl.create 8 in
   let tids = ref 0 in
   let root = Rng.create seed in
@@ -730,14 +706,10 @@ let run ~engine ~(app : Spec.t) ~placement ~results ~seed ?(net_interference_gbp
         let rt =
           {
             spec = tier;
-            machine = placement tier.Spec.tier_name;
             mres = results tier.Spec.tier_name;
             rng = Rng.split root;
-            epolls =
-              Array.init (max 1 tier.Spec.thread_model.Spec.workers) (fun _ ->
-                  Socket.Epoll.create ());
-            epoll_rr = 0;
-            poll_conns = [];
+            servers = [ server tier machine ];
+            rr = 0;
             pools = Hashtbl.create 4;
             breakers = Hashtbl.create 4;
             lat = Stats.create ();
@@ -748,8 +720,6 @@ let run ~engine ~(app : Spec.t) ~placement ~results ~seed ?(net_interference_gbp
             shed = 0;
             failures = 0;
             degraded = 0;
-            replicas = [];
-            rep_rr = 0;
             stopped = false;
           }
         in
@@ -757,23 +727,10 @@ let run ~engine ~(app : Spec.t) ~placement ~results ~seed ?(net_interference_gbp
         rt)
       app.Spec.tiers
   in
-  (* Spawn server workers. *)
+  (* Start each primary's workers, then its background threads. *)
   List.iter
     (fun rt ->
-      (match rt.spec.Spec.server_model with
-      | Spec.Io_multiplexing ->
-          Array.iter
-            (fun epoll ->
-              let tid = fresh_tid tids in
-              Engine.spawn engine (fun () -> epoll_worker sys rt ~tid ~mach:rt.machine epoll))
-            rt.epolls
-      | Spec.Nonblocking ->
-          for _ = 1 to max 1 rt.spec.Spec.thread_model.Spec.workers do
-            let tid = fresh_tid tids in
-            Engine.spawn engine (fun () ->
-                nonblocking_worker sys rt ~tid ~mach:rt.machine ~conns:(fun () -> rt.poll_conns))
-          done
-      | Spec.Blocking -> (* threads spawn per connection in [attach] *) ());
+      start_workers sys rt (List.hd rt.servers) ~spawn:(Engine.spawn engine);
       match (rt.mres.Measure.background_trace, rt.spec.Spec.thread_model.Spec.background) with
       | Some trace, bgs ->
           List.iter
@@ -795,37 +752,27 @@ let run ~engine ~(app : Spec.t) ~placement ~results ~seed ?(net_interference_gbp
           done)
     rts;
   let entry = Hashtbl.find registry app.Spec.entry in
-  let machines = dedupe_machines rts in
-  (* Pre-run NIC/disk odometers, keyed by machine uid so the teardown pass
-     below stays O(tiers) instead of re-scanning the machine list per tier. *)
-  let before : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun m ->
-      Hashtbl.replace before m.Machine.uid
-        ( Nic.bytes_sent m.Machine.nic + Nic.bytes_received m.Machine.nic,
-          Ditto_storage.Disk.bytes_read m.Machine.disk
-          + Ditto_storage.Disk.bytes_written m.Machine.disk ))
-    machines;
   (* Client connections (the load generator is its own machine). The entry
-     replica is chosen per connection so surge scale-out spreads new and
-     re-paired client connections across the live replica set. *)
+     server is chosen per connection so surge scale-out spreads new and
+     re-paired client connections across the live servers. *)
   let client_nic = Nic.create engine ~gbps:40.0 in
   let client_pair () =
-    let slot = pick_slot entry in
-    let dmach = slot_machine entry slot in
-    let a, b = Socket.pair engine ~a_nic:client_nic ~b_nic:dmach.Machine.nic ~latency:20e-6 in
+    let srv = pick entry in
+    let a, b =
+      Socket.pair engine ~a_nic:client_nic ~b_nic:srv.machine.Machine.nic ~latency:20e-6
+    in
     (match inj with
     | None -> ()
     | Some i ->
         let dst = entry.spec.Spec.tier_name in
         Socket.set_disruptor a (Some (Injector.disruptor i ~src:Plan.client_tier ~dst));
         Socket.set_disruptor b (Some (Injector.disruptor i ~src:dst ~dst:Plan.client_tier)));
-    (a, b, slot)
+    (a, b, srv)
   in
   let conns =
     Array.init (max 1 l.connections) (fun _ ->
-        let a, b, slot = client_pair () in
-        Engine.spawn engine (fun () -> attach_slot sys entry slot b);
+        let a, b, srv = client_pair () in
+        Engine.spawn engine (fun () -> attach sys entry srv b);
         (ref a, Engine.Resource.create 1))
   in
   (match inj with Some i -> Injector.arm i ~at:(Engine.now engine) | None -> ());
@@ -966,8 +913,8 @@ let run ~engine ~(app : Spec.t) ~placement ~results ~seed ?(net_interference_gbp
                       rq_rpc_end sys rpc Rq.Timeout;
                       incr client_timeouts;
                       ts_client Ditto_obs.Timeseries.Timeouts;
-                      let a, b, slot = client_pair () in
-                      attach_slot sys entry slot b;
+                      let a, b, srv = client_pair () in
+                      attach sys entry srv b;
                       conn := a
                   | Some m ->
                       (* error response; the conn stays paired *)
@@ -1060,7 +1007,7 @@ let run ~engine ~(app : Spec.t) ~placement ~results ~seed ?(net_interference_gbp
     Engine.spawn engine (fun () ->
         while Engine.time () < t_end do
           let t0 = Engine.time () in
-          Nic.transmit entry.machine.Machine.nic ~bytes:chunk;
+          Nic.transmit machine.Machine.nic ~bytes:chunk;
           let used = Engine.time () -. t0 in
           if used < interval then Engine.wait (interval -. used)
         done)
@@ -1071,43 +1018,27 @@ let run ~engine ~(app : Spec.t) ~placement ~results ~seed ?(net_interference_gbp
      Timeout) and freeze the trees for readers. *)
   (match rq with None -> () | Some c -> Ditto_obs.Reqtrace.finalize c ~at:(Engine.now engine));
   let elapsed = Float.max 1e-9 (Float.min (Engine.now engine) t_end -. t_start) in
-  let mbps before now = float_of_int (now - before) /. elapsed /. 1e6 in
+  let mbps bytes = float_of_int bytes /. elapsed /. 1e6 in
   let tiers =
     List.map
       (fun rt ->
-        let m = rt.machine in
-        let nic_now = Nic.bytes_sent m.Machine.nic + Nic.bytes_received m.Machine.nic in
-        let disk_now =
-          Ditto_storage.Disk.bytes_read m.Machine.disk
-          + Ditto_storage.Disk.bytes_written m.Machine.disk
-        in
-        let nic_b, disk_b =
-          match Hashtbl.find_opt before m.Machine.uid with Some v -> v | None -> (0, 0)
-        in
-        (* Replicas carry their own machines; fold their odometers (relative
-           to the creation snapshot) into the tier's bandwidth totals. *)
-        let rep_nic, rep_disk =
+        (* A tier's bandwidth is what its servers' machines moved since each
+           server was created; tiers sharing the run's machine all see its
+           whole traffic. *)
+        let nic, disk =
           List.fold_left
-            (fun (n, d) r ->
-              let rm = r.rep_machine in
-              let rn =
-                Nic.bytes_sent rm.Machine.nic + Nic.bytes_received rm.Machine.nic - r.rep_nic0
-              in
-              let rd =
-                Ditto_storage.Disk.bytes_read rm.Machine.disk
-                + Ditto_storage.Disk.bytes_written rm.Machine.disk
-                - r.rep_disk0
-              in
-              (n + rn, d + rd))
-            (0, 0) rt.replicas
+            (fun (n, d) srv ->
+              let nic_now, disk_now = odometers srv.machine in
+              (n + nic_now - srv.nic0, d + disk_now - srv.disk0))
+            (0, 0) rt.servers
         in
-        List.iter (fun r -> Machine.release r.rep_machine) rt.replicas;
+        List.iter (fun srv -> Machine.release srv.machine) (List.tl rt.servers);
         {
           obs_name = rt.spec.Spec.tier_name;
           obs_latency = Stats.summary rt.lat;
           obs_requests = rt.served;
-          obs_net_mbps = mbps nic_b (nic_now + rep_nic);
-          obs_disk_mbps = mbps disk_b (disk_now + rep_disk);
+          obs_net_mbps = mbps nic;
+          obs_disk_mbps = mbps disk;
           obs_timeouts = rt.timeouts;
           obs_retries = rt.retries;
           obs_shed = rt.shed;

@@ -47,7 +47,10 @@ type tier_obs = {
   obs_name : string;
   obs_latency : Ditto_util.Stats.summary;  (** server-side per-request latency *)
   obs_requests : int;
-  obs_net_mbps : float;  (** machine NIC bandwidth during the run *)
+  obs_net_mbps : float;
+      (** NIC bandwidth during the run, summed over the machines serving
+          the tier: the run's machine, whose traffic all tiers on it share,
+          and the tier's own replica machines; [obs_disk_mbps] likewise *)
   obs_disk_mbps : float;
   obs_timeouts : int;  (** downstream calls that hit [call_timeout] *)
   obs_retries : int;  (** downstream retry attempts *)
@@ -90,9 +93,8 @@ type result = {
 }
 
 val run :
-  engine:Ditto_sim.Engine.t ->
   app:Spec.t ->
-  placement:(string -> Machine.t) ->
+  machine:Machine.t ->
   results:(string -> Measure.tier_result) ->
   seed:int ->
   ?net_interference_gbps:float ->
@@ -101,10 +103,15 @@ val run :
   ?reqtrace:bool ->
   load ->
   result
-(** Serve [load] against the deployed app. [net_interference_gbps] runs an
-    iperf-style competing stream through the entry machine's NIC (Fig. 10's
-    network interference). [fault_plan] arms a {!Ditto_fault.Injector}
-    against this run's engine clock; the injector's RNG is derived from
+(** Serve [load] against the app deployed on [machine], on its engine.
+    Each tier's primary server runs on [machine], so colocated tiers talk
+    over its loopback and share its NIC and disk; a tier with an
+    {!Spec.autoscale} policy adds replica servers, each on a fresh machine
+    of the same platform and core count, released before [run] returns.
+    [machine] itself stays the caller's to release.
+    [net_interference_gbps] runs an iperf-style competing stream through
+    [machine]'s NIC (Fig. 10's network interference). [fault_plan] arms a
+    {!Ditto_fault.Injector} against this run's engine clock; the injector's RNG is derived from
     [seed], so a (seed, plan) pair degrades the run deterministically.
     [timeline] / [reqtrace] (default false) give this run its own
     {!Ditto_obs.Timeseries} / {!Ditto_obs.Reqtrace} collector. *)

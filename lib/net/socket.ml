@@ -3,7 +3,7 @@ open Ditto_sim
 type msg = { bytes : int; err : bool; arrived : float; meta : int }
 type verdict = Deliver | Delay of float | Drop
 
-(* [watchers] are processes blocked on this endpoint directly (recv). An
+(* [watchers] are processes blocked on this endpoint directly (recv_msg). An
    endpoint added to an epoll records it as [owner]; readiness waiters then
    park on the epoll, and the epoll counts the messages queued across its
    endpoints in [queued], kept current on every delivery and every take. *)
@@ -46,7 +46,7 @@ let set_disruptor ep f = ep.disruptor <- f
 
 let wake_all ws = List.iter (fun w -> Engine.wake w ()) ws
 
-(* Direct waiters first, then the epoll's: no process blocks in [recv] on
+(* Direct waiters first, then the epoll's: no process blocks in [recv_msg] on
    an endpoint an epoll owns, so at most one of the two lists holds a live
    waiter, and each is newest-first. *)
 let deliver ep msg =
@@ -91,14 +91,7 @@ let rec recv_msg ep =
       Engine.suspend (fun w -> ep.watchers <- w :: ep.watchers);
       recv_msg ep
 
-let recv_timed ep =
-  let m = recv_msg ep in
-  (m.bytes, m.arrived)
-
-let recv ep = (recv_msg ep).bytes
 let try_recv_msg ep = take ep
-let try_recv_timed ep = Option.map (fun m -> (m.bytes, m.arrived)) (try_recv_msg ep)
-let try_recv ep = Option.map (fun m -> m.bytes) (try_recv_msg ep)
 
 let recv_msg_timeout ep ~timeout =
   let deadline = Engine.time () +. timeout in

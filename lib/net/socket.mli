@@ -42,22 +42,16 @@ val send : ?err:bool -> ?meta:int -> endpoint -> bytes:int -> unit
     [err] marks the message as an application-level error response;
     [meta] (default [0]) is an opaque token delivered with the message. *)
 
-val recv : endpoint -> int
-(** Blocking receive; returns the message size. *)
-
-val recv_timed : endpoint -> int * float
-(** Blocking receive returning (size, delivery time). *)
-
 val recv_msg : endpoint -> msg
-(** Blocking receive of the full message record. *)
+(** Blocking receive of the next message. *)
 
 val recv_msg_timeout : endpoint -> timeout:float -> msg option
 (** Blocking receive with a deadline; [None] once [timeout] seconds pass
     without a delivery. *)
 
-val try_recv : endpoint -> int option
-val try_recv_timed : endpoint -> (int * float) option
 val try_recv_msg : endpoint -> msg option
+(** The next message if one is queued; never blocks. *)
+
 val pending : endpoint -> int
 
 (** {1 I/O multiplexing} *)
@@ -71,7 +65,7 @@ module Epoll : sig
   (** Register an endpoint for readiness. An endpoint belongs to at most one
       epoll: adding it a second time, to this epoll or another, raises
       [Invalid_argument]. Processes waiting on the epoll are woken by every
-      delivery to its endpoints; do not also block in {!recv} on an endpoint
+      delivery to its endpoints; do not also block in {!recv_msg} on an endpoint
       an epoll owns. *)
 
   val wait : ?timeout:float -> t -> endpoint list

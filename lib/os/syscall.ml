@@ -141,15 +141,19 @@ module Kernel = struct
   let memo_key : (int, (Block.t * int) list) Hashtbl.t Domain.DLS.key =
     Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
-  let streams ?(scale = 0.25) kind =
+  (* Kernel paths run at a quarter of their nominal length and footprint,
+     for fast simulation. *)
+  let scale = 0.25
+
+  let streams kind =
     let memo = Domain.DLS.get memo_key in
     let idx, insts, footprint = profile kind in
     let bytes = payload_bytes kind in
-    (* Packed int key: [idx] is unique per syscall kind, the payload bucket
-       is a log2 bin (< 2^8) and the scale a permille (< 2^24). [streams]
-       runs once per simulated syscall, so formatting a string key here
-       cost an allocation and a string hash on the hottest kernel path. *)
-    let key = (idx lsl 32) lor (bucket bytes lsl 24) lor int_of_float (scale *. 1000.) in
+    (* Packed int key: [idx] is unique per syscall kind and the payload
+       bucket is a log2 bin (< 2^8). [streams] runs once per simulated
+       syscall, so formatting a string key here cost an allocation and a
+       string hash on the hottest kernel path. *)
+    let key = (idx lsl 8) lor bucket bytes in
     match Hashtbl.find_opt memo key with
     | Some s -> s
     | None ->
@@ -163,22 +167,16 @@ module Kernel = struct
         Hashtbl.add memo key s;
         s
 
-  let housekeeping_memo_key : (int, Block.t * int) Hashtbl.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Hashtbl.create 4)
-
-  let housekeeping ?(scale = 0.25) () =
-    let housekeeping_memo = Domain.DLS.get housekeeping_memo_key in
-    let key = int_of_float (scale *. 1000.) in
-    match Hashtbl.find_opt housekeeping_memo key with
-    | Some b -> b
-    | None ->
+  (* Built on a domain's first call, like a [streams] entry. *)
+  let housekeeping_key : (Block.t * int) Domain.DLS.key =
+    Domain.DLS.new_key (fun () ->
         let insts = max 64 (int_of_float (2000. *. scale)) in
         let block =
           build_path_block ~label:"housekeeping" ~idx:13
             ~footprint_bytes:(max 1024 (int_of_float (32_768. *. scale)))
             ~insts
         in
-        let b = (block, max 1 (insts / max 1 block.Block.static_insts)) in
-        Hashtbl.add housekeeping_memo key b;
-        b
+        (block, max 1 (insts / max 1 block.Block.static_insts)))
+
+  let housekeeping () = Domain.DLS.get housekeeping_key
 end

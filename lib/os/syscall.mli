@@ -37,13 +37,14 @@ val is_blocking : kind -> bool
     nanosleep/accept); used by the skeleton profiler. *)
 
 module Kernel : sig
-  val streams : ?scale:float -> kind -> (Ditto_isa.Block.t * int) list
+  val streams : kind -> (Ditto_isa.Block.t * int) list
   (** The kernel instruction stream for one invocation, as (block,
       iterations) pairs ready for {!Ditto_uarch.Core_model.exec_block}.
-      [scale] shrinks path lengths for fast simulation (default 0.25);
-      results are memoised per (kind bucket, scale). *)
+      Path lengths and footprints are a quarter of their nominal size, for
+      fast simulation. Results are memoised per domain, per syscall and
+      log2 bucket of its payload bytes. *)
 
-  val housekeeping : ?scale:float -> unit -> Ditto_isa.Block.t * int
+  val housekeeping : unit -> Ditto_isa.Block.t * int
   (** Timer-tick/RCU-style background kernel work that pollutes the i-cache
       and branch predictor between sparse requests — the reason services
       show poor frontend behaviour at low load (Fig. 5). *)

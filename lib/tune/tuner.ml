@@ -209,33 +209,13 @@ let tune ?(max_iterations = 10) ?(target_error = 0.05) ?(seed = 1009) ?(speculat
   let tiers = profile.P.Tier_profile.tiers in
   let ntiers = List.length tiers in
   (* Isolated calibration: a single-tier app's only tier is generated and
-     measured alone on a pooled machine, with no service/DES phase, which
-     tuning never reads. Multi-tier apps, cluster placements and stressor
-     configs take the whole-app evaluation instead: a non-cluster Runner
-     hosts every tier on ONE machine and measures them together, and that
-     run is the only one that sees the cross-tier cache/TLB/page-cache
-     contention being modelled. *)
-  let isolated =
-    ntiers = 1 && (not config.Runner.cluster) && config.Runner.stressor = None
-  in
-  (* Measure one tier alone, the way Runner measures a single hosted tier:
-     same measure config, seed, request count, layout space (at the tier's
-     app-level index) and machine construction. *)
-  let measure_isolated ~mcfg ~page_cache_hint ~tier ~space =
-    let engine = Ditto_sim.Engine.create () in
-    let page_cache_bytes =
-      match config.Runner.page_cache_bytes with Some b -> Some b | None -> page_cache_hint
-    in
-    let machine =
-      Machine.create ?page_cache_bytes ?cores:config.Runner.cores engine config.Runner.platform
-    in
-    let r =
-      Measure.run ~config:mcfg ~machine ~seed:config.Runner.seed
-        ~requests:config.Runner.requests [ (tier, space) ]
-    in
-    Machine.release machine;
-    List.hd r
-  in
+     measured alone through [Runner.measure_alone], with no service/DES
+     phase, which tuning never reads. Multi-tier apps and stressor configs
+     take the whole-app evaluation instead: a Runner run hosts every tier
+     on one machine and measures them together, and that run is the only
+     one that sees the cross-tier cache/TLB/page-cache contention being
+     modelled. *)
+  let isolated = ntiers = 1 && config.Runner.stressor = None in
   (* Calibration targets: for a single-tier app the reference's own
      measurement already is the one-hosted-tier run the isolated path
      replays, bit-identically; the whole-app path compares against it
@@ -268,8 +248,10 @@ let tune ?(max_iterations = 10) ?(target_error = 0.05) ?(seed = 1009) ?(speculat
       Ditto_gen.Clone.synth_tier ~params:p ~seed:(seed + (17 * i)) ~profile:tp ~space
         ~downstream ()
     in
-    measure_isolated ~mcfg:(Lazy.force synth_mcfg)
-      ~page_cache_hint:profile.P.Tier_profile.page_cache_hint ~tier ~space
+    List.hd
+      (Runner.measure_alone config (Lazy.force synth_mcfg)
+         ~page_cache_hint:profile.P.Tier_profile.page_cache_hint ~seed:config.Runner.seed
+         [ (tier, space) ])
   in
   let errors_of measured =
     List.concat_map

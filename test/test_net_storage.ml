@@ -110,7 +110,7 @@ let test_socket_delivery () =
   let a, b = make_pair engine in
   let got = ref 0 and at = ref 0.0 in
   Engine.spawn engine (fun () ->
-      got := Socket.recv b;
+      got := (Socket.recv_msg b).Socket.bytes;
       at := Engine.time ());
   Engine.spawn engine (fun () -> Socket.send a ~bytes:1500);
   Engine.run engine;
@@ -122,11 +122,11 @@ let test_socket_bidirectional () =
   let a, b = make_pair engine in
   let reply = ref 0 in
   Engine.spawn engine (fun () ->
-      let req = Socket.recv b in
+      let req = (Socket.recv_msg b).Socket.bytes in
       Socket.send b ~bytes:(req * 2));
   Engine.spawn engine (fun () ->
       Socket.send a ~bytes:21;
-      reply := Socket.recv a);
+      reply := (Socket.recv_msg a).Socket.bytes);
   Engine.run engine;
   Alcotest.(check int) "request/response" 42 !reply
 
@@ -135,8 +135,7 @@ let test_socket_recv_timed () =
   let a, b = make_pair engine in
   let arrived = ref 0.0 in
   Engine.spawn engine (fun () ->
-      let _, t = Socket.recv_timed b in
-      arrived := t);
+      arrived := (Socket.recv_msg b).Socket.arrived);
   Engine.spawn engine (fun () ->
       Engine.wait 0.5;
       Socket.send a ~bytes:10);
@@ -150,8 +149,9 @@ let test_socket_try_recv_and_pending () =
       Socket.send a ~bytes:7;
       Engine.wait 1.0;
       Alcotest.(check int) "pending" 1 (Socket.pending b);
-      Alcotest.(check (option int)) "try_recv" (Some 7) (Socket.try_recv b);
-      Alcotest.(check (option int)) "empty" None (Socket.try_recv b));
+      let try_bytes () = Option.map (fun m -> m.Socket.bytes) (Socket.try_recv_msg b) in
+      Alcotest.(check (option int)) "try_recv_msg" (Some 7) (try_bytes ());
+      Alcotest.(check (option int)) "empty" None (try_bytes ()));
   Engine.run engine
 
 (* {1 Epoll} *)

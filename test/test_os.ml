@@ -38,24 +38,16 @@ let test_syscall_path_lengths_ordered () =
     (Syscall.path_insts (Syscall.Sock_write { bytes = 100 }) > Syscall.path_insts Syscall.Gettime)
 
 let test_kernel_streams_structure () =
-  let streams = Syscall.Kernel.streams ~scale:0.25 (Syscall.Sock_read { bytes = 4096 }) in
+  let streams = Syscall.Kernel.streams (Syscall.Sock_read { bytes = 4096 }) in
   Alcotest.(check bool) "path + copy" true (List.length streams = 2);
   let path, iters = List.hd streams in
   Alcotest.(check bool) "path has templates" true (path.Ditto_isa.Block.static_insts > 0);
   Alcotest.(check bool) "iterations positive" true (iters > 0)
 
 let test_kernel_streams_memoised () =
-  let a = Syscall.Kernel.streams ~scale:0.25 Syscall.Epoll_wait in
-  let b = Syscall.Kernel.streams ~scale:0.25 Syscall.Epoll_wait in
+  let a = Syscall.Kernel.streams Syscall.Epoll_wait in
+  let b = Syscall.Kernel.streams Syscall.Epoll_wait in
   Alcotest.(check bool) "same physical value" true (a == b)
-
-let test_kernel_scale_shrinks () =
-  let big = Syscall.Kernel.streams ~scale:1.0 Syscall.Clone in
-  let small = Syscall.Kernel.streams ~scale:0.1 Syscall.Clone in
-  let insts s =
-    List.fold_left (fun a (b, i) -> a + (b.Ditto_isa.Block.static_insts * i)) 0 s
-  in
-  Alcotest.(check bool) "scaled path shorter" true (insts small < insts big)
 
 let test_kernel_distinct_code_windows () =
   let a, _ = List.hd (Syscall.Kernel.streams Syscall.Epoll_wait) in
@@ -64,7 +56,7 @@ let test_kernel_distinct_code_windows () =
     (a.Ditto_isa.Block.code_base <> b.Ditto_isa.Block.code_base)
 
 let test_housekeeping () =
-  let block, iters = Syscall.Kernel.housekeeping ~scale:0.25 () in
+  let block, iters = Syscall.Kernel.housekeeping () in
   Alcotest.(check bool) "nonempty" true (block.Ditto_isa.Block.static_insts > 0 && iters >= 1)
 
 (* {1 Page cache} *)
@@ -315,7 +307,6 @@ let () =
           Alcotest.test_case "path ordering" `Quick test_syscall_path_lengths_ordered;
           Alcotest.test_case "stream structure" `Quick test_kernel_streams_structure;
           Alcotest.test_case "memoised" `Quick test_kernel_streams_memoised;
-          Alcotest.test_case "scale" `Quick test_kernel_scale_shrinks;
           Alcotest.test_case "distinct windows" `Quick test_kernel_distinct_code_windows;
           Alcotest.test_case "housekeeping" `Quick test_housekeeping;
         ] );

@@ -263,6 +263,140 @@ let test_golden_runner () =
     "redis medium-load digest" "4e5b3697b42072cde4b3adbbcf294bb2"
     (digest (tiers @ segments))
 
+(* {2 The serving phase: routing, replicas and bandwidth}
+
+   Every field of [Service.result] over four runs. A two-tier app under an
+   8x flash crowd whose front scales out, drains and reactivates a
+   replica; memcached under a mid-run crash plus a flash crowd, shedding
+   and scaling out; and hotel_reservation, whose eleven tiers share one
+   machine, so its RPCs take loopback and its tiers share NIC and disk
+   odometers. Clients open connections at start-up and re-open one only
+   after a timeout, so in those runs no connection reaches a replica. The
+   fourth run crashes the two-tier app's front three times: its clients
+   time out and re-open connections after the scale-out, after a drain
+   and after a reactivation, so replicas serve, and the choice of which
+   replica drains, which one comes back and where the routing cursor
+   stands all move the digest. *)
+
+let des_block ~tier_index ~label n =
+  let space = Layout.space ~tier_index ~heap_bytes:(1 lsl 20) ~shared_bytes:(1 lsl 16) in
+  Block.make ~label ~code_base:(Layout.code_window space ~index:0)
+    (List.init n (fun i ->
+         Block.temp (Ditto_isa.Iform.by_name "ADD_GPR64_GPR64") ~dst:(i mod 8)
+           ~srcs:[| (i + 1) mod 8 |]))
+
+(* The back tier holds a worker ~150 us per request, so the crowd on a
+   3k base is past its capacity and the front's accept queue grows. *)
+let des_surge_app () =
+  let front_block = des_block ~tier_index:0 ~label:"front" 64 in
+  let back_block = des_block ~tier_index:1 ~label:"back" 96 in
+  let front _rng _req =
+    [
+      Spec.Compute (front_block, 3);
+      Spec.Call { target = "back"; req_bytes = 128; resp_bytes = 256 };
+      Spec.Compute (front_block, 2);
+    ]
+  in
+  let back _rng _req =
+    [
+      Spec.Compute (back_block, 4);
+      Spec.Syscall (Ditto_os.Syscall.Nanosleep { seconds = 1.5e-4 });
+    ]
+  in
+  Spec.make ~name:"surge_app"
+    [
+      Spec.tier ~name:"front" ~workers:2 ~heap_bytes:(1 lsl 20) ~shared_bytes:(1 lsl 16)
+        ~handler:front ();
+      Spec.tier ~name:"back" ~workers:2 ~heap_bytes:(1 lsl 20) ~shared_bytes:(1 lsl 16)
+        ~handler:back ();
+    ]
+
+let summary_part (s : Ditto_util.Stats.summary) =
+  Printf.sprintf "%d %h %h %h %h %h %h %h" s.count s.mean s.std s.min s.max s.p50 s.p95 s.p99
+
+let service_parts (r : Service.result) =
+  Printf.sprintf "%d %d %d %d %h %h %s" r.Service.completed r.errors r.client_timeouts
+    r.client_retries r.achieved_qps r.elapsed (summary_part r.latency)
+  :: String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") r.latency_raw))
+  :: List.map
+       (fun (e : Service.scale_event) ->
+         Printf.sprintf "scale %h %s %d->%d" e.se_at e.se_tier e.se_from e.se_to)
+       r.scale_events
+  @ List.map
+      (fun (o : Service.tier_obs) ->
+        Printf.sprintf "%s %s %d %h %h %d %d %d %d %d %d %d %d" o.obs_name
+          (summary_part o.obs_latency) o.obs_requests o.obs_net_mbps o.obs_disk_mbps
+          o.obs_timeouts o.obs_retries o.obs_shed o.obs_degraded o.obs_failures o.obs_replicas
+          o.obs_breaker_transitions o.obs_link_drops)
+      r.tiers
+
+let des_medium name ~duration =
+  let entry = Ditto_apps.Registry.by_name name in
+  let _, med, _ = entry.Ditto_apps.Registry.loads in
+  ( entry.Ditto_apps.Registry.spec (),
+    Ditto_loadgen.Workload.to_load entry.Ditto_apps.Registry.workload ~qps:med ~duration () )
+
+let test_golden_service () =
+  let module Profile = Ditto_loadgen.Profile in
+  let module Plan = Ditto_fault.Plan in
+  let serve cfg load app = (Runner.run cfg ~load app).Runner.service in
+  let surge_app ?fault_plan () =
+    let policy =
+      Spec.autoscale ~min_replicas:1 ~max_replicas:3 ~target_queue:4.0 ~interval:0.02
+        ~cooldown:0.04 ()
+    in
+    serve
+      (Runner.config ~requests:40 ?fault_plan Platform.a)
+      (Service.load ~qps:3000.0 ~duration:2.0 ~open_loop:true ~client_timeout:0.02
+         ~client_retries:1
+         ~profile:(Profile.flash_crowd ~mult:8.0 ~duration:2.0 ())
+         ())
+      (Spec.with_autoscale policy
+         (Spec.with_resilience (Spec.resilient ~queue_bound:16 ()) (des_surge_app ())))
+  in
+  (* The runs share the process's kernel-path memo, so they run in this
+     order. *)
+  let surged = surge_app () in
+  let memcached =
+    let duration = 0.15 in
+    let spec, load = des_medium "memcached" ~duration in
+    let tiers = List.map (fun (t : Spec.tier) -> t.Spec.tier_name) spec.Spec.tiers in
+    serve
+      (Runner.config ~requests:40 ~seed:42
+         ~fault_plan:(Ditto_fault.Plan.kill_mid_tier ~duration ~tiers ())
+         Platform.a)
+      {
+        load with
+        Service.client_timeout = Some 0.03;
+        client_retries = 1;
+        profile = Some (Profile.flash_crowd ~duration ());
+      }
+      (Spec.with_autoscale (Spec.autoscale ~max_replicas:4 ())
+         (Spec.with_resilience (Spec.resilient ~queue_bound:48 ()) spec))
+  in
+  let hotel =
+    let spec, load = des_medium "hotel_reservation" ~duration:0.15 in
+    serve (Runner.config ~requests:20 ~seed:42 Platform.a) load spec
+  in
+  let crashed =
+    surge_app
+      ~fault_plan:
+        (Plan.make ~name:"front-crashes"
+           (List.map
+              (fun (at, down_for) -> { Plan.at; tier = "front"; kind = Plan.Crash { down_for } })
+              [ (0.8, 0.05); (1.78, 0.02); (1.95, 0.02) ]))
+      ()
+  in
+  List.iter
+    (fun (what, expected, r) ->
+      Alcotest.(check string) (what ^ " service digest") expected (digest (service_parts r)))
+    [
+      ("surge_app", "6365dbdd598bf7941a63647ebf1d2979", surged);
+      ("memcached surge", "645efebfc38b0404333669aca36da981", memcached);
+      ("hotel_reservation", "79f87181c7798e812e7b134537756b36", hotel);
+      ("surge_app front crashes", "a5e876deda59dfbfd90d50861874b304", crashed);
+    ]
+
 (* {2 Clone construction: profiles and generated code}
 
    Profiling and generation draw from seeded RNGs; a reordered or extra
@@ -512,6 +646,7 @@ let () =
         [
           Alcotest.test_case "exec_block counters and clocks" `Quick test_golden_exec_block;
           Alcotest.test_case "redis run counters and segments" `Slow test_golden_runner;
+          Alcotest.test_case "service results" `Slow test_golden_service;
           Alcotest.test_case "registry profiles" `Slow test_golden_profiles;
           Alcotest.test_case "generated blocks" `Slow test_golden_generation;
         ] );
