@@ -99,6 +99,7 @@ type tier_rt = {
    fault-free execution path byte-for-byte what it was before the chaos
    layer existed (test_parallel's bit-identity invariant). *)
 type sys = {
+  engine : Engine.t;
   registry : (string, tier_rt) Hashtbl.t;
   tids : int ref;
   inj : Injector.t option;
@@ -134,23 +135,24 @@ let ts_counter sys rt c =
   match sys.tl with
   | None -> ()
   | Some ts ->
-      Ditto_obs.Timeseries.record_counter ts ~tier:rt.spec.Spec.tier_name ~at:(Engine.time ()) c
+      Ditto_obs.Timeseries.record_counter ts ~tier:rt.spec.Spec.tier_name
+        ~at:(Engine.now sys.engine) c
 
 (* Reqtrace helpers: every disabled-path call is one option match (and the
    per-request [span]/[rpc] guard keeps unsampled requests free too). *)
 let rq_seg sys ~span kind ~t0 =
   match sys.rq with
-  | Some c when span <> 0 -> Rq.segment c ~span kind ~start:t0 ~dur:(Engine.time () -. t0)
+  | Some c when span <> 0 -> Rq.segment c ~span kind ~start:t0 ~dur:(Engine.now sys.engine -. t0)
   | _ -> ()
 
 let rq_rpc_end sys rpc ?bytes outcome =
   match sys.rq with
-  | Some c when rpc <> 0 -> Rq.rpc_end c ~span:rpc ?bytes ~at:(Engine.time ()) outcome
+  | Some c when rpc <> 0 -> Rq.rpc_end c ~span:rpc ?bytes ~at:(Engine.now sys.engine) outcome
   | _ -> ()
 
 let rq_server_end sys span ?bytes outcome =
   match sys.rq with
-  | Some c when span <> 0 -> Rq.server_end c ~span ?bytes ~at:(Engine.time ()) outcome
+  | Some c when span <> 0 -> Rq.server_end c ~span ?bytes ~at:(Engine.now sys.engine) outcome
   | _ -> ()
 
 (* [mach] is the machine of the server handling the current request: the
@@ -164,7 +166,7 @@ let run_cpu sys rt ~tid ~mach s =
   (match sys.tl with
   | None -> ()
   | Some ts ->
-      Ditto_obs.Timeseries.record_cpu ts ~tier:rt.spec.Spec.tier_name ~at:(Engine.time ())
+      Ditto_obs.Timeseries.record_cpu ts ~tier:rt.spec.Spec.tier_name ~at:(Engine.now sys.engine)
         ~seconds:s);
   Ditto_os.Sched.run_oncpu mach.Machine.sched ~thread:tid s
 
@@ -214,7 +216,7 @@ let rec handle sys rt ~tid ~mach ep ~arrived ~meta ~bytes =
       match sys.rq with
       | Some c when meta <> 0 ->
           Rq.server_begin c ~parent:meta ~tier:rt.spec.Spec.tier_name ~bytes ~arrived
-            ~at:(Engine.time ())
+            ~at:(Engine.now sys.engine)
       | _ -> 0
     in
     match rt.spec.Spec.resilience.Spec.queue_bound with
@@ -250,7 +252,7 @@ let rec handle sys rt ~tid ~mach ep ~arrived ~meta ~bytes =
           in
           rq_server_end sys span ~bytes:resp_bytes Rq.Ok;
           Socket.send ep ~bytes:resp_bytes;
-          let now = Engine.time () in
+          let now = Engine.now sys.engine in
           Stats.add rt.lat (now -. arrived);
           rt.served <- rt.served + 1;
           match sys.tl with
@@ -277,7 +279,7 @@ and replay sys rt ~tid ~mach ~span ~deg trace =
   let timed body =
     if span = 0 then body ()
     else begin
-      let t0 = Engine.time () in
+      let t0 = Engine.now sys.engine in
       body ();
       rq_seg sys ~span Rq.Service ~t0
     end
@@ -347,7 +349,7 @@ and downstream sys rt ~mach ~span target req_bytes =
   in
   let attempt () =
     match breaker with
-    | Some br when not (Breaker.allow br ~now:(Engine.time ())) -> false
+    | Some br when not (Breaker.allow br ~now:(Engine.now sys.engine)) -> false
     | _ ->
         let conn =
           match Queue.take_opt pool with Some c -> c | None -> connect sys rt ~mach drt
@@ -358,7 +360,7 @@ and downstream sys rt ~mach ~span target req_bytes =
         let rpc =
           match sys.rq with
           | Some c when span <> 0 ->
-              Rq.rpc_begin c ~parent:span ~target ~bytes:req_bytes ~at:(Engine.time ())
+              Rq.rpc_begin c ~parent:span ~target ~bytes:req_bytes ~at:(Engine.now sys.engine)
           | _ -> 0
         in
         if rpc = 0 then Socket.send conn ~bytes:req_bytes
@@ -385,7 +387,7 @@ and downstream sys rt ~mach ~span target req_bytes =
                   false)
         in
         (match breaker with
-        | Some br -> Breaker.record br ~now:(Engine.time ()) ~ok
+        | Some br -> Breaker.record br ~now:(Engine.now sys.engine) ~ok
         | None -> ());
         ok
   in
@@ -400,7 +402,7 @@ and downstream sys rt ~mach ~span target req_bytes =
         let d = backoff *. (0.5 +. Rng.float rt.rng 1.0) in
         if span = 0 then Engine.wait d
         else begin
-          let t0 = Engine.time () in
+          let t0 = Engine.now sys.engine in
           Engine.wait d;
           rq_seg sys ~span Rq.Backoff ~t0
         end
@@ -611,7 +613,7 @@ let apply_scale sys rt ~spawn ~from_n ~to_n =
     for _ = from_n + 1 to to_n do scale_up_one sys rt ~spawn done
   else
     for _ = to_n + 1 to from_n do scale_down_one rt done;
-  let now = Engine.time () in
+  let now = Engine.now sys.engine in
   let tier = rt.spec.Spec.tier_name in
   sys.scale_log := { se_at = now; se_tier = tier; se_from = from_n; se_to = to_n } :: !(sys.scale_log);
   match sys.tl with
@@ -637,7 +639,7 @@ let autoscaler sys rt ~engine ~t_end (pol : Spec.autoscale) =
       let last_scale = ref neg_infinity in
       let rec loop () =
         Engine.wait pol.Spec.as_interval;
-        let now = Engine.time () in
+        let now = Engine.now sys.engine in
         if now < t_end && not rt.stopped then begin
           (if not (tier_down sys rt) then begin
              let n = replica_count rt in
@@ -663,6 +665,18 @@ let autoscaler sys rt ~engine ~t_end (pol : Spec.autoscale) =
         end
       in
       loop ())
+
+(* One client connection and the one process that serves it. Each
+   submitted request is an entry in [waiting] (its submission time and
+   trace root), not a parked process, and stays there while it is served,
+   so the connection is busy exactly when [waiting] is non-empty. [parked]
+   is the serving process's waker once it has started; it is current
+   whenever the connection is idle. *)
+type conn = {
+  mutable ep : Socket.endpoint;  (* re-paired after a client timeout *)
+  waiting : (float * int) Queue.t;
+  mutable parked : unit Engine.waker option;
+}
 
 let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?fault_plan
     ?(timeline = false) ?(reqtrace = false) l =
@@ -699,7 +713,7 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
          are byte-identical to an untraced run's. *)
       Some (Ditto_obs.Reqtrace.create ~seed ())
   in
-  let sys = { registry; tids; inj; tl; rq; scale_log = ref [] } in
+  let sys = { engine; registry; tids; inj; tl; rq; scale_log = ref [] } in
   let rts =
     List.map
       (fun (tier : Spec.tier) ->
@@ -773,7 +787,7 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
     Array.init (max 1 l.connections) (fun _ ->
         let a, b, srv = client_pair () in
         Engine.spawn engine (fun () -> attach sys entry srv b);
-        (ref a, Engine.Resource.create 1))
+        { ep = a; waiting = Queue.create (); parked = None })
   in
   (match inj with Some i -> Injector.arm i ~at:(Engine.now engine) | None -> ());
   let t_start = Engine.now engine in
@@ -841,7 +855,7 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
     | None -> ()
     | Some ts ->
         Ditto_obs.Timeseries.record_counter ts ~tier:Ditto_obs.Timeseries.client_tier
-          ~at:(Engine.time ()) c
+          ~at:(Engine.now engine) c
   in
   let lat = Stats.create () in
   let completed = ref 0 in
@@ -855,83 +869,112 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
     match rq with
     | Some c when root <> 0 ->
         Rq.rpc_begin c ~parent:root ~target:entry.spec.Spec.tier_name
-          ~bytes:entry.spec.Spec.request_bytes ~at:(Engine.time ())
+          ~bytes:entry.spec.Spec.request_bytes ~at:(Engine.now engine)
     | _ -> 0
   in
   let rq_client_finish root outcome =
     match rq with
-    | Some c when root <> 0 -> Rq.client_finish c ~span:root ~at:(Engine.time ()) outcome
+    | Some c when root <> 0 -> Rq.client_finish c ~span:root ~at:(Engine.now engine) outcome
     | _ -> ()
   in
-  let do_request ci =
-    (* The clock starts at submission: open-loop latency must include any
-       wait for a free connection (coordinated-omission correction, as in
-       wrk2/mutated). *)
-    let t0 = Engine.time () in
-    let root = match rq with Some c -> Rq.client_start c ~at:t0 | None -> 0 in
-    let conn, mutex = conns.(ci) in
-    Engine.Resource.with_resource mutex (fun () ->
-        match l.client_timeout with
-        | None ->
-            let rpc = rq_client_rpc root in
-            if rpc = 0 then Socket.send !conn ~bytes:entry.spec.Spec.request_bytes
-            else Socket.send !conn ~meta:rpc ~bytes:entry.spec.Spec.request_bytes;
-            let m = Socket.recv_msg !conn in
-            rq_rpc_end sys rpc ~bytes:m.Socket.bytes
-              (if m.Socket.err then Rq.Err else Rq.Ok);
-            let now = Engine.time () in
-            Stats.add lat (now -. t0);
-            incr completed;
-            rq_client_finish root (if m.Socket.err then Rq.Err else Rq.Ok);
-            (match tl with
-            | None -> ()
-            | Some ts ->
-                Ditto_obs.Timeseries.record_latency ts
-                  ~tier:Ditto_obs.Timeseries.client_tier ~at:now ~seconds:(now -. t0))
-        | Some timeout ->
-            let rec go n =
-              let rpc = rq_client_rpc root in
-              if rpc = 0 then Socket.send !conn ~bytes:entry.spec.Spec.request_bytes
-              else Socket.send !conn ~meta:rpc ~bytes:entry.spec.Spec.request_bytes;
-              match Socket.recv_msg_timeout !conn ~timeout with
-              | Some m when not m.Socket.err ->
-                  rq_rpc_end sys rpc ~bytes:m.Socket.bytes Rq.Ok;
-                  let now = Engine.time () in
-                  Stats.add lat (now -. t0);
-                  incr completed;
-                  rq_client_finish root Rq.Ok;
-                  (match tl with
-                  | None -> ()
-                  | Some ts ->
-                      Ditto_obs.Timeseries.record_latency ts
-                        ~tier:Ditto_obs.Timeseries.client_tier ~at:now ~seconds:(now -. t0))
-              | outcome ->
-                  (match outcome with
-                  | None ->
-                      (* Poison the timed-out connection: a late reply must
-                         not answer the next request. *)
-                      rq_rpc_end sys rpc Rq.Timeout;
-                      incr client_timeouts;
-                      ts_client Ditto_obs.Timeseries.Timeouts;
-                      let a, b, srv = client_pair () in
-                      attach sys entry srv b;
-                      conn := a
-                  | Some m ->
-                      (* error response; the conn stays paired *)
-                      rq_rpc_end sys rpc ~bytes:m.Socket.bytes Rq.Err);
-                  if n < l.client_retries then begin
-                    incr client_retries_used;
-                    ts_client Ditto_obs.Timeseries.Retries;
-                    go (n + 1)
-                  end
-                  else begin
-                    incr client_errors;
-                    ts_client Ditto_obs.Timeseries.Failures;
-                    rq_client_finish root
-                      (match outcome with None -> Rq.Timeout | Some _ -> Rq.Err)
-                  end
-            in
-            go 0)
+  let client_start t0 = match rq with Some c -> Rq.client_start c ~at:t0 | None -> 0 in
+  (* One request on connection [c], timed from its submission at [t0]. *)
+  let exchange c ~t0 ~root =
+    match l.client_timeout with
+    | None ->
+        let rpc = rq_client_rpc root in
+        if rpc = 0 then Socket.send c.ep ~bytes:entry.spec.Spec.request_bytes
+        else Socket.send c.ep ~meta:rpc ~bytes:entry.spec.Spec.request_bytes;
+        let m = Socket.recv_msg c.ep in
+        rq_rpc_end sys rpc ~bytes:m.Socket.bytes (if m.Socket.err then Rq.Err else Rq.Ok);
+        let now = Engine.now engine in
+        Stats.add lat (now -. t0);
+        incr completed;
+        rq_client_finish root (if m.Socket.err then Rq.Err else Rq.Ok);
+        (match tl with
+        | None -> ()
+        | Some ts ->
+            Ditto_obs.Timeseries.record_latency ts ~tier:Ditto_obs.Timeseries.client_tier ~at:now
+              ~seconds:(now -. t0))
+    | Some timeout ->
+        let rec go n =
+          let rpc = rq_client_rpc root in
+          if rpc = 0 then Socket.send c.ep ~bytes:entry.spec.Spec.request_bytes
+          else Socket.send c.ep ~meta:rpc ~bytes:entry.spec.Spec.request_bytes;
+          match Socket.recv_msg_timeout c.ep ~timeout with
+          | Some m when not m.Socket.err ->
+              rq_rpc_end sys rpc ~bytes:m.Socket.bytes Rq.Ok;
+              let now = Engine.now engine in
+              Stats.add lat (now -. t0);
+              incr completed;
+              rq_client_finish root Rq.Ok;
+              (match tl with
+              | None -> ()
+              | Some ts ->
+                  Ditto_obs.Timeseries.record_latency ts ~tier:Ditto_obs.Timeseries.client_tier
+                    ~at:now ~seconds:(now -. t0))
+          | outcome ->
+              (match outcome with
+              | None ->
+                  (* Poison the timed-out connection: a late reply must
+                     not answer the next request. *)
+                  rq_rpc_end sys rpc Rq.Timeout;
+                  incr client_timeouts;
+                  ts_client Ditto_obs.Timeseries.Timeouts;
+                  let a, b, srv = client_pair () in
+                  attach sys entry srv b;
+                  c.ep <- a
+              | Some m ->
+                  (* error response; the conn stays paired *)
+                  rq_rpc_end sys rpc ~bytes:m.Socket.bytes Rq.Err);
+              if n < l.client_retries then begin
+                incr client_retries_used;
+                ts_client Ditto_obs.Timeseries.Retries;
+                go (n + 1)
+              end
+              else begin
+                incr client_errors;
+                ts_client Ditto_obs.Timeseries.Failures;
+                rq_client_finish root (match outcome with None -> Rq.Timeout | Some _ -> Rq.Err)
+              end
+        in
+        go 0
+  in
+  (* The connection's process: serve the waiting requests in submission
+     order, handing itself the next one through one event at the current
+     instant, and park once none is left. *)
+  let serve c () =
+    let park w = c.parked <- Some w in
+    let rec loop () =
+      let t0, root = Queue.peek c.waiting in
+      exchange c ~t0 ~root;
+      ignore (Queue.take c.waiting);
+      if Queue.is_empty c.waiting then Engine.suspend park else Engine.wait 0.0;
+      loop ()
+    in
+    loop ()
+  in
+  (* An open-loop arrival, in its own event. The clock starts at
+     submission, so latency includes any wait for the connection
+     (coordinated-omission correction, as in wrk2/mutated). A free
+     connection's process takes the request inside this event. *)
+  let arrivals =
+    Array.map
+      (fun c () ->
+        let t0 = Engine.now engine in
+        let idle = Queue.is_empty c.waiting in
+        Queue.push (t0, client_start t0) c.waiting;
+        if idle then
+          match c.parked with
+          | None -> Engine.start engine (serve c)
+          | Some w -> Engine.resume w ())
+      conns
+  in
+  (* Closed loop: each connection's own process submits and waits, so a
+     request never finds its connection busy. *)
+  let request c =
+    let t0 = Engine.now engine in
+    exchange c ~t0 ~root:(client_start t0)
   in
   (* A non-constant profile samples arrivals from its own stream at a fixed
      seed offset; the constant/absent branches below are the pre-profile
@@ -944,60 +987,60 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
       let prng = Rng.create (seed + 224737) in
       Engine.spawn engine (fun () ->
           let i = ref 0 in
-          while Engine.time () < t_end do
+          while Engine.now engine < t_end do
             let arr =
-              Rate.next_arrival p prng ~base_qps:l.qps ~t:(Engine.time () -. t_start)
+              Rate.next_arrival p prng ~base_qps:l.qps ~t:(Engine.now engine -. t_start)
             in
             Engine.wait arr.Rate.gap;
-            if Engine.time () < t_end then
+            if Engine.now engine < t_end then
               for _ = 1 to arr.Rate.batch do
                 let ci = !i mod Array.length conns in
                 incr i;
-                Engine.fork (fun () -> do_request ci)
+                Engine.schedule engine (Engine.now engine) arrivals.(ci)
               done
           done)
   | true, None ->
       Engine.spawn engine (fun () ->
           let i = ref 0 in
-          while Engine.time () < t_end do
+          while Engine.now engine < t_end do
             Engine.wait (Dist.exponential gen_rng ~mean:(1.0 /. l.qps));
             let ci = !i mod Array.length conns in
             incr i;
-            Engine.fork (fun () -> do_request ci)
+            Engine.schedule engine (Engine.now engine) arrivals.(ci)
           done)
   | false, Some p ->
       (* Closed loop under a profile: think gaps shrink as the multiplier
          rises, still one outstanding request per connection. *)
       let prng = Rng.create (seed + 224737) in
       let per_conn = float_of_int (Array.length conns) in
-      Array.iteri
-        (fun ci _ ->
+      Array.iter
+        (fun c ->
           Engine.spawn engine (fun () ->
-              let next = ref (Engine.time ()) in
-              while Engine.time () < t_end do
+              let next = ref (Engine.now engine) in
+              while Engine.now engine < t_end do
                 let mult =
-                  Float.max 1e-6 (Rate.mult_at p ~t:(Engine.time () -. t_start))
+                  Float.max 1e-6 (Rate.mult_at p ~t:(Engine.now engine -. t_start))
                 in
                 let mean = per_conn /. (l.qps *. mult) in
                 next := !next +. Dist.exponential prng ~mean;
-                let now = Engine.time () in
+                let now = Engine.now engine in
                 if !next > now then Engine.wait (!next -. now);
-                if Engine.time () < t_end then do_request ci
+                if Engine.now engine < t_end then request c
               done))
         conns
   | false, None ->
       (* Closed loop with rate throttling (YCSB-style: one outstanding request
          per connection; late responses eat into the think gap). *)
       let per_conn_mean = float_of_int (Array.length conns) /. l.qps in
-      Array.iteri
-        (fun ci _ ->
+      Array.iter
+        (fun c ->
           Engine.spawn engine (fun () ->
-              let next = ref (Engine.time ()) in
-              while Engine.time () < t_end do
+              let next = ref (Engine.now engine) in
+              while Engine.now engine < t_end do
                 next := !next +. Dist.exponential gen_rng ~mean:per_conn_mean;
-                let now = Engine.time () in
+                let now = Engine.now engine in
                 if !next > now then Engine.wait (!next -. now);
-                if Engine.time () < t_end then do_request ci
+                if Engine.now engine < t_end then request c
               done))
         conns);
   (* iperf-style competing stream through the entry machine's NIC. *)
@@ -1005,10 +1048,10 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
     let chunk = 65536 in
     let interval = float_of_int (chunk * 8) /. (net_interference_gbps *. 1e9) in
     Engine.spawn engine (fun () ->
-        while Engine.time () < t_end do
-          let t0 = Engine.time () in
+        while Engine.now engine < t_end do
+          let t0 = Engine.now engine in
           Nic.transmit machine.Machine.nic ~bytes:chunk;
-          let used = Engine.time () -. t0 in
+          let used = Engine.now engine -. t0 in
           if used < interval then Engine.wait (interval -. used)
         done)
   end;

@@ -114,4 +114,12 @@ val run :
     {!Ditto_fault.Injector} against this run's engine clock; the injector's RNG is derived from
     [seed], so a (seed, plan) pair degrades the run deterministically.
     [timeline] / [reqtrace] (default false) give this run its own
-    {!Ditto_obs.Timeseries} / {!Ditto_obs.Reqtrace} collector. *)
+    {!Ditto_obs.Timeseries} / {!Ditto_obs.Reqtrace} collector.
+
+    The load generator runs one client process per connection. An
+    open-loop arrival is an event, not a process: a request that finds
+    its connection busy waits as a queue entry (its submission time and
+    trace root), and the connection's process serves those entries in
+    submission order. Latency is timed from submission, so the time a
+    request waits for its connection counts (coordinated omission stays
+    corrected, as in wrk2/mutated). *)

@@ -79,7 +79,7 @@ let send ?(err = false) ?(meta = 0) ep ~bytes =
       | Drop -> ()
       | Deliver | Delay _ ->
           let extra = match verdict with Delay d -> d | _ -> 0.0 in
-          let deliver_at = Engine.time () +. ep.latency +. extra in
+          let deliver_at = Engine.now ep.engine +. ep.latency +. extra in
           Engine.schedule ep.engine deliver_at (fun () ->
               Nic.note_received peer.nic ~bytes;
               deliver peer { bytes; err; arrived = deliver_at; meta }))
@@ -94,12 +94,12 @@ let rec recv_msg ep =
 let try_recv_msg ep = take ep
 
 let recv_msg_timeout ep ~timeout =
-  let deadline = Engine.time () +. timeout in
+  let deadline = Engine.now ep.engine +. timeout in
   let rec go () =
     match take ep with
     | Some msg -> Some msg
     | None ->
-        let left = deadline -. Engine.time () in
+        let left = deadline -. Engine.now ep.engine in
         if left <= 0.0 then None
         else (
           match Engine.suspend_timeout left (fun w -> ep.watchers <- w :: ep.watchers) with

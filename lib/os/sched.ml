@@ -47,4 +47,3 @@ let run_oncpu t ~thread seconds =
 
 let context_switches t = t.switches
 let busy_seconds t = t.busy
-let runnable t = Engine.Resource.queue_length t.cores

@@ -49,6 +49,7 @@ type t = {
   mutable rlen : int;
   mutable next_seq : int;
   mutable processed : int;
+  mutable started : int;
   mutable peak_live : int;
   mutable profile_label : string;
 }
@@ -104,6 +105,7 @@ let create () =
       rlen = 0;
       next_seq = 0;
       processed = 0;
+      started = 0;
       peak_live = 0;
       profile_label = "run";
     }
@@ -123,6 +125,7 @@ let set_profile_label t label = t.profile_label <- label
 
 let now t = t.clock.now
 let events_processed t = t.processed
+let processes_started t = t.started
 let peak_live_events t = t.peak_live
 
 (* Every slot is in use, so the heap and ring hold [cap] entries between
@@ -321,9 +324,9 @@ type _ Effect.t +=
   | Wait : float -> unit Effect.t
   | Suspend : ('a waker -> unit) -> 'a Effect.t
   | Fork : (unit -> unit) -> unit Effect.t
-  | Now : float Effect.t
 
 let rec exec t f =
+  t.started <- t.started + 1;
   match_with f ()
     {
       retc = ignore;
@@ -336,7 +339,6 @@ let rec exec t f =
                 (fun (k : (a, _) continuation) ->
                   let d = Float.max 0.0 d in
                   push_app t (t.clock.now +. d) (fun k -> continue k ()) k)
-          | Now -> Some (fun (k : (a, _) continuation) -> continue k t.clock.now)
           | Fork g ->
               Some
                 (fun (k : (a, _) continuation) ->
@@ -352,6 +354,8 @@ let rec exec t f =
 let spawn t ?at f =
   let at = match at with Some a -> a | None -> t.clock.now in
   push_app t at (exec t) f
+
+let start t f = exec t f
 
 let events_counter = Ditto_obs.Obs.Metrics.counter "sim.events"
 
@@ -438,7 +442,6 @@ let run ?(until = infinity) t =
             raise e)
   end
 
-let time () = perform Now
 let wait d = perform (Wait d)
 
 let wake w v =
@@ -452,6 +455,18 @@ let wake w v =
     let f = w.resume in
     w.resume <- ignore;
     push_app e e.clock.now f v
+  end
+
+(* [wake] without the event: the process runs now, inside the caller, until
+   it next blocks. A [suspend_timeout] waker resumes through its outer
+   waker's event, so it is refused rather than half-resumed. *)
+let resume w v =
+  if not w.woken then begin
+    if w.timer >= 0 then invalid_arg "Engine.resume: waker has an armed timer";
+    w.woken <- true;
+    let f = w.resume in
+    w.resume <- ignore;
+    f v
   end
 
 let is_woken w = w.woken

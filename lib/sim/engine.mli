@@ -6,8 +6,9 @@
     straight-line pseudo-code of Fig. 3 in the paper (epoll_wait; read;
     handle; sendmsg) while the engine interleaves processes in virtual time.
 
-    Time is in seconds (float). All operations must be performed from within
-    a process spawned on the engine. *)
+    Time is in seconds (float). The blocking operations must be performed
+    from within a process spawned on the engine; a process reads the clock
+    of the engine it runs on with {!now}. *)
 
 type t
 (** An engine instance: virtual clock plus pending-event queue. *)
@@ -35,13 +36,19 @@ val schedule : t -> float -> (unit -> unit) -> unit
 val spawn : t -> ?at:float -> (unit -> unit) -> unit
 (** Start a new process at absolute time [at] (default: now). *)
 
+val start : t -> (unit -> unit) -> unit
+(** [start t f] runs a new process [f] in place, inside the current
+    callback, until it first blocks (or returns); no event is queued for
+    its start. A process that serves a queue of work can thus take its
+    first item inside the event that submitted it. *)
+
 val every : t -> start:float -> period:float -> until:float -> (float -> unit) -> unit
 (** [every t ~start ~period ~until f] runs callback [f at] at each tick
     [at = start + k * period] for [k = 0, 1, ...] while [at <= until].
     Tick times are computed from [k] (not by accumulating [period]) so
     long chains don't drift. Like {!schedule} callbacks, [f] runs outside
-    process context: it must not perform engine effects — it receives the
-    tick's virtual time as its argument instead of reading the clock.
+    process context: it must not perform engine effects; it receives the
+    tick's virtual time as its argument.
     Raises [Invalid_argument] if [period] is not positive. *)
 
 val run : ?until:float -> t -> unit
@@ -56,7 +63,13 @@ val run : ?until:float -> t -> unit
 val events_processed : t -> int
 (** Total events executed so far (for engine benchmarking). A
     {!suspend_timeout} timer that was beaten by a {!wake} is cancelled, not
-    executed, and is not counted. *)
+    executed, and is not counted; neither are {!start} and {!resume}, which
+    run a process inside the current event. *)
+
+val processes_started : t -> int
+(** Processes created so far by {!spawn}, {!fork} and {!start}. Each is a
+    fiber stack the GC scans while it lives, so this counts what a model
+    keeps as processes rather than as data. *)
 
 val peak_live_events : t -> int
 (** High-water mark of simultaneously pending events (heap + current-instant
@@ -76,9 +89,6 @@ val set_profile_label : t -> string -> unit
 
 (** {1 Operations available inside processes} *)
 
-val time : unit -> float
-(** Current virtual time, from within a process. *)
-
 val wait : float -> unit
 (** Block the calling process for a (non-negative) duration. *)
 
@@ -89,6 +99,13 @@ val wake : 'a waker -> 'a -> unit
 (** Resume the suspended process with a value, at the engine's current
     time. Waking an already-woken waker is a no-op. Waking a
     {!suspend_timeout} waker cancels its pending timer in O(log n). *)
+
+val resume : 'a waker -> 'a -> unit
+(** [wake] in place: resume the suspended process with a value inside the
+    caller (a callback, or another process), running it until it next
+    blocks; no event is queued. A no-op on a waker that was already woken.
+    Raises [Invalid_argument] on a {!suspend_timeout} waker, whose timer is
+    still armed. *)
 
 val is_woken : 'a waker -> bool
 

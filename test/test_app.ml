@@ -255,6 +255,48 @@ let test_runner_load_latency_grows () =
     (high.Runner.end_to_end.Ditto_util.Stats.p99
     > 1.2 *. low.Runner.end_to_end.Ditto_util.Stats.p99)
 
+(* Open-loop overload straight through [Service.run]: one I/O-multiplexing
+   worker whose every request is 1 ms on-CPU (capacity 1,000/s), offered
+   20,000 qps for 0.1 s over 4 connections, about 2,000 arrivals. Almost
+   every request finds its connection busy and waits as a queue entry, so
+   the run starts no process per request; and its latency, timed from
+   submission, counts the time it waited. *)
+let test_service_overload_queues_at_connection () =
+  let tier = Spec.tier ~name:"slow" ~workers:1 ~handler:trivial_handler () in
+  let app = Spec.make ~name:"slow_app" [ tier ] in
+  let service_time = 1e-3 in
+  let mres =
+    {
+      Measure.tier;
+      space = Layout.space ~tier_index:0 ~heap_bytes:4096 ~shared_bytes:64;
+      traces = [| [ Measure.Cpu service_time ] |];
+      background_trace = None;
+      counters = Ditto_uarch.Counters.create ();
+      requests_measured = 1;
+      cpu_mean = service_time;
+    }
+  in
+  let engine = Ditto_sim.Engine.create () in
+  let machine = Machine.create engine Platform.a in
+  let connections = 4 and workers = 1 in
+  let r =
+    Service.run ~app ~machine ~results:(fun _ -> mres) ~seed:7
+      (Service.load ~qps:20_000.0 ~connections ~duration:0.1 ())
+  in
+  Machine.release machine;
+  (* Set-up spawns one process per connection to attach its server end,
+     and one arrival generator. *)
+  let setup = connections + 1 in
+  Alcotest.(check bool) "overloaded" true (r.Service.completed > 100);
+  Alcotest.(check bool) "one client process per connection" true
+    (Ditto_sim.Engine.processes_started engine <= connections + workers + setup);
+  (* Recorded when every arrival forked a process and queued on a
+     per-connection mutex: an arrival is still one event, and handing a
+     connection to its next request still one more. *)
+  Alcotest.(check int) "events" 8155 (Ditto_sim.Engine.events_processed engine);
+  Alcotest.(check bool) "queued time counted" true
+    (r.Service.latency.Ditto_util.Stats.p50 > 10.0 *. service_time)
+
 let test_idle_estimate () =
   Alcotest.(check bool) "low qps -> more idle" true
     (Runner.estimate_idle_per_request ~qps:100.0 ~workers:1
@@ -334,6 +376,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_runner_deterministic;
           Alcotest.test_case "closed loop bounded" `Quick test_runner_closed_loop_bounded;
           Alcotest.test_case "latency grows" `Quick test_runner_load_latency_grows;
+          Alcotest.test_case "overload queues at the connection" `Quick
+            test_service_overload_queues_at_connection;
           Alcotest.test_case "idle estimate" `Quick test_idle_estimate;
         ] );
       ("metrics", [ Alcotest.test_case "errors" `Quick test_metrics_errors ]);

@@ -31,7 +31,7 @@ let test_disk_hdd_queueing () =
   for _ = 1 to 2 do
     Engine.spawn engine (fun () ->
         Disk.read hdd ~bytes:4096 ~random:true;
-        finish := Engine.time () :: !finish)
+        finish := Engine.now engine :: !finish)
   done;
   Engine.run engine;
   let t1 = Disk.service_time hdd ~bytes:4096 ~random:true in
@@ -45,7 +45,7 @@ let test_disk_ssd_parallel_channels () =
   for _ = 1 to 4 do
     Engine.spawn engine (fun () ->
         Disk.read ssd ~bytes:4096 ~random:true;
-        finish := Engine.time () :: !finish)
+        finish := Engine.now engine :: !finish)
   done;
   Engine.run engine;
   let t1 = Disk.service_time ssd ~bytes:4096 ~random:true in
@@ -72,7 +72,7 @@ let test_nic_serialisation_time () =
   Engine.spawn engine (fun () ->
       Nic.transmit nic ~bytes:125_000;
       (* 1ms at 1Gbps *)
-      t := Engine.time ());
+      t := Engine.now engine);
   Engine.run engine;
   Alcotest.(check bool) "roughly 1ms (plus framing)" true (!t >= 1e-3 && !t < 1.2e-3)
 
@@ -83,7 +83,7 @@ let test_nic_queueing () =
   for _ = 1 to 3 do
     Engine.spawn engine (fun () ->
         Nic.transmit nic ~bytes:125_000;
-        finish := Engine.time () :: !finish)
+        finish := Engine.now engine :: !finish)
   done;
   Engine.run engine;
   let latest = List.fold_left Float.max 0.0 !finish in
@@ -111,7 +111,7 @@ let test_socket_delivery () =
   let got = ref 0 and at = ref 0.0 in
   Engine.spawn engine (fun () ->
       got := (Socket.recv_msg b).Socket.bytes;
-      at := Engine.time ());
+      at := Engine.now engine);
   Engine.spawn engine (fun () -> Socket.send a ~bytes:1500);
   Engine.run engine;
   Alcotest.(check int) "size delivered" 1500 !got;
@@ -189,7 +189,7 @@ let test_epoll_zero_timeout_polls () =
   Engine.spawn engine (fun () ->
       Alcotest.(check int) "empty poll returns immediately" 0
         (List.length (Socket.Epoll.wait ~timeout:0.0 ep));
-      Alcotest.(check (float 1e-12)) "no virtual time consumed" 0.0 (Engine.time ());
+      Alcotest.(check (float 1e-12)) "no virtual time consumed" 0.0 (Engine.now engine);
       Socket.send a ~bytes:3;
       Engine.wait 1.0;
       Alcotest.(check int) "queued data polls ready" 1
@@ -206,7 +206,7 @@ let test_epoll_add_while_waiting () =
   let woke_at = ref infinity in
   Engine.spawn engine (fun () ->
       ignore (Socket.Epoll.wait ~timeout:10.0 ep);
-      woke_at := Engine.time ());
+      woke_at := Engine.now engine);
   Engine.spawn engine (fun () ->
       Engine.wait 0.1;
       let a, b = make_pair engine in

@@ -244,7 +244,7 @@ let test_sched_single_thread_timing () =
   let finished = ref 0.0 in
   Engine.spawn engine (fun () ->
       Sched.run_oncpu sched ~thread:1 0.0105;
-      finished := Engine.time ());
+      finished := Engine.now engine);
   Engine.run engine;
   (* 10.5ms of work plus one context switch. *)
   check_close "duration" 1e-4 0.0105 !finished
@@ -256,7 +256,7 @@ let test_sched_contention () =
   for i = 1 to 2 do
     Engine.spawn engine (fun () ->
         Sched.run_oncpu sched ~thread:i 0.010;
-        finish := Engine.time () :: !finish)
+        finish := Engine.now engine :: !finish)
   done;
   Engine.run engine;
   let latest = List.fold_left Float.max 0.0 !finish in
@@ -269,7 +269,7 @@ let test_sched_parallel_cores () =
   for i = 1 to 2 do
     Engine.spawn engine (fun () ->
         Sched.run_oncpu sched ~thread:i 0.010;
-        finish := Engine.time () :: !finish)
+        finish := Engine.now engine :: !finish)
   done;
   Engine.run engine;
   List.iter (fun t -> check_close "parallel" 1e-4 0.010 t) !finish
@@ -283,7 +283,7 @@ let test_sched_fair_slicing () =
   Engine.spawn engine (fun () -> Sched.run_oncpu sched ~thread:1 0.050);
   Engine.spawn engine (fun () ->
       Sched.run_oncpu sched ~thread:2 0.001;
-      short_done := Engine.time ());
+      short_done := Engine.now engine);
   Engine.run engine;
   Alcotest.(check bool) "short job preempts long one" true (!short_done < 0.010)
 

@@ -265,7 +265,7 @@ let test_golden_runner () =
 
 (* {2 The serving phase: routing, replicas and bandwidth}
 
-   Every field of [Service.result] over four runs. A two-tier app under an
+   Every field of [Service.result] over five runs. A two-tier app under an
    8x flash crowd whose front scales out, drains and reactivates a
    replica; memcached under a mid-run crash plus a flash crowd, shedding
    and scaling out; and hotel_reservation, whose eleven tiers share one
@@ -276,7 +276,10 @@ let test_golden_runner () =
    time out and re-open connections after the scale-out, after a drain
    and after a reactivation, so replicas serve, and the choice of which
    replica drains, which one comes back and where the routing cursor
-   stands all move the digest. *)
+   stands all move the digest. The fifth is memcached at its high load
+   under a constant-rate open loop, where thousands of requests wait on
+   their connections at once; its digest adds the sampled span trees,
+   which requests are sampled being decided by the order they start in. *)
 
 let des_block ~tier_index ~label n =
   let space = Layout.space ~tier_index ~heap_bytes:(1 lsl 20) ~shared_bytes:(1 lsl 16) in
@@ -387,14 +390,34 @@ let test_golden_service () =
               [ (0.8, 0.05); (1.78, 0.02); (1.95, 0.02) ]))
       ()
   in
+  let queued =
+    let entry = Ditto_apps.Registry.by_name "memcached" in
+    let _, _, high = entry.Ditto_apps.Registry.loads in
+    let load =
+      Ditto_loadgen.Workload.to_load entry.Ditto_apps.Registry.workload ~qps:high ~duration:0.15
+        ()
+    in
+    serve
+      (Runner.config ~requests:40 ~seed:42 ~reqtrace:true Platform.a)
+      load
+      (entry.Ditto_apps.Registry.spec ())
+  in
+  let jaeger (r : Service.result) =
+    match r.Service.reqtrace with
+    | Some c -> Ditto_util.Jsonx.to_string (Ditto_obs.Reqtrace.jaeger c)
+    | None -> Alcotest.fail "reqtrace run returned no trace collector"
+  in
   List.iter
-    (fun (what, expected, r) ->
-      Alcotest.(check string) (what ^ " service digest") expected (digest (service_parts r)))
+    (fun (what, expected, parts) ->
+      Alcotest.(check string) (what ^ " service digest") expected (digest parts))
     [
-      ("surge_app", "6365dbdd598bf7941a63647ebf1d2979", surged);
-      ("memcached surge", "645efebfc38b0404333669aca36da981", memcached);
-      ("hotel_reservation", "79f87181c7798e812e7b134537756b36", hotel);
-      ("surge_app front crashes", "a5e876deda59dfbfd90d50861874b304", crashed);
+      ("surge_app", "6365dbdd598bf7941a63647ebf1d2979", service_parts surged);
+      ("memcached surge", "645efebfc38b0404333669aca36da981", service_parts memcached);
+      ("hotel_reservation", "79f87181c7798e812e7b134537756b36", service_parts hotel);
+      ("surge_app front crashes", "a5e876deda59dfbfd90d50861874b304", service_parts crashed);
+      ( "memcached high load",
+        "f4878190f4aefe907b9ec027e7399a9b",
+        service_parts queued @ [ jaeger queued ] );
     ]
 
 (* {2 Clone construction: profiles and generated code}

@@ -22,7 +22,7 @@ let prop_engine_causal =
               Ditto_sim.Engine.wait w;
               Ditto_sim.Engine.wait w;
               let expected = 2.0 *. w in
-              if Float.abs (Ditto_sim.Engine.time () -. expected) > 1e-9 then ok := false;
+              if Float.abs (Ditto_sim.Engine.now engine -. expected) > 1e-9 then ok := false;
               ignore i))
         waits;
       Ditto_sim.Engine.run engine;

@@ -128,6 +128,66 @@ let test_suspend_timeout_wakes () =
   Engine.run engine;
   Alcotest.(check bool) "woken before timeout" true (!result = Some 7)
 
+(* [start] and [resume] run a process inside the current callback. At each
+   instant a setup callback queues three current-instant events; the middle
+   one starts (then resumes) the process, which must log between the other
+   two and hand control back each time it parks. *)
+let test_start_and_resume_in_place () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let emit tag = log := Printf.sprintf "%s@%g" tag (Engine.now engine) :: !log in
+  let parked = ref None in
+  let park w = parked := Some w in
+  let body () =
+    emit "p0";
+    Engine.suspend park;
+    emit "p1";
+    Engine.suspend park;
+    emit "unreached"
+  in
+  let around at step =
+    Engine.schedule engine at (fun () ->
+        let now = Engine.now engine in
+        Engine.schedule engine now (fun () -> emit "before");
+        Engine.schedule engine now (fun () ->
+            emit "cb<";
+            step ();
+            emit "cb>");
+        Engine.schedule engine now (fun () -> emit "after"))
+  in
+  around 1.0 (fun () -> Engine.start engine body);
+  around 2.0 (fun () ->
+      let w = Option.get !parked in
+      Engine.resume w ();
+      (* woken already: the second resume must not run the process again *)
+      Engine.resume w ());
+  Engine.run engine;
+  Alcotest.(check (list string))
+    "in-place steps between the instant's ring entries"
+    [
+      "before@1"; "cb<@1"; "p0@1"; "cb>@1"; "after@1";
+      "before@2"; "cb<@2"; "p1@2"; "cb>@2"; "after@2";
+    ]
+    (List.rev !log);
+  Alcotest.(check int) "only callbacks are events" 8 (Engine.events_processed engine);
+  Alcotest.(check int) "start counted once, resume never" 1 (Engine.processes_started engine);
+  Alcotest.(check bool) "parked again on a fresh waker" false
+    (Engine.is_woken (Option.get !parked))
+
+(* A [suspend_timeout] waker still has its timer armed: [resume] refuses
+   it, and the timer fires as if nothing had happened. *)
+let test_resume_refuses_timed_waker () =
+  let engine = Engine.create () in
+  let waker = ref None and result = ref (Some ()) in
+  Engine.spawn engine (fun () -> result := Engine.suspend_timeout 1.0 (fun w -> waker := Some w));
+  Engine.schedule engine 0.5 (fun () ->
+      Alcotest.check_raises "timed waker"
+        (Invalid_argument "Engine.resume: waker has an armed timer") (fun () ->
+          Engine.resume (Option.get !waker) ()));
+  Engine.run engine;
+  Alcotest.(check bool) "timer still fires" true (!result = None);
+  check_float "at its deadline" 1.0 (Engine.now engine)
+
 let test_ivar () =
   let engine = Engine.create () in
   let iv = Engine.Ivar.create () in
@@ -175,7 +235,7 @@ let test_mailbox_blocking_recv () =
   let at = ref 0.0 in
   Engine.spawn engine (fun () ->
       ignore (Engine.Mailbox.recv m);
-      at := Engine.time ());
+      at := Engine.now engine);
   Engine.spawn engine (fun () ->
       Engine.wait 4.0;
       Engine.Mailbox.send m ());
@@ -208,7 +268,7 @@ let test_resource_serialises () =
   for i = 1 to 3 do
     Engine.spawn engine (fun () ->
         Engine.Resource.with_resource r (fun () -> Engine.wait 1.0);
-        finish := (i, Engine.time ()) :: !finish)
+        finish := (i, Engine.now engine) :: !finish)
   done;
   Engine.run engine;
   let times = List.rev_map snd !finish |> List.sort compare in
@@ -221,7 +281,7 @@ let test_resource_parallel () =
   for _ = 1 to 3 do
     Engine.spawn engine (fun () ->
         Engine.Resource.with_resource r (fun () -> Engine.wait 1.0);
-        finish := Engine.time () :: !finish)
+        finish := Engine.now engine :: !finish)
   done;
   Engine.run engine;
   List.iter (fun t -> check_float "all parallel" 1.0 t) !finish
@@ -277,30 +337,30 @@ let dispatch_mix () =
   in
   let rec proc p step =
     if step < 40 then begin
-      log (Engine.time ()) p step;
+      log (Engine.now engine) p step;
       (match Ditto_util.Rng.int rng 8 with
       | 0 -> Engine.wait 0.0
       | 1 -> Engine.wait (tick ())
       | 2 ->
           let child = (100 * (p + 1)) + step in
           Engine.fork (fun () ->
-              log (Engine.time ()) child 0;
+              log (Engine.now engine) child 0;
               Engine.wait (tick ());
-              log (Engine.time ()) child 1)
+              log (Engine.now engine) child 1)
       | 3 ->
           Engine.schedule engine
-            (Engine.time () +. tick ())
+            (Engine.now engine +. tick ())
             (fun () ->
               log (Engine.now engine) (-p - 1) step;
               if Ditto_util.Rng.int rng 3 = 0 then wake_parked ())
       | 4 -> (
           match Engine.suspend_timeout (0.1e-3 +. tick ()) (fun w -> Queue.push w parked) with
-          | Some () -> log (Engine.time ()) p 1000
-          | None -> log (Engine.time ()) p 1001)
+          | Some () -> log (Engine.now engine) p 1000
+          | None -> log (Engine.now engine) p 1001)
       | 5 -> (
           match Engine.Mailbox.recv_timeout mb (0.1e-3 +. tick ()) with
-          | Some v -> log (Engine.time ()) p (2000 + v)
-          | None -> log (Engine.time ()) p 2999)
+          | Some v -> log (Engine.now engine) p (2000 + v)
+          | None -> log (Engine.now engine) p 2999)
       | 6 -> Engine.Mailbox.send mb step
       | _ -> Engine.Resource.with_resource res (fun () -> Engine.wait (tick ())));
       proc p (step + 1)
@@ -310,8 +370,8 @@ let dispatch_mix () =
      latest of the run and decides the final clock. *)
   Engine.spawn engine (fun () ->
       match Engine.suspend_timeout 5.0 (fun w -> Queue.push w parked) with
-      | Some () -> log (Engine.time ()) 99 1000
-      | None -> log (Engine.time ()) 99 1001);
+      | Some () -> log (Engine.now engine) 99 1000
+      | None -> log (Engine.now engine) 99 1001);
   for p = 0 to 7 do
     Engine.spawn engine ~at:(float_of_int p *. 0.1e-3) (fun () -> proc p 0)
   done;
@@ -350,7 +410,7 @@ let test_beaten_timeout_cancelled () =
   let waker = ref None and last_deadline = ref 0.0 in
   Engine.spawn engine (fun () ->
       for _ = 1 to 100 do
-        last_deadline := Engine.time () +. 10.0;
+        last_deadline := Engine.now engine +. 10.0;
         ignore (Engine.suspend_timeout 10.0 (fun w -> waker := Some w))
       done);
   Engine.spawn engine (fun () ->
@@ -384,6 +444,8 @@ let () =
           Alcotest.test_case "timeout fires" `Quick test_suspend_timeout_fires;
           Alcotest.test_case "timeout beaten" `Quick test_suspend_timeout_wakes;
           Alcotest.test_case "beaten timeout cancelled" `Quick test_beaten_timeout_cancelled;
+          Alcotest.test_case "start and resume in place" `Quick test_start_and_resume_in_place;
+          Alcotest.test_case "resume refuses a timed waker" `Quick test_resume_refuses_timed_waker;
         ] );
       ("dispatch", [ Alcotest.test_case "order pinned" `Quick test_dispatch_order_pinned ]);
       ( "ivar",
