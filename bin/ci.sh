@@ -4,19 +4,20 @@
 # golden group alone (a digest that passes only after earlier tests of
 # the suite warmed the domain-local kernel-path memo fails here), a
 # benchmark smoke run, a self-tracing smoke test (Chrome + Jaeger exports
-# re-parsed via Jsonx), a sampled-profiler smoke test, a synth scaling smoke
-# (100-tier generated graph cloned + validated under a wall budget and a
-# DES event-queue peak limit), the validation-gate smokes — one memcached
-# clone through the chaos (fault injection + resilience counters),
-# timeline (windowed telemetry + transient-fidelity scorecard +
-# OpenMetrics export) and surge (flash crowd on top of kill-mid-tier,
-# autoscaling and admission control fired on both sides) gates, one redis
-# clone through the critpath gate (critical-path divergence + Jaeger
-# round-trip), and a check that an unknown gate is refused — and the
-# fidelity regression gate (scorecards diffed against the committed
-# baseline, plus proof that the gate rejects a perturbed baseline, fails
-# a document sharing no metric with the baseline, and refuses a truncated
-# document with exit 2 instead of crashing).
+# re-parsed via Jsonx), two CPU-stack profile smokes (a redis clone, and
+# the original social_network, whose stacks must name all 22 of its tiers),
+# a synth scaling smoke (100-tier generated graph cloned + validated under
+# a wall budget and a DES event-queue peak limit), the validation-gate
+# smokes — one memcached clone through the chaos (fault injection +
+# resilience counters), timeline (windowed telemetry + transient-fidelity
+# scorecard + OpenMetrics export) and surge (flash crowd on top of
+# kill-mid-tier, autoscaling and admission control fired on both sides)
+# gates, one redis clone through the critpath gate (critical-path
+# divergence + Jaeger round-trip), and a check that an unknown gate is
+# refused — and the fidelity regression gate (scorecards diffed against
+# the committed baseline, plus proof that the gate rejects a perturbed
+# baseline, fails a document sharing no metric with the baseline, and
+# refuses a truncated document with exit 2 instead of crashing).
 # Usage: bin/ci.sh   (from the repo root; DITTO_DOMAINS caps the pool)
 set -eu
 
@@ -64,10 +65,21 @@ dune exec bin/ditto_cli.exe -- inspect-trace "$trace_file.jaeger.json"
 rm -f "$trace_file" "$trace_file.jaeger.json"
 
 echo "== profile smoke (collapsed stacks reconcile with measured CPU) =="
-# `profile` exits non-zero itself if the sampled weights diverge >1% from
-# the measured on-CPU time.
+# `profile` exits non-zero itself if the attributed weights diverge >1%
+# from the measured on-CPU time.
 dune exec bin/ditto_cli.exe -- profile redis --out "$tmpdir/redis.folded" --top 5
 test -s "$tmpdir/redis.folded"
+
+echo "== multi-tier profile smoke (social_network: one stack table per tier) =="
+# Each tier keeps its own table and the file concatenates them, so every
+# one of social_network's 22 tiers must root some stack.
+sn_folded="$tmpdir/social_network.folded"
+dune exec bin/ditto_cli.exe -- profile social_network --original --out "$sn_folded" --top 5
+sn_tiers=$(cut -d';' -f1 "$sn_folded" | sort -u | wc -l)
+if [ "$sn_tiers" -ne 22 ]; then
+  echo "ci: FAIL — social_network stacks name $sn_tiers tier(s), expected 22" >&2
+  exit 1
+fi
 
 echo "== synth scaling smoke (100-tier generated graph, clone + validate) =="
 # A seeded 100-tier production-shaped graph must round-trip through Jaeger

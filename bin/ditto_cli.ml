@@ -28,9 +28,9 @@
          parse a Chrome or Jaeger trace back and summarise it
          (span counts, counter series min/mean/max, all roots with
          per-root span counts, recovered DAG, top-10 slowest spans)
-     ditto-cli profile <app> [--qps N] [--original] [--out FILE] [--top N] [--period CYC]
-         sampled profile of the clone's (or original's) execution, written
-         as a collapsed-stack file for flamegraph.pl / inferno
+     ditto-cli profile <app> [--qps N] [--original] [--out FILE] [--top N]
+         where the clone's (or original's) simulated CPU time went, per
+         tier, written as a collapsed-stack file for flamegraph.pl / inferno
      ditto-cli list
          list available model applications
 
@@ -484,14 +484,13 @@ let inspect_trace path =
     Printf.eprintf "inspect-trace: %s: malformed trace: %s\n" path msg;
     exit 1
 
-(* Sampled profiler (fidelity observatory): clone an app, run the clone (or
-   the original with --original) with Ditto_obs.Profiler enabled, and write
-   the on-CPU profile as a collapsed-stack file for flamegraph.pl/inferno,
-   plus a top-N table. The sampler is quantized, so the file's weights must
-   reconcile with the measured on-CPU time — a >1% gap is a bug and exits
-   non-zero. *)
-let profile_app name qps original out top period =
-  let module Profiler = Ditto_obs.Profiler in
+(* Stack profile (fidelity observatory): clone an app, run the clone (or
+   the original with --original) with the runner's [stacks] switch on, and
+   write the tiers' stack tables as one collapsed-stack file for
+   flamegraph.pl/inferno, plus a top-N table. The weights are the measured
+   cycle deltas, so they must reconcile with the measured on-CPU time — a
+   >1% gap is a bug and exits non-zero. *)
+let profile_app name qps original out top =
   let module Flame = Ditto_report.Flame in
   let entry, load = load_for name qps 0.8 in
   let spec =
@@ -505,36 +504,30 @@ let profile_app name qps original out top period =
       result.Pipeline.synthetic
     end
   in
-  Profiler.reset ();
-  (match period with Some p -> Profiler.set_cpu_period p | None -> ());
-  Profiler.enable ();
-  let out_run = Runner.run (Runner.config Platform.a) ~load spec in
-  Profiler.disable ();
-  (* Ground truth: the sampler covers exactly the measurement-phase requests
+  let out_run = Runner.run (Runner.config ~stacks:true Platform.a) ~load spec in
+  (* Ground truth: the stacks cover exactly the measurement-phase requests
      plus the background threads, whose on-CPU time the traces record. *)
+  let tiers = List.map snd out_run.Runner.measured in
   let measured =
     List.fold_left
-      (fun acc (_, (r : Measure.tier_result)) ->
+      (fun acc (r : Measure.tier_result) ->
         Array.fold_left (fun a tr -> a +. Measure.trace_cpu_seconds tr) acc r.Measure.traces
         +. Option.fold ~none:0.0 ~some:Measure.trace_cpu_seconds r.Measure.background_trace)
-      0.0 out_run.Runner.measured
+      0.0 tiers
   in
-  let cpu = Profiler.samples Profiler.Cpu in
-  let sampled = Profiler.total_seconds Profiler.Cpu in
+  let stacks = List.concat_map (fun (r : Measure.tier_result) -> r.Measure.stacks) tiers in
+  let attributed = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 stacks in
   let path = Option.value ~default:(name ^ ".folded") out in
-  let lines = Flame.write_collapsed ~path cpu in
+  let lines = Flame.write_collapsed ~path stacks in
   Printf.printf "%s: wrote %s (%d stack(s); flamegraph.pl %s > %s.svg)\n"
     (if original then name else name ^ " (clone)")
     path lines path name;
-  Flame.print_top ~n:top cpu;
-  let sim = Profiler.total_seconds Profiler.Sim in
-  if sim > 0.0 then
-    Printf.printf "DES track: %.1f ms of virtual time sampled (not in %s)\n" (1e3 *. sim) path;
-  let err = if measured > 0.0 then Float.abs (sampled -. measured) /. measured else 1.0 in
-  Printf.printf "on-CPU: measured %.3f ms, sampled %.3f ms (err %.3f%%)\n" (1e3 *. measured)
-    (1e3 *. sampled) (100.0 *. err);
+  Flame.print_top ~n:top stacks;
+  let err = if measured > 0.0 then Float.abs (attributed -. measured) /. measured else 1.0 in
+  Printf.printf "on-CPU: measured %.3f ms, attributed %.3f ms (err %.3f%%)\n" (1e3 *. measured)
+    (1e3 *. attributed) (100.0 *. err);
   if err > 0.01 then begin
-    Printf.eprintf "profile: sampled time diverges from measured on-CPU time by >1%%\n";
+    Printf.eprintf "profile: attributed time diverges from measured on-CPU time by >1%%\n";
     exit 1
   end
 
@@ -729,18 +722,11 @@ let prof_out_arg =
 let top_arg =
   Arg.(value & opt int 10 & info [ "top" ] ~doc:"Rows in the top-stacks table")
 
-let period_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "period" ] ~docv:"CYCLES" ~doc:"CPU sampling period in cycles (default 20000)")
-
 let profile_cmd =
   Cmd.v
     (Cmd.info "profile"
-       ~doc:"Sampled profile of a clone's execution, as a collapsed-stack flamegraph file")
-    Term.(
-      const profile_app $ app_arg $ qps_arg $ original_arg $ prof_out_arg $ top_arg $ period_arg)
+       ~doc:"Per-tier CPU stacks of a clone's execution, as a collapsed-stack flamegraph file")
+    Term.(const profile_app $ app_arg $ qps_arg $ original_arg $ prof_out_arg $ top_arg)
 
 let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List model applications") Term.(const list_apps $ const ())

@@ -18,6 +18,7 @@ type tier_result = {
   counters : Counters.t;
   requests_measured : int;
   cpu_mean : float;
+  stacks : (string list * float) list;
 }
 
 let trace_cpu_seconds trace =
@@ -28,10 +29,17 @@ type config = {
   stressor : (Ditto_util.Rng.t -> int -> Spec.op list) option;
   stressor_placement : [ `Same_core | `Other_core ];
   smt_pressure : float;
+  stacks : bool;
 }
 
 let default_config =
-  { idle_per_request = 0.0; stressor = None; stressor_placement = `Same_core; smt_pressure = 1.0 }
+  {
+    idle_per_request = 0.0;
+    stressor = None;
+    stressor_placement = `Same_core;
+    smt_pressure = 1.0;
+    stacks = false;
+  }
 
 (* Unrecorded requests per tier before measurement: fill caches, predictor
    and page cache. *)
@@ -50,6 +58,7 @@ type stream = {
   mutable s_remaining : int;
   mutable s_req_id : int;
   mutable s_traces : trace list;
+  s_stacks : (string list, float ref) Hashtbl.t;  (* on-CPU seconds per stack *)
 }
 
 (* Kernel housekeeping fires ~2000 times per idle second (timer ticks, RCU,
@@ -114,12 +123,21 @@ let run_housekeeping cfg (machine : Machine.t) core_id rng scratch =
     done
   end
 
+(* Charge [cycles] of the stream's on-CPU work to [stack], in seconds. *)
+let attribute (machine : Machine.t) stream stack cycles =
+  if cycles > 0.0 then begin
+    let seconds = cycles *. Machine.cycles_to_seconds machine 1.0 in
+    match Hashtbl.find_opt stream.s_stacks stack with
+    | Some w -> w := !w +. seconds
+    | None -> Hashtbl.add stream.s_stacks stack (ref seconds)
+  end
+
 (* Execute one request of [stream] on its next core, attributing counters to
    [ctr], and return the request's segment trace.
 
-   [profile] additionally samples the executing (tier -> handler phase ->
-   block/syscall) stack into Ditto_obs.Profiler: every unit of work is
-   followed by an attribution of the counter's cycle delta, so sampled
+   [profile] additionally charges the executing (tier -> handler phase ->
+   block/syscall) stack in the stream's table: every unit of work is
+   followed by an attribution of the counter's cycle delta, so the table's
    weights cover exactly the cycles that [flush_cpu] turns into Cpu
    segments. Warmup requests pass [profile:false]. *)
 let run_request ?(profile = false) (machine : Machine.t) stream ctr =
@@ -142,7 +160,7 @@ let run_request ?(profile = false) (machine : Machine.t) stream ctr =
   let prof frame =
     if profile then begin
       let c = Counters.cycles ctr in
-      Ditto_obs.Profiler.record ~stack:[ tier_name; !phase; frame ] ~cycles:(c -. !last_prof);
+      attribute machine stream [ tier_name; !phase; frame ] (c -. !last_prof);
       last_prof := c
     end
   in
@@ -233,7 +251,7 @@ let assign_cores ~ncores ~ntiers ~workers idx =
   end
   else [| idx mod ncores |]
 
-let measure_background machine stream =
+let measure_background ~profile machine stream =
   match stream.s_tier.Spec.background_handler with
   | None -> None
   | Some bg ->
@@ -250,15 +268,12 @@ let measure_background machine stream =
           segs := Cpu (Machine.cycles_to_seconds machine (c -. !last_flush)) :: !segs;
         last_flush := c
       in
-      let profile = Ditto_obs.Profiler.enabled () in
       let tier_name = stream.s_tier.Spec.tier_name in
       let last_prof = ref (Counters.cycles ctr) in
       let prof frame =
         if profile then begin
           let c = Counters.cycles ctr in
-          Ditto_obs.Profiler.record
-            ~stack:[ tier_name; "background"; frame ]
-            ~cycles:(c -. !last_prof);
+          attribute machine stream [ tier_name; "background"; frame ] (c -. !last_prof);
           last_prof := c
         end
       in
@@ -299,9 +314,8 @@ let measure_background machine stream =
 let run ?(config = default_config) ~(machine : Machine.t) ~seed ~requests tiers =
   (let t = Domain.DLS.get touched_key in
    Bytes.fill !t 0 (Bytes.length !t) '\000');
-  let profile = Ditto_obs.Profiler.enabled () in
-  if profile then Ditto_obs.Profiler.set_scale (Machine.cycles_to_seconds machine 1.0);
   let cfg = config in
+  let profile = cfg.stacks in
   let ncores = Machine.ncores machine in
   let ntiers = List.length tiers in
   if ntiers = 0 then invalid_arg "Measure.run: no tiers";
@@ -325,6 +339,7 @@ let run ?(config = default_config) ~(machine : Machine.t) ~seed ~requests tiers 
           s_remaining = requests;
           s_req_id = 0;
           s_traces = [];
+          s_stacks = Hashtbl.create 16;
         })
       tiers
   in
@@ -373,7 +388,7 @@ let run ?(config = default_config) ~(machine : Machine.t) ~seed ~requests tiers 
   List.map
     (fun stream ->
       let traces = Array.of_list (List.rev stream.s_traces) in
-      let background_trace = measure_background machine stream in
+      let background_trace = measure_background ~profile machine stream in
       let cpu_mean =
         if Array.length traces = 0 then 0.0
         else
@@ -388,5 +403,8 @@ let run ?(config = default_config) ~(machine : Machine.t) ~seed ~requests tiers 
         counters = stream.s_ctr;
         requests_measured = Array.length traces;
         cpu_mean;
+        stacks =
+          Hashtbl.fold (fun stack w acc -> (stack, !w) :: acc) stream.s_stacks []
+          |> List.sort (fun (a, _) (b, _) -> compare a b);
       })
     streams

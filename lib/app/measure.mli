@@ -30,6 +30,13 @@ type tier_result = {
   counters : Ditto_uarch.Counters.t;
   requests_measured : int;
   cpu_mean : float;  (** mean on-CPU seconds per request *)
+  stacks : (string list * float) list;
+      (** with {!config.stacks}: on-CPU seconds per [[tier; phase; frame]]
+          stack, sorted by stack, where the phase is [recv], [handler],
+          [send] or [background] and the frame a block label, a
+          [syscall:<name>] or [drain]. The weights are the cycle deltas
+          between units of work, so they sum to this tier's [Cpu] seconds
+          over [traces] and [background_trace]. [[]] without the switch. *)
 }
 
 val trace_cpu_seconds : trace -> float
@@ -47,6 +54,9 @@ type config = {
           [`Other_core] shares only the LLC and memory bandwidth *)
   smt_pressure : float;
       (** issue-width factor under SMT interference (1.0 = none) *)
+  stacks : bool;
+      (** keep each tier's stack table ({!tier_result.stacks}); off, the
+          per-block check is one test that allocates nothing *)
 }
 
 val default_config : config

@@ -12,11 +12,12 @@ type config = {
   fault_plan : Ditto_fault.Plan.t option;
   timeline : bool;
   reqtrace : bool;
+  stacks : bool;
 }
 
 let config ?(requests = 220) ?(seed = 42) ?stressor ?(stressor_placement = `Same_core)
     ?(smt_pressure = 1.0) ?(net_interference_gbps = 0.0) ?cores ?fault_plan ?(timeline = false)
-    ?(reqtrace = false) platform =
+    ?(reqtrace = false) ?(stacks = false) platform =
   {
     platform;
     requests;
@@ -29,6 +30,7 @@ let config ?(requests = 220) ?(seed = 42) ?stressor ?(stressor_placement = `Same
     fault_plan;
     timeline;
     reqtrace;
+    stacks;
   }
 
 let fault_timeouts_c = Ditto_obs.Obs.Metrics.counter "fault.timeouts"
@@ -57,6 +59,7 @@ let measure_config cfg ~qps ~avg_workers =
     stressor = cfg.stressor;
     stressor_placement = cfg.stressor_placement;
     smt_pressure = cfg.smt_pressure;
+    stacks = cfg.stacks;
   }
 
 let make_machine cfg engine ~page_cache_hint =
@@ -81,7 +84,6 @@ let run_inner cfg ~load (app : Spec.t) =
   let tiers = app.Spec.tiers in
   let ntiers = List.length tiers in
   let engine = Ditto_sim.Engine.create () in
-  Ditto_sim.Engine.set_profile_label engine app.Spec.app_name;
   let page_cache_hint = app.Spec.page_cache_hint in
   let machine = make_machine cfg engine ~page_cache_hint in
   let hosted =
@@ -141,38 +143,15 @@ let run_inner cfg ~load (app : Spec.t) =
             ~net_interference_gbps:cfg.net_interference_gbps ?fault_plan:cfg.fault_plan
             ~timeline:cfg.timeline ~reqtrace:cfg.reqtrace load
         in
-        (match cfg.fault_plan with
-        | None -> ()
-        | Some plan ->
-            let sum f = List.fold_left (fun a o -> a + f o) 0 r.Service.tiers in
-            Ditto_obs.Obs.Span.add_attr "chaos_plan" (Str plan.Ditto_fault.Plan.plan_name);
-            Ditto_obs.Obs.Span.add_attr "chaos_errors" (Int r.Service.errors);
-            Ditto_obs.Obs.Span.add_attr "chaos_shed" (Int (sum (fun o -> o.Service.obs_shed)));
-            Ditto_obs.Obs.Span.add_attr "chaos_retries"
-              (Int (r.Service.client_retries + sum (fun o -> o.Service.obs_retries)));
-            Ditto_obs.Obs.Span.add_attr "chaos_timeouts"
-              (Int (r.Service.client_timeouts + sum (fun o -> o.Service.obs_timeouts)));
-            Ditto_obs.Obs.Metrics.add fault_timeouts_c
-              (r.Service.client_timeouts + sum (fun o -> o.Service.obs_timeouts));
-            Ditto_obs.Obs.Metrics.add fault_retries_c
-              (r.Service.client_retries + sum (fun o -> o.Service.obs_retries));
-            Ditto_obs.Obs.Metrics.add fault_shed_c (sum (fun o -> o.Service.obs_shed));
-            Ditto_obs.Obs.Metrics.add fault_drops_c (sum (fun o -> o.Service.obs_link_drops)));
-        (if Spec.has_autoscale app then begin
-           let sum f = List.fold_left (fun a o -> a + f o) 0 r.Service.tiers in
-           Ditto_obs.Obs.Span.add_attr "scale_events"
-             (Int (List.length r.Service.scale_events));
-           Ditto_obs.Obs.Span.add_attr "degraded"
-             (Int (sum (fun o -> o.Service.obs_degraded)));
-           Ditto_obs.Obs.Span.add_attr "replicas_final"
-             (Int (sum (fun o -> o.Service.obs_replicas)))
-         end);
-        (match r.Service.reqtrace with
-        | None -> ()
-        | Some c ->
-            Ditto_obs.Obs.Span.add_attr "reqtrace_sampled" (Int (Ditto_obs.Reqtrace.sampled c));
-            Ditto_obs.Obs.Span.add_attr "reqtrace_requests"
-              (Int (Ditto_obs.Reqtrace.requests_seen c)));
+        if Option.is_some cfg.fault_plan then begin
+          let sum f = List.fold_left (fun a o -> a + f o) 0 r.Service.tiers in
+          Ditto_obs.Obs.Metrics.add fault_timeouts_c
+            (r.Service.client_timeouts + sum (fun o -> o.Service.obs_timeouts));
+          Ditto_obs.Obs.Metrics.add fault_retries_c
+            (r.Service.client_retries + sum (fun o -> o.Service.obs_retries));
+          Ditto_obs.Obs.Metrics.add fault_shed_c (sum (fun o -> o.Service.obs_shed));
+          Ditto_obs.Obs.Metrics.add fault_drops_c (sum (fun o -> o.Service.obs_link_drops))
+        end;
         r)
   in
   (* The windowed timeline carries request counts; the measured

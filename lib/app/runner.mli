@@ -24,6 +24,10 @@ type config = {
       (** record windowed telemetry ({!Service.result.timeline}) *)
   reqtrace : bool;
       (** sample request span trees ({!Service.result.reqtrace}) *)
+  stacks : bool;
+      (** attribute each tier's on-CPU time to its stacks
+          ({!Measure.tier_result.stacks}); forwarded to {!Measure} by
+          {!measure_config}, so wide-graph shards keep their own tables *)
 }
 
 val config :
@@ -37,6 +41,7 @@ val config :
   ?fault_plan:Ditto_fault.Plan.t ->
   ?timeline:bool ->
   ?reqtrace:bool ->
+  ?stacks:bool ->
   Ditto_uarch.Platform.t ->
   config
 
@@ -61,9 +66,9 @@ val estimate_idle_per_request : qps:float -> workers:int -> float
 val measure_config : config -> qps:float -> avg_workers:int -> Measure.config
 (** The measurement-phase config a run at [qps] uses, for tiers averaging
     [avg_workers] workers: the housekeeping idle gap at that load plus the
-    config's stressor settings. {!run} builds its measurement from this,
-    and so does the tuner's single-tier calibration path, which measures
-    through {!measure_alone}. *)
+    config's stressor settings and [stacks] switch. {!run} builds its
+    measurement from this, and so does the tuner's single-tier calibration
+    path, which measures through {!measure_alone}. *)
 
 val measure_alone :
   config ->

@@ -878,67 +878,56 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
     | _ -> ()
   in
   let client_start t0 = match rq with Some c -> Rq.client_start c ~at:t0 | None -> 0 in
-  (* One request on connection [c], timed from its submission at [t0]. *)
-  let exchange c ~t0 ~root =
-    match l.client_timeout with
-    | None ->
-        let rpc = rq_client_rpc root in
-        if rpc = 0 then Socket.send c.ep ~bytes:entry.spec.Spec.request_bytes
-        else Socket.send c.ep ~meta:rpc ~bytes:entry.spec.Spec.request_bytes;
-        let m = Socket.recv_msg c.ep in
-        rq_rpc_end sys rpc ~bytes:m.Socket.bytes (if m.Socket.err then Rq.Err else Rq.Ok);
+  (* Attempt [n] of one request on connection [c], timed from its
+     submission at [t0]. With no client deadline every reply completes the
+     request, an error reply too; with one, an error reply or a timeout is
+     retried while the budget lasts and then counts as an error. *)
+  let rec exchange c ~t0 ~root n =
+    let rpc = rq_client_rpc root in
+    if rpc = 0 then Socket.send c.ep ~bytes:entry.spec.Spec.request_bytes
+    else Socket.send c.ep ~meta:rpc ~bytes:entry.spec.Spec.request_bytes;
+    let reply =
+      match l.client_timeout with
+      | None -> Some (Socket.recv_msg c.ep)
+      | Some timeout -> Socket.recv_msg_timeout c.ep ~timeout
+    in
+    match (reply, l.client_timeout) with
+    | Some m, None | Some ({ Socket.err = false; _ } as m), Some _ ->
+        let outcome = if m.Socket.err then Rq.Err else Rq.Ok in
+        rq_rpc_end sys rpc ~bytes:m.Socket.bytes outcome;
         let now = Engine.now engine in
         Stats.add lat (now -. t0);
         incr completed;
-        rq_client_finish root (if m.Socket.err then Rq.Err else Rq.Ok);
+        rq_client_finish root outcome;
         (match tl with
         | None -> ()
         | Some ts ->
             Ditto_obs.Timeseries.record_latency ts ~tier:Ditto_obs.Timeseries.client_tier ~at:now
               ~seconds:(now -. t0))
-    | Some timeout ->
-        let rec go n =
-          let rpc = rq_client_rpc root in
-          if rpc = 0 then Socket.send c.ep ~bytes:entry.spec.Spec.request_bytes
-          else Socket.send c.ep ~meta:rpc ~bytes:entry.spec.Spec.request_bytes;
-          match Socket.recv_msg_timeout c.ep ~timeout with
-          | Some m when not m.Socket.err ->
-              rq_rpc_end sys rpc ~bytes:m.Socket.bytes Rq.Ok;
-              let now = Engine.now engine in
-              Stats.add lat (now -. t0);
-              incr completed;
-              rq_client_finish root Rq.Ok;
-              (match tl with
-              | None -> ()
-              | Some ts ->
-                  Ditto_obs.Timeseries.record_latency ts ~tier:Ditto_obs.Timeseries.client_tier
-                    ~at:now ~seconds:(now -. t0))
-          | outcome ->
-              (match outcome with
-              | None ->
-                  (* Poison the timed-out connection: a late reply must
-                     not answer the next request. *)
-                  rq_rpc_end sys rpc Rq.Timeout;
-                  incr client_timeouts;
-                  ts_client Ditto_obs.Timeseries.Timeouts;
-                  let a, b, srv = client_pair () in
-                  attach sys entry srv b;
-                  c.ep <- a
-              | Some m ->
-                  (* error response; the conn stays paired *)
-                  rq_rpc_end sys rpc ~bytes:m.Socket.bytes Rq.Err);
-              if n < l.client_retries then begin
-                incr client_retries_used;
-                ts_client Ditto_obs.Timeseries.Retries;
-                go (n + 1)
-              end
-              else begin
-                incr client_errors;
-                ts_client Ditto_obs.Timeseries.Failures;
-                rq_client_finish root (match outcome with None -> Rq.Timeout | Some _ -> Rq.Err)
-              end
-        in
-        go 0
+    | outcome, _ ->
+        (match outcome with
+        | None ->
+            (* Poison the timed-out connection: a late reply must not
+               answer the next request. *)
+            rq_rpc_end sys rpc Rq.Timeout;
+            incr client_timeouts;
+            ts_client Ditto_obs.Timeseries.Timeouts;
+            let a, b, srv = client_pair () in
+            attach sys entry srv b;
+            c.ep <- a
+        | Some m ->
+            (* error response; the conn stays paired *)
+            rq_rpc_end sys rpc ~bytes:m.Socket.bytes Rq.Err);
+        if n < l.client_retries then begin
+          incr client_retries_used;
+          ts_client Ditto_obs.Timeseries.Retries;
+          exchange c ~t0 ~root (n + 1)
+        end
+        else begin
+          incr client_errors;
+          ts_client Ditto_obs.Timeseries.Failures;
+          rq_client_finish root (match outcome with None -> Rq.Timeout | Some _ -> Rq.Err)
+        end
   in
   (* The connection's process: serve the waiting requests in submission
      order, handing itself the next one through one event at the current
@@ -947,7 +936,7 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
     let park w = c.parked <- Some w in
     let rec loop () =
       let t0, root = Queue.peek c.waiting in
-      exchange c ~t0 ~root;
+      exchange c ~t0 ~root 0;
       ignore (Queue.take c.waiting);
       if Queue.is_empty c.waiting then Engine.suspend park else Engine.wait 0.0;
       loop ()
@@ -974,7 +963,7 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
      request never finds its connection busy. *)
   let request c =
     let t0 = Engine.now engine in
-    exchange c ~t0 ~root:(client_start t0)
+    exchange c ~t0 ~root:(client_start t0) 0
   in
   (* A non-constant profile samples arrivals from its own stream at a fixed
      seed offset; the constant/absent branches below are the pre-profile

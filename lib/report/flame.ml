@@ -1,19 +1,12 @@
-module Profiler = Ditto_obs.Profiler
 module Table = Ditto_util.Table
 
-let fold samples =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (s : Profiler.sample) ->
-      let key = String.concat ";" s.Profiler.stack in
-      let cur = Option.value ~default:0.0 (Hashtbl.find_opt tbl key) in
-      Hashtbl.replace tbl key (cur +. s.Profiler.seconds))
-    samples;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (ka, a) (kb, b) ->
-         match compare b a with 0 -> compare ka kb | c -> c)
+(* Stacks are distinct across tiers (the tier is the first frame) and
+   within one tier's table, so joining frames needs no merge. *)
+let fold stacks =
+  List.map (fun (stack, seconds) -> (String.concat ";" stack, seconds)) stacks
+  |> List.sort (fun (ka, a) (kb, b) -> match compare b a with 0 -> compare ka kb | c -> c)
 
-let write_collapsed ~path samples =
+let write_collapsed ~path stacks =
   let oc = open_out path in
   let written =
     List.fold_left
@@ -24,31 +17,20 @@ let write_collapsed ~path samples =
           n + 1
         end
         else n)
-      0 (fold samples)
+      0 (fold stacks)
   in
   close_out oc;
   written
 
-let top_rows ~n samples =
-  let folded = fold samples in
+let print_top ~n stacks =
+  let folded = fold stacks in
   let total = List.fold_left (fun a (_, s) -> a +. s) 0.0 folded in
-  let counts = Hashtbl.create 64 in
-  List.iter
-    (fun (s : Profiler.sample) ->
-      let key = String.concat ";" s.Profiler.stack in
-      let cur = Option.value ~default:0 (Hashtbl.find_opt counts key) in
-      Hashtbl.replace counts key (cur + s.Profiler.samples))
-    samples;
-  List.filteri (fun i _ -> i < n) folded
-  |> List.map (fun (stack, seconds) ->
-         [
-           stack;
-           string_of_int (Option.value ~default:0 (Hashtbl.find_opt counts stack));
-           Printf.sprintf "%.3f" (1e3 *. seconds);
-           (if total > 0.0 then Table.fmt_pct (100.0 *. seconds /. total) else "-");
-         ])
-
-let print_top ~n samples =
   Table.print ~title:(Printf.sprintf "Top %d stacks by attributed time" n)
-    ~header:[ "stack"; "samples"; "ms"; "share" ]
-    (top_rows ~n samples)
+    ~header:[ "stack"; "ms"; "share" ]
+    (List.filteri (fun i _ -> i < n) folded
+    |> List.map (fun (stack, seconds) ->
+           [
+             stack;
+             Printf.sprintf "%.3f" (1e3 *. seconds);
+             (if total > 0.0 then Table.fmt_pct (100.0 *. seconds /. total) else "-");
+           ]))

@@ -1,21 +1,17 @@
-(** Collapsed-stack rendering of {!Ditto_obs.Profiler} samples.
+(** Collapsed-stack rendering of the measurement phase's per-tier stack
+    tables ({!Ditto_app.Measure.tier_result.stacks}, concatenated over the
+    tiers of a run).
 
     The on-disk format is one line per distinct stack,
     ["frame;frame;frame <count>"], with integer counts in microseconds of
     attributed time — directly consumable by Brendan Gregg's flamegraph.pl
     or inferno ([flamegraph.pl profile.folded > profile.svg]). *)
 
-val fold : Ditto_obs.Profiler.sample list -> (string * float) list
-(** Merge samples into [("a;b;c", seconds)] pairs, one per distinct stack,
-    sorted by descending weight. *)
+val write_collapsed : path:string -> (string list * float) list -> int
+(** Write the collapsed-stack file, heaviest stack first; returns the
+    number of lines written (stacks whose weight rounds to zero
+    microseconds are dropped). *)
 
-val write_collapsed : path:string -> Ditto_obs.Profiler.sample list -> int
-(** Write the collapsed-stack file; returns the number of lines written
-    (stacks whose weight rounds to zero microseconds are dropped). *)
-
-val top_rows : n:int -> Ditto_obs.Profiler.sample list -> string list list
-(** The [n] heaviest stacks as table cells: stack, samples, ms, share of
-    total profile time. *)
-
-val print_top : n:int -> Ditto_obs.Profiler.sample list -> unit
-(** [top_rows] rendered through {!Ditto_util.Table}. *)
+val print_top : n:int -> (string list * float) list -> unit
+(** The [n] heaviest stacks as a {!Ditto_util.Table}: stack, ms and share
+    of the total attributed time. *)

@@ -51,7 +51,6 @@ type t = {
   mutable processed : int;
   mutable started : int;
   mutable peak_live : int;
-  mutable profile_label : string;
 }
 
 let no_fn : Obj.t -> unit = ignore
@@ -107,7 +106,6 @@ let create () =
       processed = 0;
       started = 0;
       peak_live = 0;
-      profile_label = "run";
     }
   in
   create_storage t initial_slots;
@@ -120,8 +118,6 @@ let reset t =
   create_storage t 16;
   t.clock.now <- 0.0;
   t.clock.cancelled <- neg_infinity
-
-let set_profile_label t label = t.profile_label <- label
 
 let now t = t.clock.now
 let events_processed t = t.processed
@@ -384,43 +380,7 @@ let run_loop ~until t =
     end
   done
 
-(* Profiled variant: attribute every event's virtual-time advance to the
-   engine's (des -> label -> event) stack on the profiler's Sim track, and
-   the final [settle] step with it. Kept separate from [run_loop] so the
-   unprofiled path stays branch-free. *)
-let run_loop_profiled ~until t =
-  let c = t.clock in
-  let stack = [ "des"; t.profile_label; "event" ] in
-  let running = ref true in
-  while !running do
-    let s = pop t in
-    if s < 0 then begin
-      let before = c.now in
-      settle t until;
-      if c.now > before then
-        Ditto_obs.Profiler.record_sim ~stack ~seconds:(c.now -. before);
-      running := false
-    end
-    else if c.popped > until then begin
-      release t s;
-      c.now <- until;
-      running := false
-    end
-    else begin
-      let before = c.now in
-      c.now <- c.popped;
-      t.processed <- t.processed + 1;
-      Ditto_obs.Profiler.record_sim ~stack ~seconds:(c.now -. before);
-      let fn = t.fns.(s) and arg = t.args.(s) in
-      release t s;
-      fn arg
-    end
-  done
-
 let run ?(until = infinity) t =
-  let run_loop ~until t =
-    if Ditto_obs.Profiler.enabled () then run_loop_profiled ~until t else run_loop ~until t
-  in
   let finish_peak () = fold_global_peak t.peak_live in
   if not (Ditto_obs.Obs.enabled ()) then (
     run_loop ~until t;

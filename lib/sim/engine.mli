@@ -81,12 +81,6 @@ val global_peak_heap_events : unit -> int
     (folded in when [run] returns or [reset] is called); exported by
     [bench --json] as [engine.peak_heap_events]. *)
 
-val set_profile_label : t -> string -> unit
-(** Label under which this engine's event processing is sampled when
-    {!Ditto_obs.Profiler} is enabled (stack [des;label;event] on the [Sim]
-    track, weighted by virtual-time advance). Default ["run"];
-    {!Ditto_app.Runner} sets it to the application name. *)
-
 (** {1 Operations available inside processes} *)
 
 val wait : float -> unit

@@ -274,6 +274,7 @@ let test_service_overload_queues_at_connection () =
       counters = Ditto_uarch.Counters.create ();
       requests_measured = 1;
       cpu_mean = service_time;
+      stacks = [];
     }
   in
   let engine = Ditto_sim.Engine.create () in

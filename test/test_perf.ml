@@ -642,6 +642,61 @@ let beaten_timeouts e n =
         Option.iter (fun w -> Engine.wake w ()) !parked
       done)
 
+(* {2 Per-tier CPU stacks}
+
+   Runs with the stacks switch on, written through [Flame.write_collapsed]:
+   the digest of the file pins every stack's frames and its microsecond
+   weight, so a change to what the measurement loop charges, or to how the
+   tier tables are joined and ordered, shows here. test_report's redis run
+   has one tier; hotel_reservation has eleven, whose handlers call
+   downstream tiers. *)
+let stacks_of (o : Runner.output) =
+  List.concat_map (fun (_, (r : Measure.tier_result)) -> r.Measure.stacks) o.Runner.measured
+
+let test_golden_folded () =
+  let hotel_spec, hotel_load = des_medium "hotel_reservation" ~duration:0.15 in
+  List.iter
+    (fun (what, expected, cfg, load, spec) ->
+      let path = Filename.temp_file "ditto_golden" ".folded" in
+      ignore (Ditto_report.Flame.write_collapsed ~path (stacks_of (Runner.run cfg ~load spec)));
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      Sys.remove path;
+      Alcotest.(check string) (what ^ " folded digest") expected
+        (Digest.to_hex (Digest.string text)))
+    [
+      ( "redis",
+        "65704fd5ffae0fe5b59fc052715d87b8",
+        Runner.config ~requests:80 ~seed:5 ~stacks:true Platform.a,
+        Service.load ~qps:20_000.0 ~duration:0.3 (),
+        Ditto_apps.Redis.spec () );
+      ( "hotel_reservation",
+        "755682860f73805861b82c88afb9bf36",
+        Runner.config ~requests:40 ~seed:42 ~stacks:true Platform.a,
+        hotel_load,
+        hotel_spec );
+    ]
+
+(* The stacks only read the cycle counters and draw no random number, so a
+   run with them is the run without them: every tier's counters and every
+   field the [service results] digests cover. *)
+let test_stacks_invariance () =
+  List.iter
+    (fun name ->
+      let spec, load = des_medium name ~duration:0.15 in
+      let run stacks =
+        let o = Runner.run (Runner.config ~requests:40 ~seed:42 ~stacks Platform.a) ~load spec in
+        ( List.map (fun (tier, m) -> tier ^ " " ^ counters_fingerprint m.Metrics.counters)
+            o.Runner.per_tier,
+          service_parts o.Runner.service,
+          List.length (stacks_of o) )
+      in
+      let on_counters, on_service, on_stacks = run true in
+      let off_counters, off_service, off_stacks = run false in
+      Alcotest.(check bool) (name ^ " recorded stacks") true (on_stacks > 0 && off_stacks = 0);
+      Alcotest.(check (list string)) (name ^ " per-tier counters") off_counters on_counters;
+      Alcotest.(check (list string)) (name ^ " service result") off_service on_service)
+    [ "redis"; "hotel_reservation" ]
+
 let test_engine_event_words () =
   Alcotest.(check (float 0.0)) "immediate static callback" 2.0
     (words_per_iteration immediate_callbacks);
@@ -672,7 +727,10 @@ let () =
           Alcotest.test_case "service results" `Slow test_golden_service;
           Alcotest.test_case "registry profiles" `Slow test_golden_profiles;
           Alcotest.test_case "generated blocks" `Slow test_golden_generation;
+          Alcotest.test_case "folded stacks" `Slow test_golden_folded;
         ] );
+      ( "stacks",
+        [ Alcotest.test_case "stacks leave the run unchanged" `Slow test_stacks_invariance ] );
       ( "engine",
         [
           Alcotest.test_case "zero-delay FIFO order" `Quick test_engine_zero_delay_fifo;
