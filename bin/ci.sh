@@ -2,7 +2,9 @@
 # Tier-1 gate: a warning-free build of lib/, bench/, bin/, test/ and
 # examples/ (perfbench/ is not gated), the 23 test suites, test_perf's
 # golden group alone (a digest that passes only after earlier tests of
-# the suite warmed the domain-local kernel-path memo fails here), a
+# the suite warmed the domain-local kernel-path memo fails here), its
+# alloc group alone (a zero-word or word-budget pin that passes only
+# because an earlier test warmed a buffer fails here), a
 # benchmark smoke run, a self-tracing smoke test (Chrome + Jaeger exports
 # re-parsed via Jsonx), two CPU-stack profile smokes (a redis clone, and
 # the original social_network, whose stacks must name all 22 of its tiers),
@@ -53,6 +55,9 @@ dune runtest
 
 echo "== golden digests alone (test_perf golden group) =="
 dune exec test/test_perf.exe -- test golden
+
+echo "== allocation pins alone (test_perf alloc group) =="
+dune exec test/test_perf.exe -- test alloc
 
 echo "== bench smoke (micro kernels) =="
 dune exec bench/main.exe -- micro

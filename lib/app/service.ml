@@ -80,6 +80,7 @@ type tier_rt = {
   spec : Spec.tier;
   mres : Measure.tier_result;
   rng : Rng.t;
+  fault : Injector.tier option;  (* the tier's fault state, when a plan is armed *)
   mutable servers : server list;  (* creation order, the primary first *)
   mutable rr : int;  (* round-robin cursor over the active servers *)
   pools : (string, Socket.endpoint Queue.t) Hashtbl.t;
@@ -126,10 +127,7 @@ let down_poll = 1e-3
    full response payload. *)
 let err_bytes = 64
 
-let tier_down sys rt =
-  match sys.inj with
-  | None -> false
-  | Some inj -> not (Injector.tier_up inj rt.spec.Spec.tier_name)
+let tier_down rt = match rt.fault with None -> false | Some f -> not (Injector.up f)
 
 let ts_counter sys rt c =
   match sys.tl with
@@ -158,11 +156,7 @@ let rq_server_end sys span ?bytes outcome =
 (* [mach] is the machine of the server handling the current request: the
    run's machine for a primary, a replica's own otherwise. *)
 let run_cpu sys rt ~tid ~mach s =
-  let s =
-    match sys.inj with
-    | None -> s
-    | Some inj -> s *. Injector.slow_factor inj rt.spec.Spec.tier_name
-  in
+  let s = match rt.fault with None -> s | Some f -> s *. Injector.slow f in
   (match sys.tl with
   | None -> ()
   | Some ts ->
@@ -208,7 +202,7 @@ let pick rt =
    shed it when the resilience knobs say the tier is overloaded, or serve
    it degraded when utilization crossed the degradation threshold. *)
 let rec handle sys rt ~tid ~mach ep ~arrived ~meta ~bytes =
-  if tier_down sys rt then (* the process died with the request in hand *) ()
+  if tier_down rt then (* the process died with the request in hand *) ()
   else
     (* [meta] is the sender's RPC span id when this request is sampled;
        the server span's queue segment is [arrived, now). *)
@@ -447,7 +441,7 @@ and attach sys rt srv ep =
 
 and blocking_loop sys rt ~tid ~mach ep =
   if not rt.stopped then
-    if tier_down sys rt then begin
+    if tier_down rt then begin
       Engine.wait down_poll;
       blocking_loop sys rt ~tid ~mach ep
     end
@@ -463,7 +457,7 @@ and blocking_loop sys rt ~tid ~mach ep =
 let epoll_worker sys rt ~tid ~mach epoll =
   let rec loop () =
     if not rt.stopped then
-      if tier_down sys rt then begin
+      if tier_down rt then begin
         Engine.wait down_poll;
         loop ()
       end
@@ -476,7 +470,7 @@ let epoll_worker sys rt ~tid ~mach epoll =
                 let rec drain () =
                   (* Stop draining the instant the tier crashes: queued
                      requests must survive to be the restart's backlog. *)
-                  if not (tier_down sys rt) then
+                  if not (tier_down rt) then
                     match Socket.try_recv_msg ep with
                     | Some m ->
                         handle sys rt ~tid ~mach ep ~arrived:m.Socket.arrived
@@ -495,7 +489,7 @@ let nonblocking_worker sys rt ~tid srv =
   let poll_interval = 20e-6 and poll_cpu = 1.5e-6 in
   let rec loop () =
     if not rt.stopped then
-      if tier_down sys rt then begin
+      if tier_down rt then begin
         Engine.wait down_poll;
         loop ()
       end
@@ -524,7 +518,7 @@ let background_thread sys rt ~tid period trace =
   let rec loop () =
     if not rt.stopped then begin
       Engine.wait period;
-      if not (tier_down sys rt) then
+      if not (tier_down rt) then
         List.iter
           (fun seg ->
             match seg with
@@ -641,7 +635,7 @@ let autoscaler sys rt ~engine ~t_end (pol : Spec.autoscale) =
         Engine.wait pol.Spec.as_interval;
         let now = Engine.now sys.engine in
         if now < t_end && not rt.stopped then begin
-          (if not (tier_down sys rt) then begin
+          (if not (tier_down rt) then begin
              let n = replica_count rt in
              let q = float_of_int (backlog rt) /. float_of_int n in
              let err = (q -. pol.Spec.as_target_queue) /. pol.Spec.as_target_queue in
@@ -722,6 +716,7 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
             spec = tier;
             mres = results tier.Spec.tier_name;
             rng = Rng.split root;
+            fault = Option.map (fun i -> Injector.tier i tier.Spec.tier_name) inj;
             servers = [ server tier machine ];
             rr = 0;
             pools = Hashtbl.create 4;
@@ -1086,9 +1081,12 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
         })
       rts
   in
+  (* Copy the client latencies before [summary] sorts them in place: the
+     raw array keeps completion order. *)
+  let latency_raw = Stats.to_array lat in
   {
     latency = Stats.summary lat;
-    latency_raw = Stats.to_array lat;
+    latency_raw;
     achieved_qps = float_of_int !completed /. elapsed;
     completed = !completed;
     errors = !client_errors;

@@ -70,6 +70,8 @@ type scale_event = { se_at : float; se_tier : string; se_from : int; se_to : int
 type result = {
   latency : Ditto_util.Stats.summary;  (** end-to-end, at the client (successes) *)
   latency_raw : float array;
+      (** the end-to-end latency of every completed request (the samples
+          of [latency]), in completion order *)
   achieved_qps : float;
   completed : int;
   errors : int;  (** client requests that failed after exhausting retries *)

@@ -49,11 +49,81 @@ let variance t =
 
 let std t = sqrt (variance t)
 
+(* {1 Sorting}
+
+   An LSD radix sort over IEEE-754 bit patterns, one 8-bit digit per pass.
+   [key] maps a double's bits to an unsigned integer in the double's
+   numeric order: a negative has every bit flipped, a positive only its
+   sign bit. [compare] ranks NaN below every number, so NaNs are moved to
+   the front first and the rest is sorted by key. The counts for all eight
+   digits are taken in one pass, and a pass whose digit is the same for
+   every element is skipped: it would only copy. Sorting [n] floats costs
+   about nine passes over them, allocates its [n]-float buffer and its
+   counters once, and boxes nothing. *)
+
+let radix = 256
+let passes = 8
+
+let[@inline] key x =
+  let b = Int64.bits_of_float x in
+  Int64.logxor b (Int64.logor (Int64.shift_right b 63) Int64.min_int)
+
+let[@inline] digit k pass = Int64.to_int (Int64.shift_right_logical k (8 * pass)) land (radix - 1)
+
+(* Sort [a.(0) .. a.(n - 1)] in place, as [Array.sort compare] orders
+   them. *)
+let sort_prefix a n =
+  let nans = ref 0 in
+  for i = 0 to n - 1 do
+    let x = a.(i) in
+    if Float.is_nan x then begin
+      a.(i) <- a.(!nans);
+      a.(!nans) <- x;
+      incr nans
+    end
+  done;
+  let lo = !nans in
+  if n - lo > 1 then begin
+    let counts = Array.make (passes * radix) 0 in
+    for i = lo to n - 1 do
+      let k = key a.(i) in
+      for p = 0 to passes - 1 do
+        let c = (p * radix) + digit k p in
+        counts.(c) <- counts.(c) + 1
+      done
+    done;
+    let spare = Array.create_float n in
+    let src = ref a and dst = ref spare in
+    for p = 0 to passes - 1 do
+      let base = p * radix in
+      if counts.(base + digit (key (!src).(lo)) p) < n - lo then begin
+        (* Each digit's count becomes the position of its first element. *)
+        let next = ref lo in
+        for d = base to base + radix - 1 do
+          let c = counts.(d) in
+          counts.(d) <- !next;
+          next := !next + c
+        done;
+        let s = !src and t = !dst in
+        for i = lo to n - 1 do
+          let x = s.(i) in
+          let c = base + digit (key x) p in
+          let j = counts.(c) in
+          counts.(c) <- j + 1;
+          t.(j) <- x
+        done;
+        src := t;
+        dst := s
+      end
+    done;
+    if !src != a then Array.blit !src lo a lo (n - lo)
+  end
+
+let sort a = sort_prefix a (Array.length a)
+
 let sort_in_place t =
   if not t.sorted then begin
-    let live = Array.sub t.data 0 t.len in
-    Array.sort compare live;
-    Array.blit live 0 t.data 0 t.len;
+    sort_prefix t.data t.len;
     t.sorted <- true
   end
 
@@ -104,14 +174,14 @@ let mean_of xs =
 
 let percentile_of arr q =
   let copy = Array.copy arr in
-  Array.sort compare copy;
+  sort copy;
   percentile_sorted copy (Array.length copy) q
 
 let ks_distance a b =
   if Array.length a = 0 || Array.length b = 0 then invalid_arg "Stats.ks_distance: empty";
   let a = Array.copy a and b = Array.copy b in
-  Array.sort compare a;
-  Array.sort compare b;
+  sort a;
+  sort b;
   let na = Array.length a and nb = Array.length b in
   let fa = float_of_int na and fb = float_of_int nb in
   (* Walk the merged value sequence; at each distinct value compare the two

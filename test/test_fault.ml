@@ -263,6 +263,146 @@ let test_breaker_bad_config_rejected () =
   bad "negative cooldown" { breaker_config with Breaker.cooldown = -1.0 };
   bad "zero probes" { breaker_config with Breaker.half_open_probes = 0 }
 
+(* {1 Injector on a bare engine}
+
+   No service run: the plan is armed on an empty engine, and callbacks at
+   the midpoint of every interval between two window edges read the tier
+   handles and call two links. The handles and links are taken before
+   [arm], so a handle that copied the state instead of sharing it reads
+   "healthy" throughout and fails. *)
+
+module Injector = Ditto_fault.Injector
+module Engine = Ditto_sim.Engine
+module Socket = Ditto_net.Socket
+
+let verdict_name = function
+  | Socket.Drop -> "drop"
+  | Socket.Delay d -> Printf.sprintf "delay %h" d
+  | Socket.Deliver -> "deliver"
+
+type injector_trace = {
+  states : string list;  (* one line per midpoint *)
+  late : string;  (* back->client verdicts in the last link window *)
+  out_drops : int;  (* drops seen on back->client *)
+  in_drops : int;  (* drops seen on front->back *)
+  charged : int * int * int;  (* [Injector.drops] of front, back, client *)
+  total : int;
+}
+
+(* [extra] more back->client calls once both overlapping link windows have
+   ended: they must draw no coin, so the last window's verdicts do not
+   depend on [extra]. *)
+let injector_trace ~extra =
+  let ev at tier kind = { Plan.at; tier; kind } in
+  let plan =
+    Plan.make ~name:"unit"
+      [
+        crash ~at:0.1 ~down_for:0.4 "front";
+        crash ~at:0.2 ~down_for:0.1 "front";
+        ev 0.15 "back" (Plan.Slowdown { factor = 1.2; lasts = 0.2 });
+        ev 0.25 "back" (Plan.Slowdown { factor = 1.7; lasts = 0.2 });
+        ev 0.6 "back" (Plan.Link { add_latency = 2e-4; drop = 0.3; lasts = 0.2 });
+        ev 0.7 "back" (Plan.Link { add_latency = 3e-4; drop = 0.1; lasts = 0.2 });
+        ev 1.0 "front" (Plan.Partition { lasts = 0.1 });
+        ev 1.2 "back" (Plan.Link { add_latency = 0.0; drop = 0.5; lasts = 0.1 });
+      ]
+  in
+  let engine = Engine.create () in
+  let inj = Injector.create ~engine ~seed:11 plan in
+  let front = Injector.tier inj "front" and back = Injector.tier inj "back" in
+  let out = Injector.disruptor inj ~src:"back" ~dst:Plan.client_tier in
+  let into = Injector.disruptor inj ~src:"front" ~dst:"back" in
+  Injector.arm inj ~at:0.0;
+  let states = ref [] and late = ref "" and out_drops = ref 0 and in_drops = ref 0 in
+  let call link drops =
+    let v = link ~bytes:64 in
+    if v = Socket.Drop then incr drops;
+    verdict_name v
+  in
+  let verdicts link drops =
+    String.concat "," (List.sort_uniq compare (List.init 200 (fun _ -> call link drops)))
+  in
+  List.iter
+    (fun at ->
+      Engine.schedule engine at (fun () ->
+          let line =
+            Printf.sprintf "%.3f front %b %h back %b %h | out %s | in %s" at (Injector.up front)
+              (Injector.slow front) (Injector.up back) (Injector.slow back)
+              (verdicts out out_drops) (verdicts into in_drops)
+          in
+          states := line :: !states;
+          if at = 0.95 then for _ = 1 to extra do ignore (call out out_drops) done))
+    [
+      0.05; 0.125; 0.175; 0.225; 0.275; 0.325; 0.4; 0.475; 0.55; 0.65; 0.75; 0.85; 0.95; 1.05;
+      1.15;
+    ];
+  Engine.schedule engine 1.25 (fun () ->
+      late :=
+        String.concat ""
+          (List.init 64 (fun _ -> if call out out_drops = "drop" then "x" else ".")));
+  Engine.run engine;
+  {
+    states = List.rev !states;
+    late = !late;
+    out_drops = !out_drops;
+    in_drops = !in_drops;
+    charged =
+      (Injector.drops inj "front", Injector.drops inj "back", Injector.drops inj Plan.client_tier);
+    total = Injector.total_drops inj;
+  }
+
+let test_injector_windows () =
+  let r = injector_trace ~extra:0 in
+  let delay d = Printf.sprintf "delay %h" d in
+  let line at front_up back_slow out into =
+    Printf.sprintf "%.3f front %b %h back true %h | out %s | in %s" at front_up 1.0 back_slow out
+      into
+  in
+  let healthy at front_up back_slow = line at front_up back_slow "deliver" "deliver" in
+  let lossy d = delay d ^ ",drop" in
+  Alcotest.(check (list string))
+    "handles and verdicts between every pair of window edges"
+    [
+      healthy 0.05 true 1.0;
+      (* the outer crash *)
+      healthy 0.125 false 1.0;
+      (* the first slowdown *)
+      healthy 0.175 false 1.2;
+      (* the nested crash *)
+      healthy 0.225 false 1.2;
+      (* both slowdowns *)
+      healthy 0.275 false (1.7 *. 1.2);
+      (* the nested crash ends, the outer one still holds *)
+      healthy 0.325 false (1.7 *. 1.2);
+      (* the first slowdown ends before the second: dividing its factor
+         back out would leave neither 1.7 here nor 1.0 below *)
+      healthy 0.4 false 1.7;
+      healthy 0.475 false 1.0;
+      healthy 0.55 true 1.0;
+      (* link events on back: the first, both, the second; a link is hit
+         from either end *)
+      line 0.65 true 1.0 (lossy 2e-4) (lossy 2e-4);
+      line 0.75 true 1.0 (lossy (3e-4 +. 2e-4)) (lossy (3e-4 +. 2e-4));
+      line 0.85 true 1.0 (lossy 3e-4) (lossy 3e-4);
+      healthy 0.95 true 1.0;
+      (* front partitioned: everything it sends is dropped *)
+      line 1.05 true 1.0 "deliver" "drop";
+      healthy 1.15 true 1.0;
+    ]
+    r.states;
+  let front, back, client = r.charged in
+  Alcotest.(check int) "front charged with front->back drops" r.in_drops front;
+  Alcotest.(check int) "back charged with back->client drops" r.out_drops back;
+  Alcotest.(check int) "a destination is not charged" 0 client;
+  Alcotest.(check int) "total" (r.in_drops + r.out_drops) r.total;
+  Alcotest.(check bool) "the last window drops and delivers" true
+    (String.contains r.late 'x' && String.contains r.late '.');
+  (* Once the overlapping link events have ended, the drop probability is
+     exactly 0.0 again: calls made then draw no coin. *)
+  let busy = injector_trace ~extra:1000 in
+  Alcotest.(check string) "no coin drawn after the link windows" r.late busy.late;
+  Alcotest.(check (list string)) "same states" r.states busy.states
+
 (* {1 A small two-tier app for service-level chaos tests} *)
 
 let make_block ~tier_index ~label n =
@@ -507,6 +647,8 @@ let () =
           Alcotest.test_case "re-open race" `Quick test_breaker_reopen_race;
           Alcotest.test_case "bad config rejected" `Quick test_breaker_bad_config_rejected;
         ] );
+      ( "injector",
+        [ Alcotest.test_case "window edges, handles and links" `Quick test_injector_windows ] );
       ( "injection",
         [
           Alcotest.test_case "deterministic across pools" `Slow

@@ -203,6 +203,90 @@ let prop_resolve_within_region =
       done;
       !ok)
 
+(* {1 Stats: the radix sort orders like [Array.sort compare]} *)
+
+(* Every class the sort's key mapping has to place: NaN, infinities,
+   signed zeros, subnormals and the extremes of both signs, small integers
+   (so duplicates are common), ordinary values, and arbitrary bit patterns
+   (NaNs of both signs with any payload among them). *)
+let special_floats =
+  [|
+    nan; -.nan; infinity; neg_infinity; 0.0; -0.0; 5e-324; -5e-324;
+    Float.pred Float.min_float; -.Float.pred Float.min_float; Float.min_float; max_float;
+    -.max_float;
+  |]
+
+let sample_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofa special_floats);
+        (2, map float_of_int (int_range (-4) 4));
+        (2, float_range (-1e6) 1e6);
+        (2, map Int64.float_of_bits ui64);
+      ])
+
+(* Half the arrays hold latency-like samples instead: their keys share the
+   top byte, so the sort skips that pass and ends in its spare buffer. *)
+let small_arrays =
+  QCheck.make
+    ~print:(fun a -> String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a)))
+    QCheck.Gen.(
+      oneofl [ sample_float; float_range 1e-4 5e-2 ] >>= array_size (int_range 0 5000))
+
+let large_array =
+  QCheck.make
+    ~print:(fun a -> Printf.sprintf "%d floats" (Array.length a))
+    QCheck.Gen.(array_size (return 100_000) sample_float)
+
+let compare_sorted a =
+  let r = Array.copy a in
+  Array.sort compare r;
+  r
+
+let sorts_like_compare a =
+  let s = Array.copy a in
+  Stats.sort s;
+  Array.for_all2 Float.equal s (compare_sorted a)
+
+(* [compare] ranks every NaN equal and -0.0 equal to 0.0, so how a sort
+   orders them among themselves is its own choice, while [%h] tells them
+   apart. The order statistics are therefore compared on samples that
+   read every NaN as [nan] and -0.0 as 0.0. *)
+let order_stats_like_compare a =
+  let a = Array.map (fun x -> if Float.is_nan x then nan else if x = 0.0 then 0.0 else x) a in
+  let t = Stats.create () in
+  Array.iter (Stats.add t) a;
+  let s = Stats.summary t in
+  let r = compare_sorted a in
+  let n = Array.length r in
+  if n = 0 then s.Stats.count = 0
+  else begin
+    let pct q =
+      let rank = q /. 100.0 *. float_of_int (n - 1) in
+      let lo = int_of_float (Float.floor rank) and hi = int_of_float (Float.ceil rank) in
+      if lo = hi then r.(lo) else r.(lo) +. ((rank -. float_of_int lo) *. (r.(hi) -. r.(lo)))
+    in
+    let qs = [ 0.0; 50.0; 95.0; 99.0; 100.0 ] in
+    let h = List.map (Printf.sprintf "%h") in
+    h ([ s.Stats.min; s.Stats.max; s.Stats.p50; s.Stats.p95; s.Stats.p99 ]
+       @ List.map (Stats.percentile t) qs
+       @ List.map (Stats.percentile_of a) qs)
+    = h ([ r.(0); r.(n - 1); pct 50.0; pct 95.0; pct 99.0 ] @ List.map pct qs @ List.map pct qs)
+  end
+
+let prop_sort_like_compare =
+  QCheck.Test.make ~name:"Stats.sort: Array.sort compare's order" ~count:200 small_arrays
+    sorts_like_compare
+
+let prop_order_stats_like_compare =
+  QCheck.Test.make ~name:"Stats: summary and percentiles from the sorted order" ~count:200
+    small_arrays order_stats_like_compare
+
+let prop_sort_large =
+  QCheck.Test.make ~name:"Stats.sort: 100,000 samples" ~count:1 large_array (fun a ->
+      sorts_like_compare a && order_stats_like_compare a)
+
 (* {1 Discrete distribution: sampling frequencies track weights} *)
 
 let prop_discrete_frequencies =
@@ -251,6 +335,8 @@ let () =
         [ qt prop_engine_causal; qt prop_resource_never_oversubscribed ] );
       ("jsonx", [ qt prop_json_roundtrip; qt prop_json_pretty_equiv ]);
       ("ks", [ qt prop_ks_bounds; qt prop_ks_self_zero; qt prop_ks_symmetric ]);
+      ( "sort",
+        [ qt prop_sort_like_compare; qt prop_order_stats_like_compare; qt prop_sort_large ] );
       ("tree_edit", [ qt prop_tree_edit_metric ]);
       ("working_set", [ qt prop_eq1_conserves_hits; qt prop_eq2_nonnegative ]);
       ("patterns", [ qt prop_resolve_within_region; qt prop_reset_state_restores ]);
