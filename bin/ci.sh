@@ -12,14 +12,17 @@
 # a wall budget and a DES event-queue peak limit), the validation-gate
 # smokes — one memcached clone through the chaos (fault injection +
 # resilience counters), timeline (windowed telemetry + transient-fidelity
-# scorecard + OpenMetrics export) and surge (flash crowd on top of
-# kill-mid-tier, autoscaling and admission control fired on both sides)
+# scorecard + OpenMetrics export, whose surge windows must hold a non-zero
+# shed sample and a replica count above 1) and surge (flash crowd on top
+# of kill-mid-tier, autoscaling and admission control fired on both sides)
 # gates, one redis clone through the critpath gate (critical-path
-# divergence + Jaeger round-trip), and a check that an unknown gate is
-# refused — and the fidelity regression gate (scorecards diffed against
-# the committed baseline, plus proof that the gate rejects a perturbed
-# baseline, fails a document sharing no metric with the baseline, and
-# refuses a truncated document with exit 2 instead of crashing).
+# divergence + Jaeger round-trip), a check that an unknown gate is
+# refused, and a check that --jaeger with no gate that records request
+# traces exits 2 and writes nothing — and the fidelity regression gate
+# (scorecards diffed against the committed baseline, plus proof that the
+# gate rejects a perturbed baseline, fails a document sharing no metric
+# with the baseline, and refuses a truncated document with exit 2 instead
+# of crashing).
 # Usage: bin/ci.sh   (from the repo root; DITTO_DOMAINS caps the pool)
 set -eu
 
@@ -122,7 +125,9 @@ echo "== validation gate smokes (memcached: chaos + timeline + surge, one clone)
 # - timeline: the greppable TIMELINE-SMOKE-OK line with a strictly
 #   positive reconvergence time (a fault fired, so by construction
 #   reconvergence is at least the remainder of the fault window), and a
-#   complete OpenMetrics export (ends with # EOF);
+#   complete OpenMetrics export (ends with # EOF) whose surge windows
+#   hold the serving path's events: a non-zero shed sample and a replica
+#   count above 1;
 # - surge: the flash crowd on top of the crash must exercise the
 #   overload machinery on both sides — at least one scale-out event, a
 #   non-zero number of shed requests, and a strictly positive
@@ -158,6 +163,18 @@ if ! echo "$timeline_line" | grep -Eq 'reconverge_ms=[1-9][0-9]*'; then
 fi
 if ! grep -q '^# EOF' "$om_file"; then
   echo "ci: FAIL — OpenMetrics export incomplete (no # EOF terminator)" >&2
+  exit 1
+fi
+# The gate keys can hold while the windows miss events: the surge
+# windows must show shed requests and a scale-out.
+if ! awk '/^ditto_faults\{/ && /gate="surge"/ && /kind="shed"/ && $2 > 0 { found = 1 }
+          END { exit !found }' "$om_file"; then
+  echo "ci: FAIL — OpenMetrics surge windows hold no shed request" >&2
+  exit 1
+fi
+if ! awk '/^ditto_replicas\{/ && /gate="surge"/ && $2 > 1 { found = 1 }
+          END { exit !found }' "$om_file"; then
+  echo "ci: FAIL — OpenMetrics surge windows hold no replica count above 1" >&2
   exit 1
 fi
 surge_line=$(grep "SURGE-SMOKE-OK" "$gates_log" || true)
@@ -220,6 +237,24 @@ for g in chaos timeline critpath surge; do
     exit 1
   fi
 done
+
+echo "== export without a recording gate refused (exit 2, nothing written) =="
+# The chaos gate records no request trace, so --jaeger has nothing to
+# write: validate must say so before cloning, not run and exit 0.
+refused_jaeger="$tmpdir/refused.jaeger.json"
+refused_log="$tmpdir/refused.log"
+refused_rc=0
+dune exec bin/ditto_cli.exe -- validate redis --gates chaos --no-tune --jaeger "$refused_jaeger" \
+  >"$refused_log" 2>&1 || refused_rc=$?
+cat "$refused_log"
+if [ "$refused_rc" -ne 2 ]; then
+  echo "ci: FAIL — --gates chaos --jaeger exited $refused_rc, expected 2" >&2
+  exit 1
+fi
+if [ -e "$refused_jaeger" ]; then
+  echo "ci: FAIL — --gates chaos --jaeger wrote $refused_jaeger" >&2
+  exit 1
+fi
 
 echo "== scorecard regression gate (vs bench/baselines/default.json) =="
 bench_json="$tmpdir/bench.json"

@@ -23,7 +23,8 @@
          plus a flash crowd ("SURGE-SMOKE-OK"). --plan / --profile
          replace the fault plan / rate profile of every gate's scenario;
          --openmetrics writes the recorded timelines, --jaeger the
-         actual side's sampled request span trees
+         actual side's sampled request span trees; each exits 2 before
+         cloning unless some gate records what it writes
      ditto-cli inspect-trace <trace.json>
          parse a Chrome or Jaeger trace back and summarise it
          (span counts, counter series min/mean/max, all roots with
@@ -179,6 +180,16 @@ let validate_app name qps no_tune gate_names plan_sel profile_sel openmetrics ja
             exit 2)
       gate_names
   in
+  (* An export needs a gate that records it: refuse before cloning. *)
+  let needs flag path what records =
+    if Option.is_some path && not (List.exists records gates) then begin
+      Printf.eprintf "validate: %s needs a gate that records %s: %s\n" flag what
+        (String.concat ", " (List.map Gate.name (List.filter records Gate.all)));
+      exit 2
+    end
+  in
+  needs "--openmetrics" openmetrics "timelines" Gate.records_timeline;
+  needs "--jaeger" jaeger "request traces" Gate.records_reqtrace;
   let entry, load = load_for name qps 0.8 in
   let duration = load.Service.duration in
   let tiers =
@@ -234,12 +245,11 @@ let validate_app name qps no_tune gate_names plan_sel profile_sel openmetrics ja
     openmetrics;
   Option.iter
     (fun path ->
-      match List.find_map (fun (_, (run : Gate.run)) -> run.Gate.actual.Service.reqtrace) runs with
-      | Some rq ->
-          Rq.write_jaeger path rq;
-          Printf.printf "jaeger: wrote %s (%d sampled trace(s) of %d request(s))\n" path
-            (Rq.sampled rq) (Rq.requests_seen rq)
-      | None -> Printf.eprintf "validate: --jaeger needs the critpath gate; nothing written\n")
+      List.find_map (fun (_, (run : Gate.run)) -> run.Gate.actual.Service.reqtrace) runs
+      |> Option.iter (fun rq ->
+             Rq.write_jaeger path rq;
+             Printf.printf "jaeger: wrote %s (%d sampled trace(s) of %d request(s))\n" path
+               (Rq.sampled rq) (Rq.requests_seen rq)))
     jaeger;
   (* Counter tracks (simulated-clock timestamps) land in their own
      processes, one per gate and side, next to the wall-clock pipeline

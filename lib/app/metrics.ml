@@ -1,20 +1,5 @@
 open Ditto_uarch
 
-type faults = {
-  timeouts : int;
-  retries : int;
-  shed : int;
-  failures : int;
-  breaker_transitions : int;
-  link_drops : int;
-}
-
-let no_faults =
-  { timeouts = 0; retries = 0; shed = 0; failures = 0; breaker_transitions = 0; link_drops = 0 }
-
-let faults_total f =
-  f.timeouts + f.retries + f.shed + f.failures + f.breaker_transitions + f.link_drops
-
 type t = {
   label : string;
   qps : float;
@@ -27,15 +12,10 @@ type t = {
   net_mbps : float;
   disk_mbps : float;
   lat_avg : float;
-  lat_p50 : float;
   lat_p95 : float;
   lat_p99 : float;
-  topdown : Counters.topdown;
   counters : Counters.t;
-  faults : faults;
 }
-
-let radar_axes = [ "IPC"; "Branch"; "L1i"; "L1d"; "L2"; "LLC"; "Net BW"; "Disk BW" ]
 
 let radar_values t ~include_disk =
   let base =

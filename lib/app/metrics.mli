@@ -1,19 +1,5 @@
 (** Per-run metric bundle: the quantities plotted in Figs. 5–11. *)
 
-(** Resilience/fault counters observed during the DES phase (all zero for a
-    fault-free run with default {!Spec.resilience}). *)
-type faults = {
-  timeouts : int;
-  retries : int;
-  shed : int;
-  failures : int;
-  breaker_transitions : int;
-  link_drops : int;
-}
-
-val no_faults : faults
-val faults_total : faults -> int
-
 type t = {
   label : string;
   qps : float;  (** achieved request throughput *)
@@ -26,19 +12,10 @@ type t = {
   net_mbps : float;  (** NIC bytes moved per second of simulated time *)
   disk_mbps : float;
   lat_avg : float;  (** seconds *)
-  lat_p50 : float;
   lat_p95 : float;
   lat_p99 : float;
-  topdown : Ditto_uarch.Counters.topdown;
   counters : Ditto_uarch.Counters.t;
-  faults : faults;
 }
-
-val radar_axes : string list
-(** The axes of the paper's radar plots: IPC, Branch, L1i, L1d, L2, LLC,
-    Net BW (+ Disk BW where applicable). *)
-
-val radar_values : t -> include_disk:bool -> (string * float) list
 
 val error_pct : actual:t -> synthetic:t -> (string * float) list
 (** Per-axis percentage error of the synthetic clone vs the original

@@ -198,20 +198,9 @@ let run_inner cfg ~load (app : Spec.t) =
             net_mbps = obs.Service.obs_net_mbps;
             disk_mbps = obs.Service.obs_disk_mbps;
             lat_avg = lat.Ditto_util.Stats.mean;
-            lat_p50 = lat.Ditto_util.Stats.p50;
             lat_p95 = lat.Ditto_util.Stats.p95;
             lat_p99 = lat.Ditto_util.Stats.p99;
-            topdown = Counters.topdown c;
             counters = c;
-            faults =
-              {
-                Metrics.timeouts = obs.Service.obs_timeouts;
-                retries = obs.Service.obs_retries;
-                shed = obs.Service.obs_shed;
-                failures = obs.Service.obs_failures;
-                breaker_transitions = obs.Service.obs_breaker_transitions;
-                link_drops = obs.Service.obs_link_drops;
-              };
           } ))
       tiers
   in

@@ -7,6 +7,7 @@ module Breaker = Ditto_fault.Breaker
 module Injector = Ditto_fault.Injector
 module Plan = Ditto_fault.Plan
 module Rq = Ditto_obs.Reqtrace
+module Ts = Ditto_obs.Timeseries
 
 type load = {
   qps : float;
@@ -54,9 +55,9 @@ type result = {
   scale_events : scale_event list;
       (** autoscaler actions in time order; [[]] when no tier carries a
           policy, so pre-surge results are structurally unchanged *)
-  timeline : Ditto_obs.Timeseries.t option;
+  timeline : Ts.t option;
       (** windowed telemetry; [Some] only when the run's [timeline] was set *)
-  reqtrace : Ditto_obs.Reqtrace.t option;
+  reqtrace : Rq.t option;
       (** sampled request span trees; [Some] only when the run's [reqtrace]
           was set *)
 }
@@ -68,12 +69,28 @@ type result = {
    reactivated before any new machine is created. *)
 type server = {
   machine : Machine.t;
-  epolls : Socket.Epoll.t array;  (* I/O multiplexing only *)
+  epolls : Socket.Epoll.t array;
+      (* the connection sets: one per I/O-multiplexing worker, one that a
+         non-blocking server's workers poll, none for a blocking server *)
   mutable epoll_rr : int;
-  mutable poll_conns : Socket.endpoint list;  (* non-blocking only *)
   mutable active : bool;
   nic0 : int;  (* NIC and disk odometers at creation, for teardown bandwidth *)
   disk0 : int;
+}
+
+(* One side's tally, a tier's or the load generator's: the latency and
+   count of its completed requests, and a count per event kind. One call
+   counts an event and, when the run records a timeline, windows it too,
+   through the side's series, resolved once at set-up. *)
+type tally = {
+  lat : Stats.t;
+  mutable completed : int;
+  mutable timeouts : int;
+  mutable retries : int;
+  mutable shed : int;
+  mutable failures : int;
+  mutable degraded : int;
+  series : Ts.series option;
 }
 
 type tier_rt = {
@@ -85,14 +102,8 @@ type tier_rt = {
   mutable rr : int;  (* round-robin cursor over the active servers *)
   pools : (string, Socket.endpoint Queue.t) Hashtbl.t;
   breakers : (string, Breaker.t) Hashtbl.t;
-  lat : Stats.t;
-  mutable served : int;
+  tally : tally;
   mutable inflight : int;
-  mutable timeouts : int;
-  mutable retries : int;
-  mutable shed : int;
-  mutable failures : int;
-  mutable degraded : int;
   mutable stopped : bool;
 }
 
@@ -104,14 +115,12 @@ type sys = {
   registry : (string, tier_rt) Hashtbl.t;
   tids : int ref;
   inj : Injector.t option;
-  tl : Ditto_obs.Timeseries.t option;
-      (** windowed telemetry collector; [None] (the default — the run's
-          [timeline] argument is off) keeps every hook to a single option
-          match and the event stream byte-identical *)
-  rq : Ditto_obs.Reqtrace.t option;
-      (** request-trace collector, same discipline: [None] keeps every
-          hook to a single option match; when [Some], hooks only fire for
-          sampled requests (their span id rides [Socket.msg.meta]) *)
+  rq : Rq.t option;
+      (** request-trace collector: [None] (the default — the run's
+          [reqtrace] argument is off) keeps every hook to a single option
+          match and the event stream byte-identical; when [Some], hooks
+          only fire for sampled requests (their span id rides
+          [Socket.msg.meta]) *)
   scale_log : scale_event list ref;
       (** autoscaler actions, newest first; only the controller writes *)
 }
@@ -129,55 +138,92 @@ let err_bytes = 64
 
 let tier_down rt = match rt.fault with None -> false | Some f -> not (Injector.up f)
 
-let ts_counter sys rt c =
-  match sys.tl with
-  | None -> ()
-  | Some ts ->
-      Ditto_obs.Timeseries.record_counter ts ~tier:rt.spec.Spec.tier_name
-        ~at:(Engine.now sys.engine) c
+(* Without a timeline ([tl = None], the run's default) every recording
+   below is a single option match. *)
+let tally tl tier =
+  let series = Option.map (fun ts -> Ts.series ts ~tier) tl in
+  let lat = Stats.create () in
+  { lat; completed = 0; timeouts = 0; retries = 0; shed = 0; failures = 0; degraded = 0; series }
+
+(* One event of kind [c], on the engine's clock. *)
+let count sys t (c : Ts.counter) =
+  (match c with
+  | Timeouts -> t.timeouts <- t.timeouts + 1
+  | Retries -> t.retries <- t.retries + 1
+  | Shed -> t.shed <- t.shed + 1
+  | Failures -> t.failures <- t.failures + 1
+  | Degraded -> t.degraded <- t.degraded + 1);
+  match t.series with None -> () | Some s -> Ts.count s ~at:(Engine.now sys.engine) c
+
+(* One completed request, [seconds] after it arrived. *)
+let complete sys t ~seconds =
+  Stats.add t.lat seconds;
+  t.completed <- t.completed + 1;
+  match t.series with None -> () | Some s -> Ts.latency s ~at:(Engine.now sys.engine) ~seconds
 
 (* Reqtrace helpers: every disabled-path call is one option match (and the
    per-request [span]/[rpc] guard keeps unsampled requests free too). *)
-let rq_seg sys ~span kind ~t0 =
-  match sys.rq with
-  | Some c when span <> 0 -> Rq.segment c ~span kind ~start:t0 ~dur:(Engine.now sys.engine -. t0)
-  | _ -> ()
-
-let rq_rpc_end sys rpc ?bytes outcome =
-  match sys.rq with
-  | Some c when rpc <> 0 -> Rq.rpc_end c ~span:rpc ?bytes ~at:(Engine.now sys.engine) outcome
-  | _ -> ()
-
 let rq_server_end sys span ?bytes outcome =
   match sys.rq with
   | Some c when span <> 0 -> Rq.server_end c ~span ?bytes ~at:(Engine.now sys.engine) outcome
   | _ -> ()
 
+(* Run [body], bracketed into a [kind] segment of [span] when the request
+   is sampled; the unsampled/disabled path runs the bare body. *)
+let timed sys ~span kind body =
+  if span = 0 then body ()
+  else begin
+    let t0 = Engine.now sys.engine in
+    body ();
+    match sys.rq with
+    | Some c -> Rq.segment c ~span kind ~start:t0 ~dur:(Engine.now sys.engine -. t0)
+    | None -> ()
+  end
+
+(* How a call ended: a reply, an error reply, or no reply in time. *)
+let call_outcome = function None -> Rq.Timeout | Some m -> if m.Socket.err then Rq.Err else Rq.Ok
+
+(* One RPC attempt on [conn]: send [bytes], wait for the reply (at most
+   [timeout] when one is set) and return it, [None] on a timeout. A
+   sampled request ([parent <> 0]) gets one RPC span per attempt, the
+   client-side view from send to reply or timeout; its id rides the
+   request message as [meta] so the callee's server span parents under
+   it. An unsampled request is sent without one. *)
+let call sys ~parent ~target ~bytes ?timeout conn =
+  let rpc =
+    match sys.rq with
+    | Some c when parent <> 0 -> Rq.rpc_begin c ~parent ~target ~bytes ~at:(Engine.now sys.engine)
+    | _ -> 0
+  in
+  if rpc = 0 then Socket.send conn ~bytes else Socket.send conn ~meta:rpc ~bytes;
+  let reply =
+    match timeout with
+    | None -> Some (Socket.recv_msg conn)
+    | Some timeout -> Socket.recv_msg_timeout conn ~timeout
+  in
+  (match sys.rq with
+  | Some c when rpc <> 0 ->
+      let bytes = Option.map (fun m -> m.Socket.bytes) reply in
+      Rq.rpc_end c ~span:rpc ?bytes ~at:(Engine.now sys.engine) (call_outcome reply)
+  | _ -> ());
+  reply
+
 (* [mach] is the machine of the server handling the current request: the
    run's machine for a primary, a replica's own otherwise. *)
 let run_cpu sys rt ~tid ~mach s =
   let s = match rt.fault with None -> s | Some f -> s *. Injector.slow f in
-  (match sys.tl with
+  (match rt.tally.series with
   | None -> ()
-  | Some ts ->
-      Ditto_obs.Timeseries.record_cpu ts ~tier:rt.spec.Spec.tier_name ~at:(Engine.now sys.engine)
-        ~seconds:s);
+  | Some ts -> Ts.cpu ts ~at:(Engine.now sys.engine) ~seconds:s);
   Ditto_os.Sched.run_oncpu mach.Machine.sched ~thread:tid s
 
 (* Accept-queue depth for load shedding: undelivered messages plus requests
-   already being replayed, summed over every server, drained ones too. *)
+   already being replayed, summed over every server, drained ones too. A
+   blocking server has no connection set, so its depth is what it replays. *)
 let backlog rt =
-  match rt.spec.Spec.server_model with
-  | Spec.Io_multiplexing ->
-      List.fold_left
-        (fun acc srv ->
-          Array.fold_left (fun a e -> a + Socket.Epoll.pending_total e) acc srv.epolls)
-        rt.inflight rt.servers
-  | Spec.Nonblocking ->
-      List.fold_left
-        (fun acc srv -> List.fold_left (fun a ep -> a + Socket.pending ep) acc srv.poll_conns)
-        rt.inflight rt.servers
-  | Spec.Blocking -> rt.inflight
+  List.fold_left
+    (fun acc srv -> Array.fold_left (fun a e -> a + Socket.Epoll.pending_total e) acc srv.epolls)
+    rt.inflight rt.servers
 
 (* Live serving capacity: the active servers, the primary always among
    them. The shed and degradation thresholds scale with it — the bounded
@@ -197,28 +243,58 @@ let pick rt =
       rt.rr <- rt.rr + 1;
       srv
 
-(* Serve one request whose bytes arrived at [arrived]: replay a measured
-   trace (CPU, disk, sleeps, downstream RPCs) then send the response — or
-   shed it when the resilience knobs say the tier is overloaded, or serve
-   it degraded when utilization crossed the degradation threshold. *)
-let rec handle sys rt ~tid ~mach ep ~arrived ~meta ~bytes =
+(* Every connection into tier [dst]: from tier [src] on [mach], or from
+   the load generator, which has no machine. The server is picked first:
+   the socket pair must land on the machine whose NIC will carry the
+   bytes. Both ends share the loopback when they share a machine, and use
+   [nic] and the server's NIC otherwise; each direction gets the fault
+   plan's disruptor. Returns the caller's end, the server's end and the
+   server. *)
+let pair sys ~src ?mach ~nic dst =
+  let srv = pick dst in
+  let dmach = srv.machine in
+  let a_nic, b_nic, latency =
+    match mach with
+    | Some m when m == dmach -> (m.Machine.loopback, m.Machine.loopback, 5e-6)
+    | _ -> (nic, dmach.Machine.nic, 20e-6)
+  in
+  let a, b = Socket.pair sys.engine ~a_nic ~b_nic ~latency in
+  (match sys.inj with
+  | None -> ()
+  | Some inj ->
+      let dst = dst.spec.Spec.tier_name in
+      Socket.set_disruptor a (Some (Injector.disruptor inj ~src ~dst));
+      Socket.set_disruptor b (Some (Injector.disruptor inj ~src:dst ~dst:src)));
+  (a, b, srv)
+
+(* Every worker's loop, whatever the server model: until teardown, a
+   worker of a crashed tier polls for the restart every [down_poll];
+   otherwise it serves one [step]. *)
+let rec work rt step =
+  if not rt.stopped then begin
+    if tier_down rt then Engine.wait down_poll else step ();
+    work rt step
+  end
+
+(* Serve one request: replay a measured trace (CPU, disk, sleeps,
+   downstream RPCs) then send the response — or shed it when the
+   resilience knobs say the tier is overloaded, or serve it degraded when
+   utilization crossed the degradation threshold. *)
+let rec handle sys rt ~tid ~mach ep (m : Socket.msg) =
   if tier_down rt then (* the process died with the request in hand *) ()
   else
     (* [meta] is the sender's RPC span id when this request is sampled;
        the server span's queue segment is [arrived, now). *)
     let span =
       match sys.rq with
-      | Some c when meta <> 0 ->
-          Rq.server_begin c ~parent:meta ~tier:rt.spec.Spec.tier_name ~bytes ~arrived
-            ~at:(Engine.now sys.engine)
+      | Some c when m.meta <> 0 ->
+          Rq.server_begin c ~parent:m.meta ~tier:rt.spec.Spec.tier_name ~bytes:m.bytes
+            ~arrived:m.arrived ~at:(Engine.now sys.engine)
       | _ -> 0
     in
     match rt.spec.Spec.resilience.Spec.queue_bound with
     | Some bound when backlog rt > bound * replica_count rt ->
-        rt.shed <- rt.shed + 1;
-        ts_counter sys rt Ditto_obs.Timeseries.Shed;
-        rq_server_end sys span ~bytes:err_bytes Rq.Shed;
-        Socket.send ~err:true ep ~bytes:err_bytes
+        reply_err sys rt ~span ep Ts.Shed Rq.Shed
     | _ ->
         let deg =
           match rt.spec.Spec.resilience.Spec.degrade with
@@ -238,46 +314,34 @@ let rec handle sys rt ~tid ~mach ep ~arrived ~meta ~bytes =
             match deg with
             | None -> rt.spec.Spec.response_bytes
             | Some d ->
-                rt.degraded <- rt.degraded + 1;
-                ts_counter sys rt Ditto_obs.Timeseries.Degraded;
+                count sys rt.tally Ts.Degraded;
                 max 1
                   (int_of_float
                      (float_of_int rt.spec.Spec.response_bytes *. d.Spec.degrade_response_scale))
           in
           rq_server_end sys span ~bytes:resp_bytes Rq.Ok;
           Socket.send ep ~bytes:resp_bytes;
-          let now = Engine.now sys.engine in
-          Stats.add rt.lat (now -. arrived);
-          rt.served <- rt.served + 1;
-          match sys.tl with
-          | None -> ()
-          | Some ts ->
-              Ditto_obs.Timeseries.record_latency ts ~tier:rt.spec.Spec.tier_name ~at:now
-                ~seconds:(now -. arrived)
+          complete sys rt.tally ~seconds:(Engine.now sys.engine -. m.arrived)
         end
-        else begin
-          rt.failures <- rt.failures + 1;
-          ts_counter sys rt Ditto_obs.Timeseries.Failures;
-          rq_server_end sys span ~bytes:err_bytes Rq.Err;
-          Socket.send ~err:true ep ~bytes:err_bytes
-        end
+        else reply_err sys rt ~span ep Ts.Failures Rq.Err
+
+(* A shed request, or one whose downstream call failed, gets a small error
+   reply. *)
+and reply_err sys rt ~span ep kind outcome =
+  count sys rt.tally kind;
+  rq_server_end sys span ~bytes:err_bytes outcome;
+  Socket.send ~err:true ep ~bytes:err_bytes
 
 (* Replay a trace; false when a downstream call ultimately failed (after
    retries), in which case the remaining synchronous segments are skipped —
-   the handler aborts like a real RPC server surfacing an upstream error. *)
+   the handler aborts like a real RPC server surfacing an upstream error.
+   On a sampled request, local work (CPU, disk, think) is bracketed into
+   [Service] segments. *)
 and replay sys rt ~tid ~mach ~span ~deg trace =
   let pending = ref [] in
   let failed = ref false in
-  (* On a sampled request, local work (CPU, disk, think) is bracketed into
-     [Service] segments; the unsampled/disabled path runs the bare segment. *)
-  let timed body =
-    if span = 0 then body ()
-    else begin
-      let t0 = Engine.now sys.engine in
-      body ();
-      rq_seg sys ~span Rq.Service ~t0
-    end
-  in
+  (* The unsampled path runs each body with no call in between. *)
+  let timed body = if span = 0 then body () else timed sys ~span Rq.Service body in
   List.iter
     (fun seg ->
       if not !failed then
@@ -346,39 +410,24 @@ and downstream sys rt ~mach ~span target req_bytes =
     | Some br when not (Breaker.allow br ~now:(Engine.now sys.engine)) -> false
     | _ ->
         let conn =
-          match Queue.take_opt pool with Some c -> c | None -> connect sys rt ~mach drt
-        in
-        (* One RPC span per attempt (client-side view: send until
-           reply/timeout); its id rides the request message as [meta] so
-           the callee's server span parents under it. *)
-        let rpc =
-          match sys.rq with
-          | Some c when span <> 0 ->
-              Rq.rpc_begin c ~parent:span ~target ~bytes:req_bytes ~at:(Engine.now sys.engine)
-          | _ -> 0
-        in
-        if rpc = 0 then Socket.send conn ~bytes:req_bytes
-        else Socket.send conn ~meta:rpc ~bytes:req_bytes;
-        let ok =
-          match res.Spec.call_timeout with
+          match Queue.take_opt pool with
+          | Some c -> c
           | None ->
-              let m = Socket.recv_msg conn in
+              let a, b, srv =
+                pair sys ~src:rt.spec.Spec.tier_name ~mach ~nic:mach.Machine.nic drt
+              in
+              attach sys drt srv b;
+              a
+        in
+        let timeout = res.Spec.call_timeout in
+        let ok =
+          match call sys ~parent:span ~target ~bytes:req_bytes ?timeout conn with
+          | Some m ->
               Queue.push conn pool;
-              rq_rpc_end sys rpc ~bytes:m.Socket.bytes
-                (if m.Socket.err then Rq.Err else Rq.Ok);
               not m.Socket.err
-          | Some timeout -> (
-              match Socket.recv_msg_timeout conn ~timeout with
-              | Some m ->
-                  Queue.push conn pool;
-                  rq_rpc_end sys rpc ~bytes:m.Socket.bytes
-                    (if m.Socket.err then Rq.Err else Rq.Ok);
-                  not m.Socket.err
-              | None ->
-                  rt.timeouts <- rt.timeouts + 1;
-                  ts_counter sys rt Ditto_obs.Timeseries.Timeouts;
-                  rq_rpc_end sys rpc Rq.Timeout;
-                  false)
+          | None ->
+              count sys rt.tally Ts.Timeouts;
+              false
         in
         (match breaker with
         | Some br -> Breaker.record br ~now:(Engine.now sys.engine) ~ok
@@ -389,128 +438,68 @@ and downstream sys rt ~mach ~span target req_bytes =
     if attempt () then true
     else if n >= res.Spec.max_retries then false
     else begin
-      rt.retries <- rt.retries + 1;
-      ts_counter sys rt Ditto_obs.Timeseries.Retries;
+      count sys rt.tally Ts.Retries;
       let backoff = res.Spec.retry_backoff *. (2.0 ** float_of_int n) in
       if backoff > 0.0 then begin
         let d = backoff *. (0.5 +. Rng.float rt.rng 1.0) in
-        if span = 0 then Engine.wait d
-        else begin
-          let t0 = Engine.now sys.engine in
-          Engine.wait d;
-          rq_seg sys ~span Rq.Backoff ~t0
-        end
+        timed sys ~span Rq.Backoff (fun () -> Engine.wait d)
       end;
       go (n + 1)
     end
   in
   go 0
 
-and connect sys rt ~mach drt =
-  (* Pick the destination server first: the socket pair must land on the
-     machine whose NIC will carry the bytes. *)
-  let srv = pick drt in
-  let dmach = srv.machine in
-  let same = mach == dmach in
-  let a_nic = if same then mach.Machine.loopback else mach.Machine.nic in
-  let b_nic = if same then dmach.Machine.loopback else dmach.Machine.nic in
-  let latency = if same then 5e-6 else 20e-6 in
-  let client_ep, server_ep = Socket.pair mach.Machine.engine ~a_nic ~b_nic ~latency in
-  (match sys.inj with
-  | None -> ()
-  | Some inj ->
-      let src = rt.spec.Spec.tier_name and dst = drt.spec.Spec.tier_name in
-      Socket.set_disruptor client_ep (Some (Injector.disruptor inj ~src ~dst));
-      Socket.set_disruptor server_ep (Some (Injector.disruptor inj ~src:dst ~dst:src)));
-  attach sys drt srv server_ep;
-  client_ep
-
-(* Register a new inbound connection on the server chosen by [pick],
-   according to the tier's network and thread model. *)
+(* Register a new inbound connection on the server chosen by [pick]. A
+   blocking tier serves it on a thread of its own (spawned dynamically for
+   services like MongoDB whose thread count follows the connection count);
+   the polling models add it to one of the server's connection sets,
+   round-robin. *)
 and attach sys rt srv ep =
   match rt.spec.Spec.server_model with
-  | Spec.Io_multiplexing ->
+  | Spec.Blocking ->
+      let tid = fresh_tid sys.tids in
+      Engine.fork (fun () ->
+          work rt (fun () ->
+              let m = Socket.recv_msg ep in
+              handle sys rt ~tid ~mach:srv.machine ep m))
+  | Spec.Io_multiplexing | Spec.Nonblocking ->
       Socket.Epoll.add srv.epolls.(srv.epoll_rr mod Array.length srv.epolls) ep;
       srv.epoll_rr <- srv.epoll_rr + 1
-  | Spec.Blocking ->
-      (* Thread-per-connection (spawned dynamically for services like
-         MongoDB whose thread count follows the connection count). *)
-      let tid = fresh_tid sys.tids in
-      Engine.fork (fun () -> blocking_loop sys rt ~tid ~mach:srv.machine ep)
-  | Spec.Nonblocking -> srv.poll_conns <- ep :: srv.poll_conns
 
-and blocking_loop sys rt ~tid ~mach ep =
-  if not rt.stopped then
-    if tier_down rt then begin
-      Engine.wait down_poll;
-      blocking_loop sys rt ~tid ~mach ep
-    end
-    else begin
-      let m = Socket.recv_msg ep in
-      handle sys rt ~tid ~mach ep ~arrived:m.Socket.arrived ~meta:m.Socket.meta
-        ~bytes:m.Socket.bytes;
-      blocking_loop sys rt ~tid ~mach ep
-    end
+(* An I/O-multiplexing worker's step: wait for readiness, then drain each
+   ready connection. *)
+let epoll_step sys rt ~tid ~mach epoll =
+  List.iter
+    (fun ep ->
+      let rec drain () =
+        (* Stop draining the instant the tier crashes: queued
+           requests must survive to be the restart's backlog. *)
+        if not (tier_down rt) then
+          match Socket.try_recv_msg ep with
+          | Some m ->
+              handle sys rt ~tid ~mach ep m;
+              drain ()
+          | None -> ()
+      in
+      drain ())
+    (Socket.Epoll.wait ~timeout:0.1 epoll)
 
-(* Workers are bound to one server: its machine and, for the polling
-   models, its connection set. *)
-let epoll_worker sys rt ~tid ~mach epoll =
-  let rec loop () =
-    if not rt.stopped then
-      if tier_down rt then begin
-        Engine.wait down_poll;
-        loop ()
-      end
-      else
-        match Socket.Epoll.wait ~timeout:0.1 epoll with
-        | [] -> loop ()
-        | ready ->
-            List.iter
-              (fun ep ->
-                let rec drain () =
-                  (* Stop draining the instant the tier crashes: queued
-                     requests must survive to be the restart's backlog. *)
-                  if not (tier_down rt) then
-                    match Socket.try_recv_msg ep with
-                    | Some m ->
-                        handle sys rt ~tid ~mach ep ~arrived:m.Socket.arrived
-                          ~meta:m.Socket.meta ~bytes:m.Socket.bytes;
-                        drain ()
-                    | None -> ()
-                in
-                drain ())
-              ready;
-            loop ()
-  in
-  loop ()
-
-let nonblocking_worker sys rt ~tid srv =
-  let mach = srv.machine in
+(* A non-blocking worker's step: poll every connection of the server's
+   set once, newest first. *)
+let poll_step sys rt ~tid ~mach epoll =
   let poll_interval = 20e-6 and poll_cpu = 1.5e-6 in
-  let rec loop () =
-    if not rt.stopped then
-      if tier_down rt then begin
-        Engine.wait down_poll;
-        loop ()
-      end
-      else begin
-        let got = ref false in
-        List.iter
-          (fun ep ->
-            match Socket.try_recv_msg ep with
-            | Some m ->
-                got := true;
-                handle sys rt ~tid ~mach ep ~arrived:m.Socket.arrived ~meta:m.Socket.meta
-                  ~bytes:m.Socket.bytes
-            | None -> ())
-          srv.poll_conns;
-        (* Polling burns CPU even when idle — the §4.3.1 caveat. *)
-        run_cpu sys rt ~tid ~mach poll_cpu;
-        if not !got then Engine.wait poll_interval;
-        loop ()
-      end
-  in
-  loop ()
+  let got = ref false in
+  List.iter
+    (fun ep ->
+      match Socket.try_recv_msg ep with
+      | Some m ->
+          got := true;
+          handle sys rt ~tid ~mach ep m
+      | None -> ())
+    (Socket.Epoll.endpoints epoll);
+  (* Polling burns CPU even when idle — the §4.3.1 caveat. *)
+  run_cpu sys rt ~tid ~mach poll_cpu;
+  if not !got then Engine.wait poll_interval
 
 (* Background work runs on the primary's machine only. *)
 let background_thread sys rt ~tid period trace =
@@ -546,34 +535,35 @@ let server (spec : Spec.tier) machine =
   let nepolls =
     match spec.Spec.server_model with
     | Spec.Io_multiplexing -> max 1 spec.Spec.thread_model.Spec.workers
-    | Spec.Nonblocking | Spec.Blocking -> 0
+    | Spec.Nonblocking -> 1
+    | Spec.Blocking -> 0
   in
   let nic0, disk0 = odometers machine in
   {
     machine;
     epolls = Array.init nepolls (fun _ -> Socket.Epoll.create ());
     epoll_rr = 0;
-    poll_conns = [];
     active = true;
     nic0;
     disk0;
   }
 
-(* Start a server's workers. [spawn] is [Engine.spawn engine] at setup time
+(* Start a server's workers, each bound to the server's machine and one
+   of its connection sets. [spawn] is [Engine.spawn engine] at setup time
    and [Engine.fork] from inside the autoscaler's process. A blocking tier
    has none: its threads start per connection, in [attach]. *)
 let start_workers sys rt srv ~spawn =
+  let mach = srv.machine in
+  let worker step =
+    let tid = fresh_tid sys.tids in
+    spawn (fun () -> work rt (fun () -> step ~tid))
+  in
   match rt.spec.Spec.server_model with
   | Spec.Io_multiplexing ->
-      Array.iter
-        (fun epoll ->
-          let tid = fresh_tid sys.tids in
-          spawn (fun () -> epoll_worker sys rt ~tid ~mach:srv.machine epoll))
-        srv.epolls
+      Array.iter (fun epoll -> worker (fun ~tid -> epoll_step sys rt ~tid ~mach epoll)) srv.epolls
   | Spec.Nonblocking ->
       for _ = 1 to max 1 rt.spec.Spec.thread_model.Spec.workers do
-        let tid = fresh_tid sys.tids in
-        spawn (fun () -> nonblocking_worker sys rt ~tid srv)
+        worker (fun ~tid -> poll_step sys rt ~tid ~mach srv.epolls.(0))
       done
   | Spec.Blocking -> ()
 
@@ -608,15 +598,8 @@ let apply_scale sys rt ~spawn ~from_n ~to_n =
   else
     for _ = to_n + 1 to from_n do scale_down_one rt done;
   let now = Engine.now sys.engine in
-  let tier = rt.spec.Spec.tier_name in
-  sys.scale_log := { se_at = now; se_tier = tier; se_from = from_n; se_to = to_n } :: !(sys.scale_log);
-  match sys.tl with
-  | None -> ()
-  | Some ts ->
-      (* "scale:" prefix: Timeline must not score these as faults *)
-      Ditto_obs.Timeseries.mark ts ~at:now
-        ~label:(Printf.sprintf "scale:%s:%d->%d" tier from_n to_n);
-      Ditto_obs.Timeseries.record_replicas ts ~tier ~at:now ~count:to_n
+  let e = { se_at = now; se_tier = rt.spec.Spec.tier_name; se_from = from_n; se_to = to_n } in
+  sys.scale_log := e :: !(sys.scale_log)
 
 (* The controller is a DES process (Engine.every callbacks cannot spawn
    workers): every interval it reads the per-replica backlog — pure state,
@@ -695,7 +678,7 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
       (* [Engine.now] here equals the load-phase start: the clock cannot
          advance before [Engine.run] below. *)
       Some
-        (Ditto_obs.Timeseries.create ~start:(Engine.now engine) ~duration:l.duration
+        (Ts.create ~start:(Engine.now engine) ~duration:l.duration
            ~tiers:(List.map (fun (t : Spec.tier) -> t.Spec.tier_name) app.Spec.tiers)
            ())
   in
@@ -705,9 +688,9 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
       (* Sampling hashes the run seed with a request counter — no RNG
          stream is consumed, so the simulated results of a traced run
          are byte-identical to an untraced run's. *)
-      Some (Ditto_obs.Reqtrace.create ~seed ())
+      Some (Rq.create ~seed ())
   in
-  let sys = { engine; registry; tids; inj; tl; rq; scale_log = ref [] } in
+  let sys = { engine; registry; tids; inj; rq; scale_log = ref [] } in
   let rts =
     List.map
       (fun (tier : Spec.tier) ->
@@ -721,14 +704,8 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
             rr = 0;
             pools = Hashtbl.create 4;
             breakers = Hashtbl.create 4;
-            lat = Stats.create ();
-            served = 0;
+            tally = tally tl tier.Spec.tier_name;
             inflight = 0;
-            timeouts = 0;
-            retries = 0;
-            shed = 0;
-            failures = 0;
-            degraded = 0;
             stopped = false;
           }
         in
@@ -761,23 +738,12 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
           done)
     rts;
   let entry = Hashtbl.find registry app.Spec.entry in
-  (* Client connections (the load generator is its own machine). The entry
-     server is chosen per connection so surge scale-out spreads new and
-     re-paired client connections across the live servers. *)
+  (* Client connections (the load generator is its own machine, with its
+     own NIC). The entry server is chosen per connection so surge
+     scale-out spreads new and re-paired client connections across the
+     live servers. *)
   let client_nic = Nic.create engine ~gbps:40.0 in
-  let client_pair () =
-    let srv = pick entry in
-    let a, b =
-      Socket.pair engine ~a_nic:client_nic ~b_nic:srv.machine.Machine.nic ~latency:20e-6
-    in
-    (match inj with
-    | None -> ()
-    | Some i ->
-        let dst = entry.spec.Spec.tier_name in
-        Socket.set_disruptor a (Some (Injector.disruptor i ~src:Plan.client_tier ~dst));
-        Socket.set_disruptor b (Some (Injector.disruptor i ~src:dst ~dst:Plan.client_tier)));
-    (a, b, srv)
-  in
+  let client_pair () = pair sys ~src:Plan.client_tier ~nic:client_nic entry in
   let conns =
     Array.init (max 1 l.connections) (fun _ ->
         let a, b, srv = client_pair () in
@@ -794,11 +760,9 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
       match rt.spec.Spec.autoscale with
       | None -> ()
       | Some pol ->
-          (match tl with
+          (match rt.tally.series with
           | None -> ()
-          | Some ts ->
-              Ditto_obs.Timeseries.record_replicas ts ~tier:rt.spec.Spec.tier_name ~at:t_start
-                ~count:(replica_count rt));
+          | Some s -> Ts.replicas s ~at:t_start ~count:(replica_count rt));
           autoscaler sys rt ~engine ~t_end pol)
     rts;
   (match tl with
@@ -822,8 +786,7 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
                 | Plan.Link _ -> "link"
                 | Plan.Partition _ -> "partition"
               in
-              Ditto_obs.Timeseries.mark ts ~at:(t_start +. ev.Plan.at)
-                ~label:(label ^ ":" ^ ev.Plan.tier))
+              Ts.mark ts ~at:(t_start +. ev.Plan.at) ~label:(label ^ ":" ^ ev.Plan.tier))
             plan.Plan.events);
       (* Flash-crowd onsets are events just like faults: the transient
          scorecard measures reconvergence from them too. *)
@@ -833,95 +796,56 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
             (fun term ->
               match term with
               | Rate.Spike { at; _ } ->
-                  Ditto_obs.Timeseries.mark ts ~at:(t_start +. at)
-                    ~label:("surge:" ^ p.Rate.profile_name)
+                  Ts.mark ts ~at:(t_start +. at) ~label:("surge:" ^ p.Rate.profile_name)
               | _ -> ())
             p.Rate.shape
       | _ -> ());
-      let w = Ditto_obs.Timeseries.window_seconds ts in
+      let w = Ts.window_seconds ts in
       Engine.every engine ~start:t_start ~period:w ~until:(t_end -. (0.5 *. w)) (fun at ->
           List.iter
-            (fun rt ->
-              Ditto_obs.Timeseries.record_queue ts ~tier:rt.spec.Spec.tier_name ~at
-                ~depth:(backlog rt))
+            (fun rt -> Option.iter (fun s -> Ts.queue s ~at ~depth:(backlog rt)) rt.tally.series)
             rts));
-  let ts_client c =
-    match tl with
-    | None -> ()
-    | Some ts ->
-        Ditto_obs.Timeseries.record_counter ts ~tier:Ditto_obs.Timeseries.client_tier
-          ~at:(Engine.now engine) c
-  in
-  let lat = Stats.create () in
-  let completed = ref 0 in
-  let client_errors = ref 0 in
-  let client_timeouts = ref 0 in
-  let client_retries_used = ref 0 in
+  let client = tally tl Ts.client_tier in
   let gen_rng = Rng.split root in
-  (* Client-side trace hooks: [root] / [rpc] are 0 for unsampled requests,
-     so every helper below is a guard and nothing else on the common path. *)
-  let rq_client_rpc root =
+  (* Client-side trace hooks: [root] is 0 for an unsampled request, so
+     each is a guard and nothing else on the common path. *)
+  let client_start t0 = match rq with Some c -> Rq.client_start c ~at:t0 | None -> 0 in
+  let finish root reply =
     match rq with
     | Some c when root <> 0 ->
-        Rq.rpc_begin c ~parent:root ~target:entry.spec.Spec.tier_name
-          ~bytes:entry.spec.Spec.request_bytes ~at:(Engine.now engine)
-    | _ -> 0
-  in
-  let rq_client_finish root outcome =
-    match rq with
-    | Some c when root <> 0 -> Rq.client_finish c ~span:root ~at:(Engine.now engine) outcome
+        Rq.client_finish c ~span:root ~at:(Engine.now engine) (call_outcome reply)
     | _ -> ()
   in
-  let client_start t0 = match rq with Some c -> Rq.client_start c ~at:t0 | None -> 0 in
   (* Attempt [n] of one request on connection [c], timed from its
      submission at [t0]. With no client deadline every reply completes the
      request, an error reply too; with one, an error reply or a timeout is
      retried while the budget lasts and then counts as an error. *)
   let rec exchange c ~t0 ~root n =
-    let rpc = rq_client_rpc root in
-    if rpc = 0 then Socket.send c.ep ~bytes:entry.spec.Spec.request_bytes
-    else Socket.send c.ep ~meta:rpc ~bytes:entry.spec.Spec.request_bytes;
     let reply =
-      match l.client_timeout with
-      | None -> Some (Socket.recv_msg c.ep)
-      | Some timeout -> Socket.recv_msg_timeout c.ep ~timeout
+      call sys ~parent:root ~target:entry.spec.Spec.tier_name
+        ~bytes:entry.spec.Spec.request_bytes ?timeout:l.client_timeout c.ep
     in
     match (reply, l.client_timeout) with
-    | Some m, None | Some ({ Socket.err = false; _ } as m), Some _ ->
-        let outcome = if m.Socket.err then Rq.Err else Rq.Ok in
-        rq_rpc_end sys rpc ~bytes:m.Socket.bytes outcome;
-        let now = Engine.now engine in
-        Stats.add lat (now -. t0);
-        incr completed;
-        rq_client_finish root outcome;
-        (match tl with
-        | None -> ()
-        | Some ts ->
-            Ditto_obs.Timeseries.record_latency ts ~tier:Ditto_obs.Timeseries.client_tier ~at:now
-              ~seconds:(now -. t0))
-    | outcome, _ ->
-        (match outcome with
-        | None ->
-            (* Poison the timed-out connection: a late reply must not
-               answer the next request. *)
-            rq_rpc_end sys rpc Rq.Timeout;
-            incr client_timeouts;
-            ts_client Ditto_obs.Timeseries.Timeouts;
-            let a, b, srv = client_pair () in
-            attach sys entry srv b;
-            c.ep <- a
-        | Some m ->
-            (* error response; the conn stays paired *)
-            rq_rpc_end sys rpc ~bytes:m.Socket.bytes Rq.Err);
+    | Some _, None | Some { Socket.err = false; _ }, Some _ ->
+        complete sys client ~seconds:(Engine.now engine -. t0);
+        finish root reply
+    | _ ->
+        if Option.is_none reply then begin
+          (* Poison the timed-out connection: a late reply must not
+             answer the next request. (After an error response the conn
+             stays paired.) *)
+          count sys client Ts.Timeouts;
+          let a, b, srv = client_pair () in
+          attach sys entry srv b;
+          c.ep <- a
+        end;
         if n < l.client_retries then begin
-          incr client_retries_used;
-          ts_client Ditto_obs.Timeseries.Retries;
+          count sys client Ts.Retries;
           exchange c ~t0 ~root (n + 1)
         end
         else begin
-          incr client_errors;
-          ts_client Ditto_obs.Timeseries.Failures;
-          rq_client_finish root (match outcome with None -> Rq.Timeout | Some _ -> Rq.Err)
+          count sys client Ts.Failures;
+          finish root reply
         end
   in
   (* The connection's process: serve the waiting requests in submission
@@ -1041,9 +965,24 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
   end;
   Engine.run ~until:(t_end +. 0.5) engine;
   List.iter (fun rt -> rt.stopped <- true) rts;
+  let scale_events = List.rev !(sys.scale_log) in
+  (* The timeline reads each scale event from the log, after the markers
+     above: a "scale:" marker (Timeline must not score these as faults)
+     and the tier's replica count in the event's window. *)
+  Option.iter
+    (fun ts ->
+      List.iter
+        (fun e ->
+          let label = Printf.sprintf "scale:%s:%d->%d" e.se_tier e.se_from e.se_to in
+          Ts.mark ts ~at:e.se_at ~label;
+          Option.iter
+            (fun s -> Ts.replicas s ~at:e.se_at ~count:e.se_to)
+            (Hashtbl.find registry e.se_tier).tally.series)
+        scale_events)
+    tl;
   (* Close spans of requests still in flight at teardown (outcome
      Timeout) and freeze the trees for readers. *)
-  (match rq with None -> () | Some c -> Ditto_obs.Reqtrace.finalize c ~at:(Engine.now engine));
+  (match rq with None -> () | Some c -> Rq.finalize c ~at:(Engine.now engine));
   let elapsed = Float.max 1e-9 (Float.min (Engine.now engine) t_end -. t_start) in
   let mbps bytes = float_of_int bytes /. elapsed /. 1e6 in
   let tiers =
@@ -1062,15 +1001,15 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
         List.iter (fun srv -> Machine.release srv.machine) (List.tl rt.servers);
         {
           obs_name = rt.spec.Spec.tier_name;
-          obs_latency = Stats.summary rt.lat;
-          obs_requests = rt.served;
+          obs_latency = Stats.summary rt.tally.lat;
+          obs_requests = rt.tally.completed;
           obs_net_mbps = mbps nic;
           obs_disk_mbps = mbps disk;
-          obs_timeouts = rt.timeouts;
-          obs_retries = rt.retries;
-          obs_shed = rt.shed;
-          obs_degraded = rt.degraded;
-          obs_failures = rt.failures;
+          obs_timeouts = rt.tally.timeouts;
+          obs_retries = rt.tally.retries;
+          obs_shed = rt.tally.shed;
+          obs_degraded = rt.tally.degraded;
+          obs_failures = rt.tally.failures;
           obs_replicas = replica_count rt;
           obs_breaker_transitions =
             Hashtbl.fold (fun _ br acc -> acc + Breaker.transitions br) rt.breakers 0;
@@ -1083,18 +1022,18 @@ let run ~(app : Spec.t) ~machine ~results ~seed ?(net_interference_gbps = 0.0) ?
   in
   (* Copy the client latencies before [summary] sorts them in place: the
      raw array keeps completion order. *)
-  let latency_raw = Stats.to_array lat in
+  let latency_raw = Stats.to_array client.lat in
   {
-    latency = Stats.summary lat;
+    latency = Stats.summary client.lat;
     latency_raw;
-    achieved_qps = float_of_int !completed /. elapsed;
-    completed = !completed;
-    errors = !client_errors;
-    client_timeouts = !client_timeouts;
-    client_retries = !client_retries_used;
+    achieved_qps = float_of_int client.completed /. elapsed;
+    completed = client.completed;
+    errors = client.failures;
+    client_timeouts = client.timeouts;
+    client_retries = client.retries;
     elapsed;
     tiers;
-    scale_events = List.rev !(sys.scale_log);
+    scale_events;
     timeline = tl;
     reqtrace = rq;
   }

@@ -2,7 +2,9 @@
 
     Tiers run as processes with their profiled thread/network models
     (Fig. 3's skeleton): I/O-multiplexing workers on epoll sets, blocking
-    thread-per-connection servers, or non-blocking pollers. Request work is
+    thread-per-connection servers, or non-blocking pollers that sweep
+    their server's one connection set, newest connection first. Every
+    worker runs one loop that waits out its tier's crashes. Request work is
     replayed from {!Measure} traces — on-CPU segments contend on the
     scheduler, disk segments queue on the device, downstream RPC segments
     traverse sockets to other tiers. Latency distributions, achieved
@@ -86,7 +88,10 @@ type result = {
       (** windowed per-tier telemetry on the DES clock (plus a
           {!Ditto_obs.Timeseries.client_tier} end-to-end series and fault
           markers from the plan); [Some] only when {!run}'s [timeline]
-          was set. Recording telemetry does not perturb any other field. *)
+          was set. Recording telemetry does not perturb any other field.
+          Each tier and the client keep one tally: the call that counts
+          a completion or an event for the fields above also records it
+          in its window, unless it falls in the drain after the load. *)
   reqtrace : Ditto_obs.Reqtrace.t option;
       (** span trees of deterministically sampled requests, finalized
           ({!Ditto_obs.Reqtrace.traces} is ready); [Some] only when

@@ -135,6 +135,7 @@ module Epoll = struct
     if t.queued = 0 then [] else List.filter (fun ep -> not (Queue.is_empty ep.inbox)) t.endpoints
 
   let pending_total t = t.queued
+  let endpoints t = t.endpoints
 
   let register t w = t.waiters <- w :: List.filter (fun w' -> not (Engine.is_woken w')) t.waiters
 

@@ -74,6 +74,10 @@ module Epoll : sig
       non-positive [timeout] polls: it returns the currently ready
       endpoints — possibly [] — without blocking or yielding. *)
 
+  val endpoints : t -> endpoint list
+  (** The registered endpoints, most recently added first: the order a
+      non-blocking server's workers poll them in. *)
+
   val pending_total : t -> int
   (** Total queued messages across all registered endpoints (the tier's
       accept-queue depth, used for load shedding). O(1): the epoll keeps

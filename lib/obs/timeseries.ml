@@ -19,7 +19,20 @@ type row = {
   r_replicas : int;
 }
 
-type series = {
+type t = {
+  start : float;
+  window : float;
+  nwin : int;
+  alpha : float;
+  order : string list;
+  tbl : (string, series) Hashtbl.t;
+  mutable marks_rev : (float * string) list;
+}
+
+(* [owner] gives a series its collector's windows, so a recorder holding
+   the series needs no lookup by tier name. *)
+and series = {
+  owner : t;
   completed : int array;
   (* latency sketches are allocated lazily: most tiers see traffic in
      every window, but a crashed tier's windows stay empty *)
@@ -35,25 +48,26 @@ type series = {
   mutable rate_basis : float;  (* insts per request; 0. until set *)
 }
 
-type t = {
-  start : float;
-  window : float;
-  nwin : int;
-  alpha : float;
-  order : string list;
-  tbl : (string, series) Hashtbl.t;
-  mutable marks_rev : (float * string) list;
-}
-
 let create ?(windows = 24) ?(alpha = 0.01) ~start ~duration ~tiers () =
   if windows <= 0 then invalid_arg "Timeseries.create: windows must be positive";
   if duration <= 0.0 then invalid_arg "Timeseries.create: duration must be positive";
   let order = tiers @ [ client_tier ] in
-  let tbl = Hashtbl.create (List.length order) in
+  let t =
+    {
+      start;
+      window = duration /. float_of_int windows;
+      nwin = windows;
+      alpha;
+      order;
+      tbl = Hashtbl.create (List.length order);
+      marks_rev = [];
+    }
+  in
   List.iter
     (fun name ->
-      Hashtbl.replace tbl name
+      Hashtbl.replace t.tbl name
         {
+          owner = t;
           completed = Array.make windows 0;
           lat = Array.make windows None;
           timeouts = Array.make windows 0;
@@ -67,15 +81,7 @@ let create ?(windows = 24) ?(alpha = 0.01) ~start ~duration ~tiers () =
           rate_basis = 0.0;
         })
     order;
-  {
-    start;
-    window = duration /. float_of_int windows;
-    nwin = windows;
-    alpha;
-    order;
-    tbl;
-    marks_rev = [];
-  }
+  t
 
 let start_time t = t.start
 let window_seconds t = t.window
@@ -83,7 +89,7 @@ let windows t = t.nwin
 let tiers t = t.order
 let marks t = List.rev t.marks_rev
 
-let series t tier =
+let series t ~tier =
   match Hashtbl.find_opt t.tbl tier with
   | Some s -> s
   | None -> invalid_arg ("Timeseries: unknown tier " ^ tier)
@@ -97,27 +103,25 @@ let window_index t at =
     let i = int_of_float ((at -. t.start) /. t.window) in
     if i >= t.nwin then None else Some i
 
-let record_latency t ~tier ~at ~seconds =
-  match window_index t at with
+let latency s ~at ~seconds =
+  match window_index s.owner at with
   | None -> ()
   | Some i ->
-      let s = series t tier in
       s.completed.(i) <- s.completed.(i) + 1;
       let h =
         match s.lat.(i) with
         | Some h -> h
         | None ->
-            let h = Histogram.create ~alpha:t.alpha () in
+            let h = Histogram.create ~alpha:s.owner.alpha () in
             s.lat.(i) <- Some h;
             h
       in
       Histogram.add h seconds
 
-let record_counter t ~tier ~at c =
-  match window_index t at with
+let count s ~at c =
+  match window_index s.owner at with
   | None -> ()
   | Some i -> (
-      let s = series t tier in
       match c with
       | Timeouts -> s.timeouts.(i) <- s.timeouts.(i) + 1
       | Retries -> s.retries.(i) <- s.retries.(i) + 1
@@ -125,38 +129,30 @@ let record_counter t ~tier ~at c =
       | Failures -> s.failures.(i) <- s.failures.(i) + 1
       | Degraded -> s.degraded.(i) <- s.degraded.(i) + 1)
 
-let record_cpu t ~tier ~at ~seconds =
-  match window_index t at with
-  | None -> ()
-  | Some i ->
-      let s = series t tier in
-      s.cpu.(i) <- s.cpu.(i) +. seconds
+let cpu s ~at ~seconds =
+  match window_index s.owner at with None -> () | Some i -> s.cpu.(i) <- s.cpu.(i) +. seconds
 
-let record_queue t ~tier ~at ~depth =
-  match window_index t at with
+let queue s ~at ~depth =
+  match window_index s.owner at with
   | None -> ()
-  | Some i ->
-      let s = series t tier in
-      if depth > s.queue.(i) then s.queue.(i) <- depth
+  | Some i -> if depth > s.queue.(i) then s.queue.(i) <- depth
 
 (* Replica counts are a step function sampled by the autoscaler at each
    scale event (and at arming time): record the max seen per window and
    carry the last value forward at read time so quiet windows still show
    the live count. *)
-let record_replicas t ~tier ~at ~count =
-  match window_index t at with
+let replicas s ~at ~count =
+  match window_index s.owner at with
   | None -> ()
-  | Some i ->
-      let s = series t tier in
-      if count > s.replicas.(i) then s.replicas.(i) <- count
+  | Some i -> if count > s.replicas.(i) then s.replicas.(i) <- count
 
 let mark t ~at ~label = t.marks_rev <- (at, label) :: t.marks_rev
-let set_rate_basis t ~tier ~insts_per_req = (series t tier).rate_basis <- insts_per_req
-let insts_per_req t ~tier = (series t tier).rate_basis
+let set_rate_basis t ~tier ~insts_per_req = (series t ~tier).rate_basis <- insts_per_req
+let insts_per_req t ~tier = (series t ~tier).rate_basis
 
 let row t ~tier i =
   if i < 0 || i >= t.nwin then invalid_arg "Timeseries.row: window out of range";
-  let s = series t tier in
+  let s = series t ~tier in
   let p q = match s.lat.(i) with None -> 0.0 | Some h -> Histogram.quantile h q in
   {
     r_completed = s.completed.(i);
@@ -246,7 +242,8 @@ let openmetrics groups =
   (* replica counts only exist under an autoscaling policy; suppress the
      family entirely otherwise so pre-surge exports stay byte-identical *)
   (if List.exists
-       (fun (_, t) -> List.exists (fun tier -> Array.exists (fun c -> c > 0) (series t tier).replicas) t.order)
+       (fun (_, t) ->
+         List.exists (fun tier -> Array.exists (fun c -> c > 0) (series t ~tier).replicas) t.order)
        groups
    then
      family "ditto_replicas" "gauge" "live replica count (autoscaler, carried forward per window)"

@@ -52,21 +52,29 @@ val create :
     (default 0.01). [tiers] are the application tier names; a
     {!client_tier} series is appended automatically. *)
 
-(** {1 Recording} (all no-ops for timestamps outside the run interval) *)
+(** {1 Recording}
 
-val record_latency : t -> tier:string -> at:float -> seconds:float -> unit
+    A recorder resolves a tier's {!series} once, then records by it, not
+    by tier name. A timestamp outside the run interval records nothing. *)
+
+type series  (** one tier's windows, or the {!client_tier}'s *)
+
+val series : t -> tier:string -> series
+(** Raises [Invalid_argument] on an unknown tier. *)
+
+val latency : series -> at:float -> seconds:float -> unit
 (** One completed request: bumps the window's completed count and feeds
     its latency sketch. *)
 
-val record_counter : t -> tier:string -> at:float -> counter -> unit
-val record_cpu : t -> tier:string -> at:float -> seconds:float -> unit
+val count : series -> at:float -> counter -> unit
+val cpu : series -> at:float -> seconds:float -> unit
 
-val record_queue : t -> tier:string -> at:float -> depth:int -> unit
+val queue : series -> at:float -> depth:int -> unit
 (** Keeps the max depth seen in the window. *)
 
-val record_replicas : t -> tier:string -> at:float -> count:int -> unit
-(** Autoscaler hook: the tier's live replica count after a scale event.
-    Keeps the max per window; reads carry the last value forward. *)
+val replicas : series -> at:float -> count:int -> unit
+(** The tier's live replica count after a scale event. Keeps the max
+    per window; reads carry the last value forward. *)
 
 val mark : t -> at:float -> label:string -> unit
 (** Timeline event marker (fault injections, profile spikes, scale
@@ -92,9 +100,6 @@ val row : t -> tier:string -> int -> row
 
 val marks : t -> (float * string) list
 (** Markers in recording order (absolute simulated time). *)
-
-val insts_per_req : t -> tier:string -> float
-(** [0.] until {!set_rate_basis} is called for the tier. *)
 
 (** {1 Exporters} *)
 

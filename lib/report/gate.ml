@@ -31,7 +31,13 @@ type run = {
 
 type result = { runs : run list; smoke : string }
 
-let with_timeline p = Runner.config ~timeline:true p
+let records_timeline = function Timeline | Surge -> true | Chaos | Critpath -> false
+let records_reqtrace = function Critpath -> true | Chaos | Timeline | Surge -> false
+
+(* A gate's runs turn on the recorders it reads. *)
+let config_of g p =
+  Runner.config ~timeline:(records_timeline g) ~reqtrace:(records_reqtrace g) p
+
 let ms seconds = int_of_float (Float.round (seconds *. 1e3))
 
 let run_of ~scenario (c : Pipeline.comparison) ~flat ~print =
@@ -69,8 +75,8 @@ let chaos ?pool ~app ~load ~tiers ?plan ?profile (clone : Pipeline.clone_result)
       (fun plan ->
         let scenario = Pipeline.scenario_name ~plan ?surge:profile () in
         let ch =
-          Pipeline.validate_under ?pool ~platform ~load ~plan ?profile
-            ~label:("chaos:" ^ scenario) clone
+          Pipeline.validate_under ?pool ~config_of:(config_of Chaos) ~platform ~load ~plan
+            ?profile ~label:("chaos:" ^ scenario) clone
         in
         let card = Scorecard.of_chaos ~app ?tuning:clone.Pipeline.tuning ch in
         let delta metric =
@@ -102,7 +108,7 @@ let timeline ?pool ~app ~load ~tiers ?plan ?profile clone =
   in
   let scenario = Pipeline.scenario_name ~plan ?surge:profile () in
   let ch =
-    Pipeline.validate_under ?pool ~config_of:with_timeline ~platform ~load ~plan ?profile
+    Pipeline.validate_under ?pool ~config_of:(config_of Timeline) ~platform ~load ~plan ?profile
       ~label:("timeline:" ^ scenario) clone
   in
   let tl =
@@ -128,7 +134,7 @@ let timeline ?pool ~app ~load ~tiers ?plan ?profile clone =
   }
 
 let critpath ?pool ~app ~load ?plan ?profile clone =
-  let config_of p = Runner.config ~reqtrace:true p in
+  let config_of = config_of Critpath in
   let scenario = Pipeline.scenario_name ?plan ?surge:profile () in
   let label = "critpath:" ^ scenario in
   let c =
@@ -161,7 +167,7 @@ let surge ?pool ~app ~load ~tiers ?plan ?profile clone =
     match profile with Some r -> r | None -> Ditto_loadgen.Profile.flash_crowd ~duration ()
   in
   let ch =
-    Pipeline.validate_under ?pool ~config_of:with_timeline ~platform ~load
+    Pipeline.validate_under ?pool ~config_of:(config_of Surge) ~platform ~load
       ~resilience:(Spec.resilient ~queue_bound:surge_queue_bound ())
       ~autoscale:(Spec.autoscale ()) ~plan ~profile
       ~label:("surge:" ^ Pipeline.scenario_name ~plan ~surge:profile ())

@@ -30,6 +30,12 @@ val all : t list
 val name : t -> string
 val of_name : string -> t option
 
+val records_timeline : t -> bool
+(** Its runs' [Service.result.timeline] is [Some]: timeline, surge. *)
+
+val records_reqtrace : t -> bool
+(** Its runs' [Service.result.reqtrace] is [Some]: critpath. *)
+
 type run = {
   scenario : string;  (** ["<plan>"], ["<plan>+<profile>"], ["steady"], ... *)
   actual : Ditto_app.Service.result;

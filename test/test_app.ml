@@ -321,13 +321,9 @@ let test_metrics_errors () =
       net_mbps = 10.0;
       disk_mbps = 0.0;
       lat_avg = 1e-3;
-      lat_p50 = 1e-3;
       lat_p95 = 2e-3;
       lat_p99 = 3e-3;
-      topdown =
-        { Ditto_uarch.Counters.retiring = 0.25; frontend = 0.25; bad_speculation = 0.25; backend = 0.25 };
       counters = Ditto_uarch.Counters.create ();
-      faults = Metrics.no_faults;
     }
   in
   let errs = Metrics.error_pct ~actual:(mk 1.0 0.1) ~synthetic:(mk 1.1 0.1) in

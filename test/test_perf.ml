@@ -350,7 +350,7 @@ let des_block ~tier_index ~label n =
 
 (* The back tier holds a worker ~150 us per request, so the crowd on a
    3k base is past its capacity and the front's accept queue grows. *)
-let des_surge_app () =
+let des_surge_app ?front_model () =
   let front_block = des_block ~tier_index:0 ~label:"front" 64 in
   let back_block = des_block ~tier_index:1 ~label:"back" 96 in
   let front _rng _req =
@@ -368,8 +368,8 @@ let des_surge_app () =
   in
   Spec.make ~name:"surge_app"
     [
-      Spec.tier ~name:"front" ~workers:2 ~heap_bytes:(1 lsl 20) ~shared_bytes:(1 lsl 16)
-        ~handler:front ();
+      Spec.tier ~name:"front" ?server_model:front_model ~workers:2 ~heap_bytes:(1 lsl 20)
+        ~shared_bytes:(1 lsl 16) ~handler:front ();
       Spec.tier ~name:"back" ~workers:2 ~heap_bytes:(1 lsl 20) ~shared_bytes:(1 lsl 16)
         ~handler:back ();
     ]
@@ -399,44 +399,48 @@ let des_medium name ~duration =
   ( entry.Ditto_apps.Registry.spec (),
     Ditto_loadgen.Workload.to_load entry.Ditto_apps.Registry.workload ~qps:med ~duration () )
 
-let test_golden_service () =
-  let module Profile = Ditto_loadgen.Profile in
-  let module Plan = Ditto_fault.Plan in
-  let serve cfg load app = (Runner.run cfg ~load app).Runner.service in
-  let surge_app ?fault_plan () =
-    let policy =
-      Spec.autoscale ~min_replicas:1 ~max_replicas:3 ~target_queue:4.0 ~interval:0.02
-        ~cooldown:0.04 ()
-    in
-    serve
-      (Runner.config ~requests:40 ?fault_plan Platform.a)
-      (Service.load ~qps:3000.0 ~duration:2.0 ~open_loop:true ~client_timeout:0.02
-         ~client_retries:1
-         ~profile:(Profile.flash_crowd ~mult:8.0 ~duration:2.0 ())
-         ())
-      (Spec.with_autoscale policy
-         (Spec.with_resilience (Spec.resilient ~queue_bound:16 ()) (des_surge_app ())))
+let serve cfg load app = (Runner.run cfg ~load app).Runner.service
+
+(* Run (a): the two-tier app under its flash crowd, scaling its front out.
+   [recorded] turns on both recorders (timeline and request trace). *)
+let surge_app ?fault_plan ?(recorded = false) ?front_model
+    ?(resilience = Spec.resilient ~queue_bound:16 ()) () =
+  let policy =
+    Spec.autoscale ~min_replicas:1 ~max_replicas:3 ~target_queue:4.0 ~interval:0.02
+      ~cooldown:0.04 ()
   in
+  serve
+    (Runner.config ~requests:40 ?fault_plan ~timeline:recorded ~reqtrace:recorded Platform.a)
+    (Service.load ~qps:3000.0 ~duration:2.0 ~open_loop:true ~client_timeout:0.02
+       ~client_retries:1
+       ~profile:(Ditto_loadgen.Profile.flash_crowd ~mult:8.0 ~duration:2.0 ())
+       ())
+    (Spec.with_autoscale policy (Spec.with_resilience resilience (des_surge_app ?front_model ())))
+
+(* Run (b): memcached under kill-mid-tier plus a flash crowd. *)
+let memcached_surge ?(recorded = false) () =
+  let duration = 0.15 in
+  let spec, load = des_medium "memcached" ~duration in
+  let tiers = List.map (fun (t : Spec.tier) -> t.Spec.tier_name) spec.Spec.tiers in
+  serve
+    (Runner.config ~requests:40 ~seed:42
+       ~fault_plan:(Ditto_fault.Plan.kill_mid_tier ~duration ~tiers ())
+       ~timeline:recorded ~reqtrace:recorded Platform.a)
+    {
+      load with
+      Service.client_timeout = Some 0.03;
+      client_retries = 1;
+      profile = Some (Ditto_loadgen.Profile.flash_crowd ~duration ());
+    }
+    (Spec.with_autoscale (Spec.autoscale ~max_replicas:4 ())
+       (Spec.with_resilience (Spec.resilient ~queue_bound:48 ()) spec))
+
+let test_golden_service () =
+  let module Plan = Ditto_fault.Plan in
   (* The runs share the process's kernel-path memo, so they run in this
      order. *)
   let surged = surge_app () in
-  let memcached =
-    let duration = 0.15 in
-    let spec, load = des_medium "memcached" ~duration in
-    let tiers = List.map (fun (t : Spec.tier) -> t.Spec.tier_name) spec.Spec.tiers in
-    serve
-      (Runner.config ~requests:40 ~seed:42
-         ~fault_plan:(Ditto_fault.Plan.kill_mid_tier ~duration ~tiers ())
-         Platform.a)
-      {
-        load with
-        Service.client_timeout = Some 0.03;
-        client_retries = 1;
-        profile = Some (Profile.flash_crowd ~duration ());
-      }
-      (Spec.with_autoscale (Spec.autoscale ~max_replicas:4 ())
-         (Spec.with_resilience (Spec.resilient ~queue_bound:48 ()) spec))
-  in
+  let memcached = memcached_surge () in
   let hotel =
     let spec, load = des_medium "hotel_reservation" ~duration:0.15 in
     serve (Runner.config ~requests:20 ~seed:42 Platform.a) load spec
@@ -478,6 +482,53 @@ let test_golden_service () =
       ( "memcached high load",
         "f4878190f4aefe907b9ec027e7399a9b",
         service_parts queued @ [ jaeger queued ] );
+    ]
+
+(* {2 What the recorders export}
+
+   Runs (a) and (b) again with both recorders on: their service results
+   must still match [service results], and each digest pins the run's
+   OpenMetrics text, Chrome counter events and Jaeger JSON. Two more runs
+   reach what no other digest does, each pinning every [Service.result]
+   field plus the three exports: the two-tier app with a non-blocking
+   front, whose workers poll their connections, and the same app serving
+   degraded once two requests per replica wait. They run after [service
+   results], whose runs warmed the kernel-path memo. *)
+let exports (r : Service.result) =
+  match (r.Service.timeline, r.Service.reqtrace) with
+  | Some ts, Some rq ->
+      let module Ts = Ditto_obs.Timeseries in
+      let module J = Ditto_util.Jsonx in
+      [
+        Ts.to_openmetrics ts;
+        J.to_string (J.List (Ts.chrome_events ~process_name:"golden" ts));
+        J.to_string (Ditto_obs.Reqtrace.jaeger rq);
+      ]
+  | _ -> Alcotest.fail "a recorded run returned no collector"
+
+let test_golden_exports () =
+  let surged = surge_app ~recorded:true () in
+  let memcached = memcached_surge ~recorded:true () in
+  let polled = surge_app ~recorded:true ~front_model:Spec.Nonblocking () in
+  let degraded =
+    surge_app ~recorded:true
+      ~resilience:(Spec.resilient ~queue_bound:64 ~degrade:(Spec.degraded ~queue:2 ()) ())
+      ()
+  in
+  List.iter
+    (fun (what, expected, parts) ->
+      Alcotest.(check string) (what ^ " digest") expected (digest parts))
+    [
+      ("surge_app service", "6365dbdd598bf7941a63647ebf1d2979", service_parts surged);
+      ("memcached surge service", "645efebfc38b0404333669aca36da981", service_parts memcached);
+      ("surge_app exports", "d2a6ce522395c5a9e936806ebf65c48d", exports surged);
+      ("memcached surge exports", "dd4d22d495decc20038a1e60cc7ebe61", exports memcached);
+      ( "non-blocking front",
+        "81d3ec9d4c96d8fc3b350ef0ec17db07",
+        service_parts polled @ exports polled );
+      ( "degraded front",
+        "0461798ed96e33a61b8a3557bf46707e",
+        service_parts degraded @ exports degraded );
     ]
 
 (* {2 Clone construction: profiles and generated code}
@@ -757,6 +808,21 @@ let test_stacks_invariance () =
       Alcotest.(check (list string)) (name ^ " service result") off_service on_service)
     [ "redis"; "hotel_reservation" ]
 
+(* The recorders read the clock and the queues and draw no random number,
+   so runs (a) and (b) with the timeline and the request trace on equal
+   the same runs with both off, field for field. Each pair runs back to
+   back: the kernel-path memo makes a run depend on what ran before it. *)
+let test_recorders_invariance () =
+  List.iter
+    (fun (what, run) ->
+      let off = service_parts (run false) in
+      let on = service_parts (run true) in
+      Alcotest.(check (list string)) (what ^ " service result") off on)
+    [
+      ("surge_app", fun recorded -> surge_app ~recorded ());
+      ("memcached surge", fun recorded -> memcached_surge ~recorded ());
+    ]
+
 let test_engine_event_words () =
   Alcotest.(check (float 0.0)) "immediate static callback" 2.0
     (words_per_iteration immediate_callbacks);
@@ -788,12 +854,18 @@ let () =
           Alcotest.test_case "exec_block counters and clocks" `Quick test_golden_exec_block;
           Alcotest.test_case "redis run counters and segments" `Slow test_golden_runner;
           Alcotest.test_case "service results" `Slow test_golden_service;
+          Alcotest.test_case "service exports" `Slow test_golden_exports;
           Alcotest.test_case "registry profiles" `Slow test_golden_profiles;
           Alcotest.test_case "generated blocks" `Slow test_golden_generation;
           Alcotest.test_case "folded stacks" `Slow test_golden_folded;
         ] );
       ( "stacks",
         [ Alcotest.test_case "stacks leave the run unchanged" `Slow test_stacks_invariance ] );
+      ( "obs",
+        [
+          Alcotest.test_case "recorders leave the serving phase unchanged" `Slow
+            test_recorders_invariance;
+        ] );
       ( "engine",
         [
           Alcotest.test_case "zero-delay FIFO order" `Quick test_engine_zero_delay_fifo;

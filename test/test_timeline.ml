@@ -159,11 +159,12 @@ let test_windowing () =
   let t = Ts.create ~windows:10 ~start:10.0 ~duration:1.0 ~tiers:[ "web" ] () in
   Alcotest.(check (float 1e-12)) "window width" 0.1 (Ts.window_seconds t);
   Alcotest.(check (list string)) "tiers + synthetic client" [ "web"; Ts.client_tier ] (Ts.tiers t);
-  Ts.record_latency t ~tier:"web" ~at:10.05 ~seconds:0.002;
-  Ts.record_latency t ~tier:"web" ~at:10.99 ~seconds:0.004;
+  let web = Ts.series t ~tier:"web" in
+  Ts.latency web ~at:10.05 ~seconds:0.002;
+  Ts.latency web ~at:10.99 ~seconds:0.004;
   (* outside [start, start + duration): dropped, not clamped *)
-  Ts.record_latency t ~tier:"web" ~at:11.0 ~seconds:0.1;
-  Ts.record_latency t ~tier:"web" ~at:9.999 ~seconds:0.1;
+  Ts.latency web ~at:11.0 ~seconds:0.1;
+  Ts.latency web ~at:9.999 ~seconds:0.1;
   Alcotest.(check int) "first window" 1 (Ts.row t ~tier:"web" 0).Ts.r_completed;
   Alcotest.(check int) "last window" 1 (Ts.row t ~tier:"web" 9).Ts.r_completed;
   let total = ref 0 in
@@ -171,11 +172,11 @@ let test_windowing () =
     total := !total + (Ts.row t ~tier:"web" i).Ts.r_completed
   done;
   Alcotest.(check int) "drain and pre-start samples dropped" 2 !total;
-  Ts.record_counter t ~tier:"web" ~at:10.31 Ts.Timeouts;
-  Ts.record_counter t ~tier:"web" ~at:10.33 Ts.Retries;
-  Ts.record_queue t ~tier:"web" ~at:10.32 ~depth:4;
-  Ts.record_queue t ~tier:"web" ~at:10.34 ~depth:2;
-  Ts.record_cpu t ~tier:"web" ~at:10.35 ~seconds:0.01;
+  Ts.count web ~at:10.31 Ts.Timeouts;
+  Ts.count web ~at:10.33 Ts.Retries;
+  Ts.queue web ~at:10.32 ~depth:4;
+  Ts.queue web ~at:10.34 ~depth:2;
+  Ts.cpu web ~at:10.35 ~seconds:0.01;
   let r = Ts.row t ~tier:"web" 3 in
   Alcotest.(check int) "timeout counter" 1 r.Ts.r_timeouts;
   Alcotest.(check int) "retry counter" 1 r.Ts.r_retries;
@@ -185,7 +186,9 @@ let test_windowing () =
   Alcotest.(check bool) "marks kept outside the window range" true
     (Ts.marks t = [ (42.0, "crash:web") ]);
   Alcotest.check_raises "unknown tier" (Invalid_argument "Timeseries: unknown tier db")
-    (fun () -> ignore (Ts.row t ~tier:"db" 0))
+    (fun () -> ignore (Ts.row t ~tier:"db" 0));
+  Alcotest.check_raises "unknown series" (Invalid_argument "Timeseries: unknown tier db")
+    (fun () -> ignore (Ts.series t ~tier:"db"))
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -194,8 +197,8 @@ let contains ~needle hay =
 
 let test_openmetrics () =
   let t = Ts.create ~windows:4 ~start:0.0 ~duration:0.4 ~tiers:[ "web" ] () in
-  Ts.record_latency t ~tier:"web" ~at:0.05 ~seconds:0.002;
-  Ts.record_latency t ~tier:Ts.client_tier ~at:0.05 ~seconds:0.003;
+  Ts.latency (Ts.series t ~tier:"web") ~at:0.05 ~seconds:0.002;
+  Ts.latency (Ts.series t ~tier:Ts.client_tier) ~at:0.05 ~seconds:0.003;
   Ts.set_rate_basis t ~tier:"web" ~insts_per_req:1000.0;
   let doc = Ts.openmetrics [ ([ ("side", "actual") ], t) ] in
   Alcotest.(check bool) "ends with EOF" true
@@ -216,7 +219,7 @@ let test_openmetrics () =
 
 let test_chrome_events () =
   let t = Ts.create ~windows:2 ~start:0.0 ~duration:0.2 ~tiers:[ "web" ] () in
-  Ts.record_latency t ~tier:"web" ~at:0.05 ~seconds:0.002;
+  Ts.latency (Ts.series t ~tier:"web") ~at:0.05 ~seconds:0.002;
   Ts.mark t ~at:0.1 ~label:"crash:web";
   let evs = Ts.chrome_events ~pid:100 ~process_name:"redis actual" t in
   let render = List.map (fun e -> Ditto_util.Jsonx.to_string e) evs in
@@ -237,12 +240,13 @@ let collector_with completed =
      p95 agrees between sides and only throughput drives the error *)
   let n = Array.length completed in
   let t = Ts.create ~windows:n ~start:0.0 ~duration:(0.1 *. float_of_int n) ~tiers:[ "web" ] () in
+  let client = Ts.series t ~tier:Ts.client_tier and web = Ts.series t ~tier:"web" in
   Array.iteri
     (fun i c ->
       let at = (0.1 *. float_of_int i) +. 0.05 in
       for _ = 1 to c do
-        Ts.record_latency t ~tier:Ts.client_tier ~at ~seconds:0.002;
-        Ts.record_latency t ~tier:"web" ~at ~seconds:0.001
+        Ts.latency client ~at ~seconds:0.002;
+        Ts.latency web ~at ~seconds:0.001
       done)
     completed;
   t
