@@ -3,13 +3,14 @@
    series the paper reports (actual vs synthetic plus error percentages),
    followed by Bechamel micro-benchmarks of the simulation kernels.
 
-     dune exec bench/main.exe            # all experiments
+     dune exec bench/main.exe            # every experiment but the gates and synth stages
      dune exec bench/main.exe table1 fig5 errors
      dune exec bench/main.exe micro      # Bechamel only
 
    The experiment -> module mapping is documented in DESIGN.md; measured
    results are recorded against the paper in EXPERIMENTS.md.
 
+   Every experiment is one row of [experiments] at the end of this file.
    The harness is multicore: apps are profiled and cloned concurrently on a
    Ditto_util.Pool (DITTO_DOMAINS domains; DITTO_DOMAINS=1 pins the
    sequential schedule, with identical output). `--json FILE` additionally
@@ -55,13 +56,11 @@ let wall = Unix.gettimeofday
 (* {1 Clones: each app is profiled and cloned once, at medium load}
 
    Cloning the registry is the dominant cost of the harness and every app
-   is independent, so [preclone] submits one future per requested clone on
-   the shared domain pool — longest-processing-time first, so the slowest
-   clone starts earliest. Each future also runs the clone at its medium
-   load on platform A, the cell every registry-wide experiment reads.
-   Experiments then [await] exactly the clone they need instead of a
-   barrier over the whole batch. [get_clone] stays as the sequential
-   fallback for names cloned outside a preclone pass. *)
+   is independent, so [preclone] makes every clone the selected
+   experiments read in one [Pool.map] before the first experiment runs,
+   longest first, so the slowest clone starts earliest. Each clone also
+   runs at its medium load on platform A, the cell every registry-wide
+   experiment reads. *)
 
 let pool = Ditto_util.Pool.default ()
 
@@ -130,8 +129,9 @@ let clone_one name =
   let secs = wall () -. t0 in
   { load; result; med = med_run ~load result; secs }
 
-let report_clone name { result; secs; _ } =
+let add_clone name ({ result; secs; _ } as c) =
   clone_secs := (name, secs) :: !clone_secs;
+  Hashtbl.add clones name c;
   Printf.printf "[clone] %s profiled+generated+tuned in %.1fs%s\n%!" name secs
     (match result.Pipeline.tuning with
     | Some r ->
@@ -145,35 +145,12 @@ let report_clone name { result; secs; _ } =
                infinity r.Ditto_tune.Tuner.iterations)
     | None -> "")
 
-(* In-flight preclone futures: [get_clone] claims these before falling back
-   to cloning inline. *)
-let clone_futures : (string, clone Ditto_util.Pool.future) Hashtbl.t = Hashtbl.create 8
-
-let add_clone name c =
-  report_clone name c;
-  Hashtbl.add clones name c;
-  c
-
-let claim_future name =
-  match Hashtbl.find_opt clone_futures name with
-  | None -> None
-  | Some fut ->
-      let c = Ditto_util.Pool.await pool fut in
-      Hashtbl.remove clone_futures name;
-      Some (add_clone name c)
-
-let get_clone name =
-  match Hashtbl.find_opt clones name with
-  | Some c -> c
-  | None -> (
-      match claim_future name with
-      | Some c -> c
-      | None -> add_clone name (clone_one name))
+let get_clone name = Hashtbl.find clones name
 
 (* Approximate clone cost (seconds at BENCH_4), for longest-processing-time
-   scheduling of the preclone futures: submitting the most expensive clone
-   first minimises the makespan on a finite pool. Only the order matters,
-   so stale figures are harmless. *)
+   order: starting the most expensive clone first minimises the makespan
+   on a finite pool. Only the order matters, so stale figures are
+   harmless. *)
 let clone_cost = function
   | "social_network" -> 192.0
   | "mongodb" -> 43.0
@@ -182,49 +159,30 @@ let clone_cost = function
   | "redis" -> 9.0
   | _ -> 30.0
 
-let preclone_secs = ref 0.0
-
 let preclone names =
-  let names = List.filter (fun n -> not (Hashtbl.mem clones n)) names in
   if names <> [] then begin
-    let t0 = wall () in
     Printf.printf "[clone] cloning %d app(s) on %d domain(s)...\n%!" (List.length names)
       (Ditto_util.Pool.size pool);
-    let names =
-      List.sort (fun a b -> compare (clone_cost b) (clone_cost a)) names
-    in
+    let names = List.sort (fun a b -> compare (clone_cost b) (clone_cost a)) names in
     Obs.Span.with_span ~name:"bench.preclone"
       ~attrs:
         [ ("apps", Obs.Int (List.length names)); ("domains", Obs.Int (Ditto_util.Pool.size pool)) ]
-      (fun () ->
-        List.iter
-          (fun name ->
-            Hashtbl.replace clone_futures name
-              (Ditto_util.Pool.submit pool (fun () -> clone_one name)))
-          names;
-        (* Claim every future here so clone wall-clock is attributed to the
-           preclone stage, not to whichever experiment touches it first. *)
-        List.iter (fun name -> ignore (claim_future name)) names);
-    preclone_secs := wall () -. t0
+      (fun () -> List.iter2 add_clone names (Ditto_util.Pool.map pool clone_one names))
   end
 
-(* {1 E1 error accumulator (fed by fig5)} *)
+(* {1 Sample tables: error samples by key}
 
+   Each key keeps its samples newest first, and [mean] sums them in that
+   order. E1's accumulator is fed by fig5. *)
+
+let add_sample tbl key e =
+  match Hashtbl.find_opt tbl key with
+  | Some r -> r := e :: !r
+  | None -> Hashtbl.add tbl key (ref [ e ])
+
+let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (max 1 (List.length xs))
 let error_acc : (string, float list ref) Hashtbl.t = Hashtbl.create 16
-
-let record_errors errs =
-  List.iter
-    (fun (axis, e) ->
-      let r =
-        match Hashtbl.find_opt error_acc axis with
-        | Some r -> r
-        | None ->
-            let r = ref [] in
-            Hashtbl.add error_acc axis r;
-            r
-      in
-      r := e :: !r)
-    errs
+let record_errors = List.iter (fun (axis, e) -> add_sample error_acc axis e)
 
 (* {1 Table 1} *)
 
@@ -255,11 +213,23 @@ let fig5_header =
   [ "load"; "who"; "IPC"; "Branch"; "L1i"; "L1d"; "L2"; "LLC"; "Net MB/s"; "Dsk MB/s";
     "avg ms"; "p95 ms"; "p99 ms" ]
 
+(* The actual and synthetic rows of every focus tier of [entry] in [c],
+   labelled [name tl], where [tl] is "/tier" when the app has several focus
+   tiers. *)
+let focus_rows (entry : Registry.entry) name (c : Pipeline.comparison) =
+  List.concat_map
+    (fun tier ->
+      let name = name (if List.length entry.Registry.focus_tiers > 1 then "/" ^ tier else "") in
+      [
+        name :: "actual" :: metric_cells (List.assoc tier c.Pipeline.actual);
+        name :: "synthetic" :: metric_cells (List.assoc tier c.Pipeline.synthetic);
+      ])
+    entry.Registry.focus_tiers
+
 let fig5_one app_name =
   let entry = Registry.by_name app_name in
   let low, med, high = entry.Registry.loads in
   let c = get_clone app_name in
-  let rows = ref [] in
   (* The medium cell is the clone's own; low and high are independent
      cells: validate them on the pool, then print and accumulate errors in
      deterministic order. *)
@@ -275,17 +245,11 @@ let fig5_one app_name =
       [ ("low", low); ("med", med); ("high", high) ]
   in
   List.iter
-    (fun (label, qps, c) ->
+    (fun (label, _, c) ->
       List.iter
         (fun tier ->
           let actual = List.assoc tier c.Pipeline.actual in
           let synth = List.assoc tier c.Pipeline.synthetic in
-          let tl = if List.length entry.Registry.focus_tiers > 1 then "/" ^ tier else "" in
-          let name = fmt "%s%s@%.0fk" label tl (qps /. 1000.) in
-          rows :=
-            (name, "synthetic", metric_cells synth)
-            :: (name, "actual", metric_cells actual)
-            :: !rows;
           record_errors (Metrics.error_pct ~actual ~synthetic:synth);
           (* Latency errors are accumulated below saturation only: the paper
              itself notes p99 divergence at high load from network-stack
@@ -299,7 +263,10 @@ let fig5_one app_name =
     cells;
   Table.print ~title:(fmt "Fig. 5 — %s (profiled at medium load only)" app_name)
     ~header:fig5_header
-    (List.rev_map (fun (l, w, cells) -> l :: w :: cells) !rows)
+    (List.concat_map
+       (fun (label, qps, c) ->
+         focus_rows entry (fun tl -> fmt "%s%s@%.0fk" label tl (qps /. 1000.)) c)
+       cells)
 
 let fig5 () =
   banner "Figure 5: CPU, network, disk and latency under varying load (Platform A)";
@@ -342,7 +309,6 @@ let fig7 () =
     (fun (entry : Registry.entry) ->
       let _, med, _ = entry.Registry.loads in
       let clone = get_clone entry.Registry.name in
-      let rows = ref [] in
       let cells =
         Ditto_util.Pool.map pool
           (fun (plat : Platform.t) ->
@@ -350,33 +316,19 @@ let fig7 () =
             (* A is the clone's own medium cell. B and C are smaller
                machines: drive them at a fraction of A's medium load, same
                for original and synthetic. *)
-            if label = "A" then (plat, med_comparison ~label clone)
+            if label = "A" then (label, med_comparison ~label clone)
             else
               let load =
                 Ditto_loadgen.Workload.to_load entry.Registry.workload ~qps:(med /. 2.5)
                   ~duration ()
               in
-              (plat, Pipeline.validate ~pool ~platform:plat ~load ~label clone.result))
+              (label, Pipeline.validate ~pool ~platform:plat ~load ~label clone.result))
           [ Platform.a; Platform.b; Platform.c ]
       in
-      List.iter
-        (fun ((plat : Platform.t), c) ->
-          List.iter
-            (fun tier ->
-              let actual = List.assoc tier c.Pipeline.actual in
-              let synth = List.assoc tier c.Pipeline.synthetic in
-              let tl = if List.length entry.Registry.focus_tiers > 1 then "/" ^ tier else "" in
-              let name = fmt "%s%s" plat.Platform.name tl in
-              rows :=
-                (name, "synthetic", metric_cells synth)
-                :: (name, "actual", metric_cells actual)
-                :: !rows)
-            entry.Registry.focus_tiers)
-        cells;
       Table.print
         ~title:(fmt "Fig. 7 — %s across platforms" entry.Registry.name)
         ~header:fig5_header
-        (List.rev_map (fun (l, w, cells) -> l :: w :: cells) !rows))
+        (List.concat_map (fun (label, c) -> focus_rows entry (fun tl -> label ^ tl) c) cells))
     (registry_entries ())
 
 (* {1 Figure 8: CPI top-down breakdown} *)
@@ -596,14 +548,10 @@ let errors () =
   banner "Error summary (per-axis mean absolute error across apps/loads, cf. §6.2.1)";
   if Hashtbl.length error_acc = 0 then fig5 ();
   let rows =
-    Hashtbl.fold
-      (fun axis values acc ->
-        let vs = !values in
-        let mean = List.fold_left ( +. ) 0.0 vs /. float_of_int (max 1 (List.length vs)) in
-        (axis, mean, List.length vs) :: acc)
-      error_acc []
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-    |> List.map (fun (axis, mean, n) -> [ axis; fmt "%.1f%%" mean; string_of_int n ])
+    Hashtbl.fold (fun axis values acc -> (axis, !values) :: acc) error_acc []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map (fun (axis, vs) ->
+           [ axis; fmt "%.1f%%" (mean vs); string_of_int (List.length vs) ])
   in
   Table.print ~title:"Average validation errors"
     ~header:[ "metric"; "mean error"; "samples" ]
@@ -616,23 +564,8 @@ let errors () =
 
 let ablation () =
   banner "Ablation: what end-to-end cloning and tuning buy (per-metric mean error, medium load)";
-  let axes = [ "IPC"; "Branch"; "L1i"; "L1d"; "L2"; "LLC" ] in
+  let axes = [ "IPC"; "Branch"; "L1i"; "L1d"; "L2"; "LLC"; "p99" ] in
   let acc = Hashtbl.create 8 in
-  let record variant errs =
-    List.iter
-      (fun (axis, e) ->
-        if List.mem axis axes then begin
-          let key = (variant, axis) in
-          let cur = Option.value ~default:[] (Hashtbl.find_opt acc key) in
-          Hashtbl.replace acc key (e :: cur)
-        end)
-      errs
-  in
-  let lat_acc = Hashtbl.create 8 in
-  let record_lat variant e =
-    let cur = Option.value ~default:[] (Hashtbl.find_opt lat_acc variant) in
-    Hashtbl.replace lat_acc variant (e :: cur)
-  in
   List.iter
     (fun (entry : Registry.entry) ->
       let { load; result; med; _ } = get_clone entry.Registry.name in
@@ -658,37 +591,29 @@ let ablation () =
             (fun tier ->
               let actual = List.assoc tier actual_out.Runner.per_tier in
               match List.assoc_opt tier out.Runner.per_tier with
-              | Some synth ->
-                  record variant (Metrics.error_pct ~actual ~synthetic:synth);
-                  if actual.Metrics.lat_p99 > 0.0 then
-                    record_lat variant
-                      (100.
-                      *. Float.abs (synth.Metrics.lat_p99 -. actual.Metrics.lat_p99)
-                      /. actual.Metrics.lat_p99)
+              | Some synthetic ->
+                  List.iter
+                    (fun (axis, e) -> if List.mem axis axes then add_sample acc (variant, axis) e)
+                    (Metrics.error_pct ~actual ~synthetic
+                    @ Metrics.latency_error_pct ~actual ~synthetic)
               | None -> ())
             entry.Registry.focus_tiers)
         outs)
     (registry_entries ());
-  let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (max 1 (List.length xs)) in
   let rows =
     List.map
       (fun variant ->
         variant
-        :: (List.map
-              (fun axis ->
-                match Hashtbl.find_opt acc (variant, axis) with
-                | Some xs -> fmt "%.1f%%" (mean xs)
-                | None -> "-")
-              axes
-           @ [
-               (match Hashtbl.find_opt lat_acc variant with
-               | Some xs -> fmt "%.1f%%" (mean xs)
-               | None -> "-");
-             ]))
+        :: List.map
+             (fun axis ->
+               match Hashtbl.find_opt acc (variant, axis) with
+               | Some xs -> fmt "%.1f%%" (mean !xs)
+               | None -> "-")
+             axes)
       [ "ditto (tuned)"; "ditto (untuned)"; "user-level baseline" ]
   in
   Table.print ~title:"mean error vs original across the six services"
-    ~header:("variant" :: axes @ [ "p99" ])
+    ~header:("variant" :: axes)
     rows;
   print_endline
     "
@@ -943,7 +868,7 @@ let gate g () =
    per-tier extrapolation from social_network (~6.4 s/tier at BENCH_4,
    i.e. ~6400 s for 1000 tiers; the committed budgets demand >= 5x better). *)
 
-let synth_one ~tune n =
+let synth_one ~tune n () =
   let name = Ditto_gen.Topology.app_name n in
   banner (fmt "Synth scale: %s (%s)" name (if tune then "tuned" else "untuned"));
   let entry = Registry.by_name name in
@@ -975,46 +900,36 @@ let synth_one ~tune n =
     (Ditto_sim.Engine.global_peak_heap_events ());
   if tune then Hashtbl.replace scorecards_tbl name card
 
-let synth100 () = synth_one ~tune:true 100
-let synth500 () = synth_one ~tune:false 500
-let synth1000 () = synth_one ~tune:false 1000
-
 (* {1 Main} *)
 
-let all_experiments =
+(* Every experiment: its name, whether a run that names no experiment
+   includes it, the registry clones it reads (the preclone pass makes
+   exactly those before the ordered, printing experiment loop starts) and
+   its body. fig11 and micro build their own specs; the validation gates
+   and the synth scale stages run only when named. *)
+let experiments =
+  let registry () = List.map (fun (e : Registry.entry) -> e.Registry.name) (registry_entries ()) in
+  let app name () = [ name ] and none () = [] in
   [
-    ("table1", table1);
-    ("fig5", fig5);
-    ("fig6", fig6);
-    ("fig7", fig7);
-    ("fig8", fig8);
-    ("fig9", fig9);
-    ("fig10", fig10);
-    ("fig11", fig11);
-    ("errors", errors);
-    ("ablation", ablation);
-    ("scorecards", scorecards);
-    ("micro", micro);
+    ("table1", true, none, table1);
+    ("fig5", true, registry, fig5);
+    ("fig6", true, app "social_network", fig6);
+    ("fig7", true, registry, fig7);
+    ("fig8", true, registry, fig8);
+    ("fig9", true, app "mongodb", fig9);
+    ("fig10", true, app "nginx", fig10);
+    ("fig11", true, none, fig11);
+    ("errors", true, registry, errors);
+    ("ablation", true, registry, ablation);
+    ("scorecards", true, registry, scorecards);
+    ("micro", true, none, micro);
   ]
-
-(* Off the default path, reachable by experiment name: the validation
-   gates and the synth scale stages. *)
-let opt_in_experiments =
-  List.map (fun g -> (Gate.name g, gate g)) Gate.all
-  @ [ ("synth100", synth100); ("synth500", synth500); ("synth1000", synth1000) ]
-
-(* Which registry clones an experiment consumes, so the preclone pass can
-   build exactly those concurrently before the (ordered, printing)
-   experiment loop starts. fig11 and micro build their own specs. *)
-let clone_needs = function
-  | n
-    when List.mem n [ "fig5"; "fig7"; "fig8"; "errors"; "ablation"; "scorecards" ]
-         || Gate.of_name n <> None ->
-      List.map (fun (e : Registry.entry) -> e.Registry.name) (registry_entries ())
-  | "fig6" -> [ "social_network" ]
-  | "fig9" -> [ "mongodb" ]
-  | "fig10" -> [ "nginx" ]
-  | _ -> []
+  @ List.map (fun g -> (Gate.name g, false, registry, gate g)) Gate.all
+  @ [
+      ("synth100", false, none, synth_one ~tune:true 100);
+      ("synth500", false, none, synth_one ~tune:false 500);
+      ("synth1000", false, none, synth_one ~tune:false 1000);
+    ]
 
 module Baseline = Ditto_report.Baseline
 module Bench_json = Ditto_report.Bench_json
@@ -1025,7 +940,7 @@ let default_baseline_path = "bench/baselines/default.json"
    the file: a missing, truncated or foreign document is a usage error,
    not a crash. *)
 let read_json_or_exit path f =
-  match f (Ditto_util.Jsonx.of_string (In_channel.with_open_bin path In_channel.input_all)) with
+  match f (Ditto_util.Jsonx.load path) with
   | v -> v
   | exception (Sys_error reason | Ditto_util.Jsonx.Parse_error reason) ->
       Printf.eprintf "[bench] cannot read %s: %s\n" path reason;
@@ -1096,40 +1011,35 @@ let () =
   and update_baselines = ref false
   and check_json = ref None
   and update_json = ref None in
+  (* Each value flag takes the next word. *)
+  let value_flags =
+    let set r v = r := Some v in
+    [
+      ("--json", set json_file);
+      ("--trace", set trace_file);
+      ("--trace-jaeger", set trace_jaeger_file);
+      ("--apps", fun apps -> apps_filter := Some (String.split_on_char ',' apps));
+      ("--baseline", set baseline_file);
+      ("--check-json", set check_json);
+      ("--update-baselines-json", set update_json);
+    ]
+  in
   let rec parse_args acc = function
     | [] -> List.rev acc
-    | "--json" :: file :: rest ->
-        json_file := Some file;
-        parse_args acc rest
-    | "--trace" :: file :: rest ->
-        trace_file := Some file;
-        parse_args acc rest
-    | "--trace-jaeger" :: file :: rest ->
-        trace_jaeger_file := Some file;
-        parse_args acc rest
-    | "--apps" :: apps :: rest ->
-        apps_filter := Some (String.split_on_char ',' apps);
-        parse_args acc rest
-    | "--baseline" :: file :: rest ->
-        baseline_file := Some file;
-        parse_args acc rest
-    | "--check-json" :: file :: rest ->
-        check_json := Some file;
-        parse_args acc rest
-    | "--update-baselines-json" :: file :: rest ->
-        update_json := Some file;
-        parse_args acc rest
     | "--check" :: rest ->
         check := true;
         parse_args acc rest
     | "--update-baselines" :: rest ->
         update_baselines := true;
         parse_args acc rest
-    | [ ("--json" | "--trace" | "--trace-jaeger" | "--apps" | "--baseline" | "--check-json"
-        | "--update-baselines-json") as
-        flag ] ->
-        Printf.eprintf "%s requires an argument\n" flag;
-        exit 2
+    | flag :: rest when List.mem_assoc flag value_flags -> (
+        match rest with
+        | v :: rest ->
+            List.assoc flag value_flags v;
+            parse_args acc rest
+        | [] ->
+            Printf.eprintf "%s requires an argument\n" flag;
+            exit 2)
     | a :: rest -> parse_args (a :: acc) rest
   in
   let names = parse_args [] (List.tl (Array.to_list Sys.argv)) in
@@ -1161,16 +1071,15 @@ let () =
   if !trace_file <> None || !trace_jaeger_file <> None then Obs.enable ();
   let selected =
     match names with
-    | [] -> all_experiments
+    | [] -> List.filter (fun (_, default, _, _) -> default) experiments
     | names ->
         List.map
           (fun n ->
-            match List.assoc_opt n (all_experiments @ opt_in_experiments) with
-            | Some f -> (n, f)
+            match List.find_opt (fun (name, _, _, _) -> name = n) experiments with
+            | Some e -> e
             | None ->
                 Printf.eprintf "unknown experiment %S (have: %s; flags: --json FILE)\n" n
-                  (String.concat ", "
-                     (List.map fst (all_experiments @ opt_in_experiments)));
+                  (String.concat ", " (List.map (fun (name, _, _, _) -> name) experiments));
                 exit 2)
           names
   in
@@ -1197,9 +1106,11 @@ let () =
   let preclone_record =
     experiment_record "preclone" (fun () ->
         preclone
-          (List.sort_uniq compare (List.concat_map (fun (n, _) -> clone_needs n) selected)))
+          (List.sort_uniq compare (List.concat_map (fun (_, _, needs, _) -> needs ()) selected)))
   in
-  let timings = preclone_record :: List.map (fun (name, f) -> experiment_record name f) selected in
+  let timings =
+    preclone_record :: List.map (fun (name, _, _, run) -> experiment_record name run) selected
+  in
   let total = wall () -. t0 in
   Printf.printf "\n[bench] total wall time %.1fs (%d domain(s))\n" total domains;
   List.iter
@@ -1212,7 +1123,6 @@ let () =
   let doc =
     if !json_file = None && not (!check || !update_baselines) then None
     else begin
-      let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (max 1 (List.length xs)) in
       let errors =
         Hashtbl.fold (fun axis values acc -> (axis, mean !values) :: acc) error_acc []
         |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -1256,10 +1166,7 @@ let () =
   in
   (match (!json_file, doc) with
   | Some path, Some json ->
-      let oc = open_out path in
-      output_string oc (Ditto_util.Jsonx.to_string ~pretty:true json);
-      output_char oc '\n';
-      close_out oc;
+      Ditto_util.Jsonx.save path json;
       Printf.printf "[bench] wrote %s\n" path
   | _ -> ());
   (match (!update_baselines, doc) with

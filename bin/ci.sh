@@ -18,7 +18,9 @@
 # gates, one redis clone through the critpath gate (critical-path
 # divergence + Jaeger round-trip), a check that an unknown gate is
 # refused, and a check that --jaeger with no gate that records request
-# traces exits 2 and writes nothing — and the fidelity regression gate
+# traces exits 2 and writes nothing — the bench usage errors (an unknown
+# experiment exits 2 naming every experiment, a value flag in last
+# position exits 2), and the fidelity regression gate
 # (scorecards diffed against the committed baseline, plus proof that the
 # gate rejects a perturbed baseline, fails a document sharing no metric
 # with the baseline, and refuses a truncated document with exit 2 instead
@@ -253,6 +255,32 @@ if [ "$refused_rc" -ne 2 ]; then
 fi
 if [ -e "$refused_jaeger" ]; then
   echo "ci: FAIL — --gates chaos --jaeger wrote $refused_jaeger" >&2
+  exit 1
+fi
+
+echo "== bench usage errors (exit 2 before cloning anything) =="
+# An unknown experiment must be refused with the full list of experiment
+# names, and a value flag with no value must be refused too.
+usage_log="$tmpdir/usage.log"
+usage_rc=0
+dune exec bench/main.exe -- nosuch >"$usage_log" 2>&1 || usage_rc=$?
+cat "$usage_log"
+if [ "$usage_rc" -ne 2 ]; then
+  echo "ci: FAIL — bench nosuch exited $usage_rc, expected 2" >&2
+  exit 1
+fi
+for e in table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 errors ablation scorecards micro \
+    chaos timeline critpath surge synth100 synth500 synth1000; do
+  if ! grep -q " $e[,;]" "$usage_log"; then
+    echo "ci: FAIL — bench nosuch did not name the experiment $e" >&2
+    exit 1
+  fi
+done
+usage_rc=0
+dune exec bench/main.exe -- table1 --json >"$usage_log" 2>&1 || usage_rc=$?
+cat "$usage_log"
+if [ "$usage_rc" -ne 2 ] || ! grep -q "requires an argument" "$usage_log"; then
+  echo "ci: FAIL — bench table1 --json exited $usage_rc without 'requires an argument'" >&2
   exit 1
 fi
 

@@ -209,7 +209,7 @@ let validate_app name qps no_tune gate_names plan_sel profile_sel openmetrics ja
     Option.map
       (named_or_file ~canonical:(Profile.canonical ~duration)
          ~name_of:(fun (r : Rate.t) -> r.Rate.profile_name)
-         ~load:Profile.load)
+         ~load:Rate.load)
       profile_sel
   in
   with_tracing trace trace_jaeger @@ fun () ->
@@ -348,12 +348,6 @@ let print_slowest spans =
 
 let inspect_trace path =
   let module J = Ditto_util.Jsonx in
-  let src =
-    try In_channel.with_open_text path In_channel.input_all
-    with Sys_error msg ->
-      Printf.eprintf "inspect-trace: %s\n" msg;
-      exit 1
-  in
   (* The span attribute naming the service: microservice spans carry "tier",
      pipeline spans carry "app". *)
   let attr_str v = match v with J.Str s -> Some s | _ -> None in
@@ -363,7 +357,10 @@ let inspect_trace path =
     | None -> Option.value ~default:"-" (attr_str (J.member "app" obj))
   in
   try
-    match J.of_string src with
+    match J.load path with
+    | exception Sys_error msg ->
+        Printf.eprintf "inspect-trace: %s\n" msg;
+        exit 1
     | exception J.Parse_error msg ->
         Printf.eprintf "inspect-trace: %s: %s\n" path msg;
         exit 1

@@ -232,10 +232,6 @@ let of_json json =
   in
   make ?burst ~name shape
 
-let load path = of_json (J.of_string (In_channel.with_open_bin path In_channel.input_all))
+let load path = of_json (J.load path)
 
-let save ~path t =
-  let oc = open_out path in
-  output_string oc (J.to_string ~pretty:true (to_json t));
-  output_char oc '\n';
-  close_out oc
+let save ~path t = J.save path (to_json t)

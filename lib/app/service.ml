@@ -192,7 +192,7 @@ let call_outcome = function None -> Rq.Timeout | Some m -> if m.Socket.err then 
 let call sys ~parent ~target ~bytes ?timeout conn =
   let rpc =
     match sys.rq with
-    | Some c when parent <> 0 -> Rq.rpc_begin c ~parent ~target ~bytes ~at:(Engine.now sys.engine)
+    | Some c when parent <> 0 -> Rq.rpc_begin c ~parent ~target ~at:(Engine.now sys.engine)
     | _ -> 0
   in
   if rpc = 0 then Socket.send conn ~bytes else Socket.send conn ~meta:rpc ~bytes;
@@ -202,9 +202,7 @@ let call sys ~parent ~target ~bytes ?timeout conn =
     | Some timeout -> Socket.recv_msg_timeout conn ~timeout
   in
   (match sys.rq with
-  | Some c when rpc <> 0 ->
-      let bytes = Option.map (fun m -> m.Socket.bytes) reply in
-      Rq.rpc_end c ~span:rpc ?bytes ~at:(Engine.now sys.engine) (call_outcome reply)
+  | Some c when rpc <> 0 -> Rq.rpc_end c ~span:rpc ~at:(Engine.now sys.engine) (call_outcome reply)
   | _ -> ());
   reply
 

@@ -381,7 +381,7 @@ let generate p =
 
 (* {1 Trace emission} *)
 
-let spans ?(traces_per_type = 1) t =
+let spans t =
   let n = t.params.tiers in
   let index_of = Hashtbl.create (2 * n) in
   List.iteri (fun i s -> Hashtbl.replace index_of s i) t.dag.Dag.services;
@@ -425,75 +425,71 @@ let spans ?(traces_per_type = 1) t =
     chunk [] [] 0 all_targets
   in
   let spans = ref [] in
-  let next_trace = ref 1 in
-  List.iter
-    (fun group ->
-      for _rep = 1 to traces_per_type do
-        let tid = !next_trace in
-        incr next_trace;
-        let in_closure = Array.make n false in
-        in_closure.(0) <- true;
-        let q = Queue.create () in
+  List.iteri
+    (fun i group ->
+      let tid = i + 1 in
+      let in_closure = Array.make n false in
+      in_closure.(0) <- true;
+      let q = Queue.create () in
+      List.iter
+        (fun v ->
+          if not in_closure.(v) then begin
+            in_closure.(v) <- true;
+            Queue.push v q
+          end)
+        group;
+      while not (Queue.is_empty q) do
+        let u = Queue.pop q in
         List.iter
-          (fun v ->
+          (fun (v, _) ->
             if not in_closure.(v) then begin
               in_closure.(v) <- true;
               Queue.push v q
             end)
-          group;
-        while not (Queue.is_empty q) do
-          let u = Queue.pop q in
-          List.iter
-            (fun (v, _) ->
-              if not in_closure.(v) then begin
-                in_closure.(v) <- true;
-                Queue.push v q
-              end)
-            out_edges.(u)
-        done;
-        let group_set = Hashtbl.create 16 in
-        List.iter (fun v -> Hashtbl.replace group_set v ()) group;
-        let canonical = Array.make n (-1) in
-        let next_span = ref 1 in
-        let emit ~service ~parent ~rq ~rs =
-          let sid = !next_span in
-          incr next_span;
-          spans :=
-            {
-              Span.trace_id = tid;
-              span_id = (tid * 0x1_0000) + sid;
-              parent_span = parent;
-              service;
-              req_bytes = rq;
-              resp_bytes = rs;
-            }
-            :: !spans;
-          (tid * 0x1_0000) + sid
-        in
-        let root =
-          emit ~service:t.dag.Dag.entry ~parent:None ~rq:256 ~rs:1024
-        in
-        canonical.(0) <- root;
-        Array.iter
-          (fun v ->
-            if v <> 0 && in_closure.(v) then
-              List.iter
-                (fun (u, (e : Dag.edge)) ->
-                  let covered =
-                    if u = 0 then Hashtbl.mem group_set v
-                    else in_closure.(u)
+          out_edges.(u)
+      done;
+      let group_set = Hashtbl.create 16 in
+      List.iter (fun v -> Hashtbl.replace group_set v ()) group;
+      let canonical = Array.make n (-1) in
+      let next_span = ref 1 in
+      let emit ~service ~parent ~rq ~rs =
+        let sid = !next_span in
+        incr next_span;
+        spans :=
+          {
+            Span.trace_id = tid;
+            span_id = (tid * 0x1_0000) + sid;
+            parent_span = parent;
+            service;
+            req_bytes = rq;
+            resp_bytes = rs;
+          }
+          :: !spans;
+        (tid * 0x1_0000) + sid
+      in
+      let root =
+        emit ~service:t.dag.Dag.entry ~parent:None ~rq:256 ~rs:1024
+      in
+      canonical.(0) <- root;
+      Array.iter
+        (fun v ->
+          if v <> 0 && in_closure.(v) then
+            List.iter
+              (fun (u, (e : Dag.edge)) ->
+                let covered =
+                  if u = 0 then Hashtbl.mem group_set v
+                  else in_closure.(u)
+                in
+                if covered then begin
+                  let sid =
+                    emit ~service:e.Dag.callee
+                      ~parent:(Some canonical.(u))
+                      ~rq:e.Dag.req_bytes ~rs:e.Dag.resp_bytes
                   in
-                  if covered then begin
-                    let sid =
-                      emit ~service:e.Dag.callee
-                        ~parent:(Some canonical.(u))
-                        ~rq:e.Dag.req_bytes ~rs:e.Dag.resp_bytes
-                    in
-                    if canonical.(v) = -1 then canonical.(v) <- sid
-                  end)
-                in_edges.(v))
-          order
-      done)
+                  if canonical.(v) = -1 then canonical.(v) <- sid
+                end)
+              in_edges.(v))
+        order)
     groups;
   List.rev !spans
 

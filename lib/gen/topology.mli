@@ -53,10 +53,10 @@ val generate : params -> t
 (** Deterministic in [params]. Raises [Invalid_argument] if [tiers < 2] or
     [tiers > Layout.max_tiers]. *)
 
-val spans : ?traces_per_type:int -> t -> Ditto_trace.Span.t list
+val spans : t -> Ditto_trace.Span.t list
 (** Synthetic distributed-trace spans covering the full graph: gateway
     targets are chunked into request-type-sized groups, and each group
-    emits [traces_per_type] traces (default 1) holding one span per DAG
+    emits one trace holding one span per DAG
     edge reachable under that group, with canonical parents so every
     span's parent precedes it. [Dag.of_spans (spans t)] recovers a DAG
     {!same_shape}-equal to [t.dag]; round-tripping the spans through

@@ -21,8 +21,8 @@ let flash_crowd ?(mult = 4.0) ~duration () =
 let diurnal ?(amplitude = 0.5) ~duration () =
   Rate.make ~name:"diurnal" [ Rate.Sinusoid { amplitude; period = duration; phase = 0.0 } ]
 
-let ramp_to_saturation ?(to_mult = 6.0) ~duration () =
-  Rate.make ~name:"ramp-to-saturation" [ Rate.Ramp { to_mult; over = 0.8 *. duration } ]
+let ramp_to_saturation ~duration () =
+  Rate.make ~name:"ramp-to-saturation" [ Rate.Ramp { to_mult = 6.0; over = 0.8 *. duration } ]
 
 let canonical ~duration =
   [ flash_crowd ~duration (); diurnal ~duration (); ramp_to_saturation ~duration () ]
@@ -39,5 +39,3 @@ let by_name ~duration name =
         (Printf.sprintf "Ditto_loadgen.Profile: unknown canonical profile %S (known: %s)" n
            (String.concat ", " names))
 
-let load = Rate.load
-let save = Rate.save

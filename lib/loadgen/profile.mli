@@ -13,9 +13,9 @@ val diurnal : ?amplitude:float -> duration:float -> unit -> Ditto_app.Rate.t
 (** ["diurnal"]: one full sinusoidal day compressed into the run,
     [1 ± amplitude] (default 0.5). *)
 
-val ramp_to_saturation : ?to_mult:float -> duration:float -> unit -> Ditto_app.Rate.t
-(** ["ramp-to-saturation"]: linear climb to [to_mult]× (default 6) over
-    80% of the run, then held — finds the saturation onset. *)
+val ramp_to_saturation : duration:float -> unit -> Ditto_app.Rate.t
+(** ["ramp-to-saturation"]: linear climb to 6× over 80% of the run, then
+    held — finds the saturation onset. *)
 
 val canonical : duration:float -> Ditto_app.Rate.t list
 (** The three profiles above, in that order. *)
@@ -25,9 +25,3 @@ val names : string list
 val by_name : duration:float -> string -> Ditto_app.Rate.t
 (** Canonical profile by name; raises [Invalid_argument] on an unknown
     name (listing the known ones). *)
-
-val load : string -> Ditto_app.Rate.t
-(** Re-exports of {!Ditto_app.Rate.load} / {!Ditto_app.Rate.save}, so CLI
-    and bench code can read profile files through the loadgen namespace. *)
-
-val save : path:string -> Ditto_app.Rate.t -> unit

@@ -356,7 +356,7 @@ module Export = struct
     in
     J.Obj [ ("key", J.Str k); ("type", J.Str ty); ("value", jv) ]
 
-  let to_jaeger ?(service = "ditto") () =
+  let to_jaeger () =
     let spans = spans () in
     let traces : (int, completed list ref) Hashtbl.t = Hashtbl.create 16 in
     let order = ref [] in
@@ -403,25 +403,19 @@ module Export = struct
           ( "processes",
             J.Obj
               (List.map
-                 (fun d -> (Printf.sprintf "p%d" d, J.Obj [ ("serviceName", J.Str service) ]))
+                 (fun d -> (Printf.sprintf "p%d" d, J.Obj [ ("serviceName", J.Str "ditto") ]))
                  domains) );
         ]
     in
     J.Obj [ ("data", J.list trace_json (List.rev !order)) ]
 
-  let write path json =
-    let oc = open_out path in
-    output_string oc (J.to_string ~pretty:true json);
-    output_char oc '\n';
-    close_out oc
-
-  let write_chrome path = write path (to_chrome ())
-  let write_jaeger ?service path = write path (to_jaeger ?service ())
+  let write_chrome path = J.save path (to_chrome ())
+  let write_jaeger path = J.save path (to_jaeger ())
 
   let write_traces ?(events = []) ?chrome ?jaeger () =
     let jaeger = if jaeger = None then Option.map (fun p -> p ^ ".jaeger.json") chrome else jaeger in
     let chrome_line path =
-      write path (to_chrome ~events ());
+      J.save path (to_chrome ~events ());
       Printf.sprintf "wrote %s (%d spans, %d dropped%s)" path
         (List.length (spans ()))
         (dropped ())

@@ -110,13 +110,13 @@ module Export : sig
       [traceEvents]. Timestamps are microseconds relative to the earliest
       span. *)
 
-  val to_jaeger : ?service:string -> unit -> Ditto_util.Jsonx.t
+  val to_jaeger : unit -> Ditto_util.Jsonx.t
   (** Jaeger JSON export ([{"data":[{"traceID";"spans";"processes"}]}]),
       one entry per trace, CHILD_OF references for parentage — the format
       {!Ditto_trace.Jaeger} parses back into {!Ditto_trace.Span.t}s. *)
 
   val write_chrome : string -> unit
-  val write_jaeger : ?service:string -> string -> unit
+  val write_jaeger : string -> unit
 
   val write_traces :
     ?events:Ditto_util.Jsonx.t list -> ?chrome:string -> ?jaeger:string -> unit -> string list

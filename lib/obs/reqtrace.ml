@@ -140,21 +140,16 @@ let client_finish t ~span ~at outcome =
       sp.sp_outcome <- outcome;
       ignore (quota_keep t sp)
 
-let rpc_begin t ~parent ~target ~bytes ~at =
+let rpc_begin t ~parent ~target ~at =
   if parent = 0 || not (Hashtbl.mem t.spans parent) then 0
-  else begin
-    let sp = fresh t ~parent ~kind:Rpc ~tier:target ~arrive:at ~start:at in
-    sp.sp_req_bytes <- bytes;
-    sp.sp_id
-  end
+  else (fresh t ~parent ~kind:Rpc ~tier:target ~arrive:at ~start:at).sp_id
 
-let rpc_end t ~span ?bytes ~at outcome =
+let rpc_end t ~span ~at outcome =
   match find t span with
   | None -> ()
   | Some sp ->
       sp.sp_end <- at;
-      sp.sp_outcome <- outcome;
-      (match bytes with Some b -> sp.sp_resp_bytes <- b | None -> ())
+      sp.sp_outcome <- outcome
 
 let server_begin t ~parent ~tier ~bytes ~arrived ~at =
   if parent = 0 || not (Hashtbl.mem t.spans parent) then 0
@@ -296,8 +291,4 @@ let jaeger t =
   in
   J.Obj [ ("data", J.list trace_json (kept_roots t)) ]
 
-let write_jaeger path t =
-  let oc = open_out path in
-  output_string oc (J.to_string ~pretty:true (jaeger t));
-  output_char oc '\n';
-  close_out oc
+let write_jaeger path t = J.save path (jaeger t)

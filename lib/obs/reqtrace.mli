@@ -90,11 +90,12 @@ val client_start : t -> at:float -> int
 
 val client_finish : t -> span:int -> at:float -> outcome -> unit
 
-val rpc_begin : t -> parent:int -> target:string -> bytes:int -> at:float -> int
+val rpc_begin : t -> parent:int -> target:string -> at:float -> int
 (** One downstream (or client → entry) call attempt; the returned id is
-    the trace context to ride the request message ([Socket.send ~meta]). *)
+    the trace context to ride the request message ([Socket.send ~meta]).
+    An RPC span records no bytes: the server span it parents does. *)
 
-val rpc_end : t -> span:int -> ?bytes:int -> at:float -> outcome -> unit
+val rpc_end : t -> span:int -> at:float -> outcome -> unit
 
 val server_begin : t -> parent:int -> tier:string -> bytes:int -> arrived:float -> at:float -> int
 (** Tier starts handling a sampled request ([parent] = the message's meta,

@@ -381,10 +381,5 @@ let of_json j : Tier_profile.app =
     tiers = List.map tier_of_json (to_list (member "tiers" j));
   }
 
-let save path app =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (J.to_string ~pretty:true (to_json app)))
-
-let load path = of_json (J.of_string (In_channel.with_open_bin path In_channel.input_all))
+let save path app = J.save path (to_json app)
+let load path = of_json (J.load path)

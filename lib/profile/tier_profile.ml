@@ -16,10 +16,12 @@ type t = {
 
 let rec log2_ceil n = if n <= 1 then 0 else 1 + log2_ceil ((n + 1) / 2)
 
-let rec profile ?(requests = 160) ?(warmup = 60) ?(seed = 17) (tier : Spec.tier) =
-  (* Warmup: the instrumented run streams [warmup] requests first so sweep
-     caches and stream cursors reach steady state; compulsory first touches
-     of resident structures must not count as streaming traffic. *)
+(* Warmup: the instrumented run streams [warmup] requests first so sweep
+   caches and stream cursors reach steady state; compulsory first touches
+   of resident structures must not count as streaming traffic. *)
+let warmup = 60
+
+let rec profile ?(requests = 160) ?(seed = 17) (tier : Spec.tier) =
   let live = ref false in
   let mix_obs, mix_fin = Instmix.observer ~live () in
   let ws_obs, ws_fin =

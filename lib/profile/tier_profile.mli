@@ -17,10 +17,10 @@ type t = {
       (** profile of the timer-triggered background thread body, if any *)
 }
 
-val profile : ?requests:int -> ?warmup:int -> ?seed:int -> Ditto_app.Spec.tier -> t
+val profile : ?requests:int -> ?seed:int -> Ditto_app.Spec.tier -> t
 (** Drive all profilers over the tier's request streams in one pass,
-    after [warmup] unrecorded requests that bring caches and stream
-    cursors to steady state. *)
+    after 60 unrecorded requests that bring caches and stream cursors to
+    steady state. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable dump (the shareable artefact). *)

@@ -42,7 +42,10 @@ let insts_per_req (r : Measure.tier_result) =
   float_of_int r.Measure.counters.Counters.insts
   /. float_of_int (max 1 r.Measure.requests_measured)
 
-let of_comparison ?(target_pct = 5.0) ~app ?tuning (c : Pipeline.comparison) =
+(* The paper's 95% accuracy bar. *)
+let target_pct = 5.0
+
+let of_comparison ~app ?tuning (c : Pipeline.comparison) =
   let mk tier metric actual synthetic =
     let e = err_pct ~actual ~synthetic in
     {
@@ -103,8 +106,8 @@ let of_comparison ?(target_pct = 5.0) ~app ?tuning (c : Pipeline.comparison) =
    throughput in relative percent; raw resilience counters (timeouts, shed,
    ...) are noisy per-event tallies, so they pass within 50% of the larger
    side or an absolute slack of 10 events. *)
-let of_chaos ?(target_pct = 5.0) ~app ?tuning (ch : Pipeline.chaos) =
-  let base = of_comparison ~target_pct ~app ?tuning ch.Pipeline.comparison in
+let of_chaos ~app ?tuning (ch : Pipeline.chaos) =
+  let base = of_comparison ~app ?tuning ch.Pipeline.comparison in
   let a_svc = ch.Pipeline.actual_service and s_svc = ch.Pipeline.synthetic_service in
   let rate_row metric a s =
     let delta = 100.0 *. Float.abs (s -. a) in

@@ -50,16 +50,14 @@ type t = {
 }
 
 val of_comparison :
-  ?target_pct:float ->
   app:string ->
   ?tuning:Ditto_tune.Tuner.report ->
   Ditto_core.Pipeline.comparison ->
   t
-(** Build the scorecard from a {!Ditto_core.Pipeline.validate} result.
-    [target_pct] defaults to 5.0 (the paper's 95% accuracy bar). *)
+(** Build the scorecard from a {!Ditto_core.Pipeline.validate} result. A
+    row passes within 5% ([target_pct], the paper's 95% accuracy bar). *)
 
 val of_chaos :
-  ?target_pct:float ->
   app:string ->
   ?tuning:Ditto_tune.Tuner.report ->
   Ditto_core.Pipeline.chaos ->

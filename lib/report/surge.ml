@@ -54,7 +54,7 @@ let count_scale dir events =
          else e.Service.se_to < e.Service.se_from)
        events)
 
-let of_chaos ~app ?threshold_pct (ch : Pipeline.chaos) =
+let of_chaos ~app (ch : Pipeline.chaos) =
   let actual, clone =
     match
       (ch.Pipeline.actual_service.Service.timeline, ch.Pipeline.synthetic_service.Service.timeline)
@@ -66,7 +66,7 @@ let of_chaos ~app ?threshold_pct (ch : Pipeline.chaos) =
            config that sets timeline)"
   in
   let scenario = Pipeline.scenario_name ?plan:ch.Pipeline.plan ?surge:ch.Pipeline.surge () in
-  let timeline = Timeline.of_timelines ~app ~plan:scenario ?threshold_pct ~actual ~clone () in
+  let timeline = Timeline.of_timelines ~app ~plan:scenario ~actual ~clone () in
   let n = Ts.windows actual in
   let w = Ts.window_seconds actual in
   let a_cells = shed_by_window actual and c_cells = shed_by_window clone in

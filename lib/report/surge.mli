@@ -32,10 +32,9 @@ type t = {
   shed_total_clone : int;
 }
 
-val of_chaos : app:string -> ?threshold_pct:float -> Ditto_core.Pipeline.chaos -> t
+val of_chaos : app:string -> Ditto_core.Pipeline.chaos -> t
 (** Raises [Invalid_argument] unless both sides carry windowed telemetry
-    (a runner config with [timeline] set). [threshold_pct] is
-    {!Timeline.of_timelines}'s reconvergence criterion. *)
+    (a runner config with [timeline] set). *)
 
 val print : t -> unit
 (** The {!Timeline} table followed by the surge rows. *)

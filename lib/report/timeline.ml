@@ -41,7 +41,10 @@ let err_pct ~actual ~synthetic =
   if actual = 0.0 then if synthetic = 0.0 then 0.0 else 100.0
   else 100.0 *. Float.abs (synthetic -. actual) /. actual
 
-let of_timelines ~app ?plan ?(threshold_pct = 25.0) ~actual ~clone () =
+(* The reconvergence criterion: a window is compliant within this error. *)
+let threshold_pct = 25.0
+
+let of_timelines ~app ?plan ~actual ~clone () =
   let n = Ts.windows actual in
   if Ts.windows clone <> n || Ts.window_seconds clone <> Ts.window_seconds actual then
     invalid_arg "Timeline.of_timelines: window grids differ";

@@ -56,12 +56,11 @@ type t = {
 val of_timelines :
   app:string ->
   ?plan:string ->
-  ?threshold_pct:float ->
   actual:Ditto_obs.Timeseries.t ->
   clone:Ditto_obs.Timeseries.t ->
   unit ->
   t
-(** [threshold_pct] (default 25) is the reconvergence criterion. Raises
+(** The reconvergence criterion [threshold_pct] is 25%. Raises
     [Invalid_argument] if the two collectors have different window
     grids. *)
 

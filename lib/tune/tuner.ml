@@ -197,13 +197,19 @@ let objective_of errors =
   in
   sum /. Float.max 1.0 n
 
-let tune ?(max_iterations = 10) ?(target_error = 0.05) ?(seed = 1009) ?(speculation = 2)
-    ?pool ~config ~load ~reference ~(profile : P.Tier_profile.app) () =
+(* Tuning stops once the worst counter error is at most [target_error]. *)
+let target_error = 0.05
+
+(* K: the perturbed knob vectors evaluated alongside the damped adjustment
+   each iteration. *)
+let speculation = 2
+
+let tune ?(max_iterations = 10) ?(seed = 1009) ?pool ~config ~load ~reference
+    ~(profile : P.Tier_profile.app) () =
   Obs.Span.with_span ~name:"tune"
-    ~attrs:[ ("speculation", Obs.Int (max 0 speculation)); ("seed", Obs.Int seed) ]
+    ~attrs:[ ("speculation", Obs.Int speculation); ("seed", Obs.Int seed) ]
   @@ fun () ->
   let pool = match pool with Some p -> p | None -> Ditto_util.Pool.default () in
-  let speculation = max 0 speculation in
   (* Counter calibration only needs a short run. *)
   let tune_load = { load with Service.duration = Float.min load.Service.duration 0.4 } in
   let tiers = profile.P.Tier_profile.tiers in

@@ -37,9 +37,7 @@ type report = {
 
 val tune :
   ?max_iterations:int ->
-  ?target_error:float ->
   ?seed:int ->
-  ?speculation:int ->
   ?pool:Ditto_util.Pool.t ->
   config:Ditto_app.Runner.config ->
   load:Ditto_app.Service.load ->
@@ -51,11 +49,11 @@ val tune :
     calibrated synthetic spec and the tuning report. Tuning runs use a
     shortened load duration — calibration needs counters, not tails.
 
-    [speculation] (default 2) is K, the number of perturbed knob vectors
-    evaluated alongside the damped adjustment each iteration; [pool]
-    (default {!Ditto_util.Pool.default}) supplies the domains the K+1
-    candidate runs execute on. [speculation:0] recovers the paper's plain
-    §4.5 feedback loop. *)
+    Each iteration evaluates K = 2 perturbed knob vectors alongside the
+    damped adjustment (the report's [speculation]), and tuning stops once
+    the worst counter error is within 5%. [pool] (default
+    {!Ditto_util.Pool.default}) supplies the domains the K+1 candidate runs
+    execute on. *)
 
 val counter_errors :
   original:Ditto_uarch.Counters.t ->

@@ -14,14 +14,16 @@ type t = {
   meta : int array; (* 2-bit chooser: >=2 prefers local *)
   btb : int array;
   btb_mask : int;
-  history_bits : int;
   mutable history : int;
   mutable dirty : bool;
 }
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
 
-let create ?(history_bits = 12) ~entries ~btb_entries () =
+(* Bits of global history gshare hashes into its index. *)
+let history_bits = 12
+
+let create ~entries ~btb_entries () =
   let entries = pow2_at_least (max 2 entries) 2 in
   let btb_entries = pow2_at_least (max 2 btb_entries) 2 in
   let local_entries = max 2 (entries / 4) in
@@ -36,7 +38,6 @@ let create ?(history_bits = 12) ~entries ~btb_entries () =
     meta = Array.make local_entries 2;
     btb = Array.make btb_entries (-1);
     btb_mask = btb_entries - 1;
-    history_bits;
     history = 0;
     dirty = false;
   }
@@ -77,7 +78,7 @@ let predict_and_update t ~pc ~taken =
      Array.unsafe_set t.meta lidx (train (Array.unsafe_get t.meta lidx) local_right));
   Array.unsafe_set t.local_hist lidx (((lhist lsl 1) lor (if taken then 1 else 0)) land 1023);
   t.history <-
-    ((t.history lsl 1) lor (if taken then 1 else 0)) land ((1 lsl t.history_bits) - 1);
+    ((t.history lsl 1) lor (if taken then 1 else 0)) land ((1 lsl history_bits) - 1);
   if predicted <> taken then `Mispredict
   else if taken && not (btb_lookup_update t pc) then `Btb_miss
   else `Correct

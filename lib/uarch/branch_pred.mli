@@ -8,8 +8,9 @@
 
 type t
 
-val create : ?history_bits:int -> entries:int -> btb_entries:int -> unit -> t
-(** [entries] and [btb_entries] are rounded up to powers of two. *)
+val create : entries:int -> btb_entries:int -> unit -> t
+(** [entries] and [btb_entries] are rounded up to powers of two; gshare
+    hashes 12 bits of global history. *)
 
 val predict_and_update : t -> pc:int -> taken:bool -> [ `Correct | `Mispredict | `Btb_miss ]
 (** One prediction step for a conditional branch at [pc] whose actual

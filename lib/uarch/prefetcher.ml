@@ -1,21 +1,20 @@
 type entry = { mutable last_addr : int; mutable stride : int; mutable confidence : int }
 
-type t = { entries : entry array; mask : int; degree : int; mutable dirty : bool }
+type t = { entries : entry array; degree : int; mutable dirty : bool }
 
-let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
+(* Stride-table entries; a power of two, so an index is a mask. *)
+let table_entries = 64
 
-let create ?(table_entries = 64) ?(degree = 2) () =
-  let n = pow2_at_least (max 2 table_entries) 2 in
+let create ?(degree = 2) () =
   {
-    entries = Array.init n (fun _ -> { last_addr = -1; stride = 0; confidence = 0 });
-    mask = n - 1;
+    entries = Array.init table_entries (fun _ -> { last_addr = -1; stride = 0; confidence = 0 });
     degree;
     dirty = false;
   }
 
 let observe t ~pc ~addr fill =
   t.dirty <- true;
-  let e = t.entries.((pc lsr 2) land t.mask) in
+  let e = t.entries.((pc lsr 2) land (table_entries - 1)) in
   if e.last_addr >= 0 then begin
     let stride = addr - e.last_addr in
     if stride <> 0 && stride = e.stride then begin

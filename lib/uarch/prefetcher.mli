@@ -7,8 +7,9 @@
 
 type t
 
-val create : ?table_entries:int -> ?degree:int -> unit -> t
-(** [degree] is how many lines ahead are prefetched on a confirmed stride. *)
+val create : ?degree:int -> unit -> t
+(** A 64-entry stride table. [degree] is how many lines ahead are
+    prefetched on a confirmed stride. *)
 
 val observe : t -> pc:int -> addr:int -> (int -> unit) -> unit
 (** [observe t ~pc ~addr fill] records a demand access by the load at [pc];

@@ -1,26 +1,18 @@
-type linkage = Single | Complete | Average
-
-(* Cluster-to-cluster distance from a precomputed item-pair matrix. *)
-let cluster_distance linkage dmat ca cb =
-  let acc = ref (match linkage with Single -> infinity | Complete -> 0.0 | Average -> 0.0) in
-  let n = ref 0 in
+(* Average linkage: the mean item-pair distance between two clusters,
+   from a precomputed item-pair matrix. *)
+let cluster_distance dmat ca cb =
+  let sum = ref 0.0 and n = ref 0 in
   List.iter
     (fun i ->
       List.iter
         (fun j ->
-          let d = dmat.(i).(j) in
-          incr n;
-          match linkage with
-          | Single -> acc := Float.min !acc d
-          | Complete -> acc := Float.max !acc d
-          | Average -> acc := !acc +. d)
+          sum := !sum +. dmat.(i).(j);
+          incr n)
         cb)
     ca;
-  match linkage with
-  | Single | Complete -> !acc
-  | Average -> if !n = 0 then 0.0 else !acc /. float_of_int !n
+  if !n = 0 then 0.0 else !sum /. float_of_int !n
 
-let run ?(linkage = Average) ~distance ~stop items =
+let run ~distance ~stop items =
   let n = Array.length items in
   if n = 0 then []
   else begin
@@ -41,7 +33,7 @@ let run ?(linkage = Average) ~distance ~stop items =
       let best = ref (0, 1, infinity) in
       for i = 0 to m - 1 do
         for j = i + 1 to m - 1 do
-          let d = cluster_distance linkage dmat cs.(i) cs.(j) in
+          let d = cluster_distance dmat cs.(i) cs.(j) in
           let _, _, bd = !best in
           if d < bd then best := (i, j, d)
         done
@@ -58,8 +50,8 @@ let run ?(linkage = Average) ~distance ~stop items =
     List.map (fun c -> List.map (fun i -> items.(i)) c) !clusters
   end
 
-let agglomerative ?linkage ~distance ~threshold items =
-  run ?linkage ~distance ~stop:(fun _ d -> d > threshold) items
+let agglomerative ~distance ~threshold items =
+  run ~distance ~stop:(fun _ d -> d > threshold) items
 
-let agglomerative_k ?linkage ~distance ~k items =
-  run ?linkage ~distance ~stop:(fun ncl _ -> ncl <= k) items
+let agglomerative_k ~distance ~k items =
+  run ~distance ~stop:(fun ncl _ -> ncl <= k) items

@@ -246,6 +246,13 @@ let of_string src =
   if st.pos <> String.length src then fail st "trailing input";
   v
 
+let load path = of_string (In_channel.with_open_bin path In_channel.input_all)
+
+let save path t =
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (to_string ~pretty:true t);
+      Out_channel.output_char oc '\n')
+
 let member key = function
   | Obj fields -> ( match List.assoc_opt key fields with Some v -> v | None -> Null)
   | _ -> raise (Parse_error (Printf.sprintf "member %S of non-object" key))

@@ -18,6 +18,16 @@ exception Parse_error of string
 val of_string : string -> t
 (** Raises {!Parse_error} on malformed input. *)
 
+(** {1 Files} *)
+
+val load : string -> t
+(** Parse a whole file. Raises [Sys_error] when it cannot be read and
+    {!Parse_error} when it is malformed. *)
+
+val save : string -> t -> unit
+(** Write [t] pretty-printed, ending in a newline. The file is closed
+    even when the write raises. *)
+
 (** {1 Accessors} (raise [Parse_error] on shape mismatch) *)
 
 val member : string -> t -> t

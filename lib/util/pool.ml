@@ -208,69 +208,6 @@ let map pool f xs =
       Array.to_list
         (Array.map (function Some r -> r | None -> assert false) results)
 
-(* Futures: a single submitted task whose result is claimed later. Used by
-   the bench's experiment DAG — preclones are submitted cost-ordered and
-   each dependent stage awaits the future it needs, instead of a barrier
-   over a whole batch. *)
-type 'a future = {
-  fut_mutex : Mutex.t;
-  fut_done : Condition.t;
-  mutable fut_state : [ `Pending | `Ok of 'a | `Err of exn * Printexc.raw_backtrace ];
-}
-
-let submit pool f =
-  let fut = { fut_mutex = Mutex.create (); fut_done = Condition.create (); fut_state = `Pending } in
-  let task () =
-    let state = try `Ok (timed f ()) with e -> `Err (e, Printexc.get_raw_backtrace ()) in
-    Mutex.lock fut.fut_mutex;
-    fut.fut_state <- state;
-    Condition.broadcast fut.fut_done;
-    Mutex.unlock fut.fut_mutex
-  in
-  if pool.pool_size <= 1 || pool.stop then
-    (* Sequential pools execute eagerly at submission, preserving the
-       deterministic submit-order schedule tests pin against. *)
-    task ()
-  else begin
-    let wrap = !task_hook in
-    Mutex.lock pool.mutex;
-    Queue.push (wrap task) pool.queue;
-    Atomic.incr n_queued;
-    Condition.signal pool.work_available;
-    Mutex.unlock pool.mutex
-  end;
-  fut
-
-let await pool fut =
-  let state () =
-    Mutex.lock fut.fut_mutex;
-    let s = fut.fut_state in
-    Mutex.unlock fut.fut_mutex;
-    s
-  in
-  let rec loop () =
-    match state () with
-    | `Ok v -> v
-    | `Err (e, bt) -> Printexc.raise_with_backtrace e bt
-    | `Pending -> (
-        (* Help while waiting, exactly as [map] does, so awaiting from
-           inside a worker task cannot deadlock: if the queue is empty the
-           future's task is already running on some domain. *)
-        match try_pop pool with
-        | Some task ->
-            Atomic.incr n_stolen;
-            run_task task;
-            loop ()
-        | None ->
-            Mutex.lock fut.fut_mutex;
-            while fut.fut_state = `Pending do
-              Condition.wait fut.fut_done fut.fut_mutex
-            done;
-            Mutex.unlock fut.fut_mutex;
-            loop ())
-  in
-  loop ()
-
 let both pool f g =
   let a = ref None and b = ref None in
   let tasks =

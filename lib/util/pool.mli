@@ -8,11 +8,12 @@
     mutable state — parallelism lives {e across} runs, never inside one, and
     results stay bit-identical to the sequential schedule.
 
-    The pool is a classic work queue guarded by a mutex/condition pair. The
-    submitting domain {e helps}: while waiting for its batch it drains tasks
-    from the queue itself, so nested [map] calls (an app clone running on a
-    worker spawns its own tuning candidates) cannot deadlock even when every
-    worker is busy. *)
+    The pool is a classic work queue guarded by a mutex/condition pair, and
+    {!map} is the one way to run work on it ({!both} is a two-task [map]).
+    The submitting domain {e helps}: while waiting for its batch it drains
+    tasks from the queue itself, so nested [map] calls (an app clone running
+    on a worker spawns its own tuning candidates) cannot deadlock even when
+    every worker is busy. *)
 
 type t
 
@@ -36,21 +37,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 val both : t -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 (** [both t f g] evaluates the two thunks, concurrently when the pool has
     capacity, and returns their results. *)
-
-type 'a future
-
-val submit : t -> (unit -> 'a) -> 'a future
-(** Enqueue one task and return a handle to its eventual result. On a
-    sequential pool (size <= 1, or after {!shutdown}) the task runs
-    eagerly at submission, so the schedule is the deterministic
-    submission order at any pool size. *)
-
-val await : t -> 'a future -> 'a
-(** Claim a future's result, helping drain the pool's queue while it is
-    pending (so awaiting from inside a worker task cannot deadlock). If
-    the task raised, the exception is re-raised here with its original
-    backtrace. [await] may be called multiple times and from multiple
-    domains. *)
 
 val shutdown : t -> unit
 (** Drain queued tasks, stop the workers and join them. Idempotent. Calling

@@ -1,14 +1,13 @@
-type align = Left | Right
-
-let pad align width s =
+(* The first column is left-aligned, every other column right-aligned. *)
+let pad ~left width s =
   let n = String.length s in
   if n >= width then s
   else begin
     let fill = String.make (width - n) ' ' in
-    match align with Left -> s ^ fill | Right -> fill ^ s
+    if left then s ^ fill else fill ^ s
   end
 
-let render ?(align = Right) ~header rows =
+let render ~header rows =
   let all = header :: rows in
   let ncols = List.fold_left (fun a r -> max a (List.length r)) 0 all in
   let widths = Array.make ncols 0 in
@@ -16,19 +15,14 @@ let render ?(align = Right) ~header rows =
     (fun row -> List.iteri (fun i cell -> widths.(i) <- max widths.(i) (String.length cell)) row)
     all;
   let line row =
-    row
-    |> List.mapi (fun i cell ->
-           let a = if i = 0 then Left else align in
-           pad a widths.(i) cell)
-    |> String.concat "  "
+    row |> List.mapi (fun i cell -> pad ~left:(i = 0) widths.(i) cell) |> String.concat "  "
   in
   let rule =
     Array.to_list widths |> List.map (fun w -> String.make w '-') |> String.concat "  "
   in
   String.concat "\n" (line header :: rule :: List.map line rows)
 
-let print ?align ~title ~header rows =
-  Printf.printf "\n== %s ==\n%s\n" title (render ?align ~header rows)
+let print ~title ~header rows = Printf.printf "\n== %s ==\n%s\n" title (render ~header rows)
 
 let fmt_float x =
   if x = 0.0 then "0"

@@ -1,12 +1,11 @@
 (** Fixed-width text tables for the benchmark harness output. *)
 
-type align = Left | Right
-
-val render : ?align:align -> header:string list -> string list list -> string
+val render : header:string list -> string list list -> string
 (** Render rows under a header with per-column widths; columns are separated
-    by two spaces and a rule follows the header. *)
+    by two spaces and a rule follows the header. The first column is
+    left-aligned, the others right-aligned. *)
 
-val print : ?align:align -> title:string -> header:string list -> string list list -> unit
+val print : title:string -> header:string list -> string list list -> unit
 (** [render] preceded by a title banner, written to stdout. *)
 
 val fmt_float : float -> string

@@ -39,8 +39,10 @@ let index tree =
   in
   { labels; lld; keyroots }
 
-let distance ?(cost_ins = fun _ -> 1.0) ?(cost_del = fun _ -> 1.0)
-    ?(cost_sub = fun a b -> if a = b then 0.0 else 1.0) t1 t2 =
+(* Unit costs: an insert or a delete costs 1, a substitution 0 between
+   equal labels and 1 otherwise. *)
+let distance t1 t2 =
+  let cost_sub x y = if x = y then 0.0 else 1.0 in
   let a = index t1 and b = index t2 in
   let n = Array.length a.labels and m = Array.length b.labels in
   let td = Array.make_matrix n m 0.0 in
@@ -49,10 +51,10 @@ let distance ?(cost_ins = fun _ -> 1.0) ?(cost_del = fun _ -> 1.0)
     let rows = i - li + 2 and cols = j - lj + 2 in
     let fd = Array.make_matrix rows cols 0.0 in
     for x = 1 to rows - 1 do
-      fd.(x).(0) <- fd.(x - 1).(0) +. cost_del a.labels.(li + x - 1)
+      fd.(x).(0) <- fd.(x - 1).(0) +. 1.0
     done;
     for y = 1 to cols - 1 do
-      fd.(0).(y) <- fd.(0).(y - 1) +. cost_ins b.labels.(lj + y - 1)
+      fd.(0).(y) <- fd.(0).(y - 1) +. 1.0
     done;
     for x = 1 to rows - 1 do
       let node_a = li + x - 1 in
@@ -62,8 +64,8 @@ let distance ?(cost_ins = fun _ -> 1.0) ?(cost_del = fun _ -> 1.0)
           let d =
             Float.min
               (Float.min
-                 (fd.(x - 1).(y) +. cost_del a.labels.(node_a))
-                 (fd.(x).(y - 1) +. cost_ins b.labels.(node_b)))
+                 (fd.(x - 1).(y) +. 1.0)
+                 (fd.(x).(y - 1) +. 1.0))
               (fd.(x - 1).(y - 1) +. cost_sub a.labels.(node_a) b.labels.(node_b))
           in
           fd.(x).(y) <- d;
@@ -74,8 +76,8 @@ let distance ?(cost_ins = fun _ -> 1.0) ?(cost_del = fun _ -> 1.0)
           fd.(x).(y) <-
             Float.min
               (Float.min
-                 (fd.(x - 1).(y) +. cost_del a.labels.(node_a))
-                 (fd.(x).(y - 1) +. cost_ins b.labels.(node_b)))
+                 (fd.(x - 1).(y) +. 1.0)
+                 (fd.(x).(y - 1) +. 1.0))
               (fd.(xa).(yb) +. td.(node_a).(node_b))
         end
       done

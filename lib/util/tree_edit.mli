@@ -10,15 +10,9 @@ val leaf : 'a -> 'a tree
 val size : 'a tree -> int
 val depth : 'a tree -> int
 
-val distance :
-  ?cost_ins:('a -> float) ->
-  ?cost_del:('a -> float) ->
-  ?cost_sub:('a -> 'a -> float) ->
-  'a tree ->
-  'a tree ->
-  float
-(** Zhang–Shasha edit distance between two ordered trees. Default costs are
-    1 for insert/delete and 0/1 for substitute (equal/unequal labels). *)
+val distance : 'a tree -> 'a tree -> float
+(** Zhang–Shasha edit distance between two ordered trees. An insert or a
+    delete costs 1, a substitution 0 between equal labels and 1 otherwise. *)
 
 val normalized_distance : 'a tree -> 'a tree -> float
 (** Distance divided by [max (size a) (size b)] — in [\[0, 1\]] for unit

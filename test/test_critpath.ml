@@ -19,7 +19,7 @@ let feq = Alcotest.(check (float 1e-9))
    of client gaps -> "other". *)
 let single_tier_trace ?(service_dur = 0.004) t ~t0 =
   let root = Rq.client_start t ~at:t0 in
-  let rpc = Rq.rpc_begin t ~parent:root ~target:"redis" ~bytes:100 ~at:(t0 +. 0.001) in
+  let rpc = Rq.rpc_begin t ~parent:root ~target:"redis" ~at:(t0 +. 0.001) in
   let srv =
     Rq.server_begin t ~parent:rpc ~tier:"redis" ~bytes:100 ~arrived:(t0 +. 0.002)
       ~at:(t0 +. 0.003)
@@ -27,7 +27,7 @@ let single_tier_trace ?(service_dur = 0.004) t ~t0 =
   Rq.server_op t ~span:srv ~op:0;
   Rq.segment t ~span:srv Rq.Service ~start:(t0 +. 0.003) ~dur:service_dur;
   Rq.server_end t ~span:srv ~bytes:200 ~at:(t0 +. 0.003 +. service_dur) Rq.Ok;
-  Rq.rpc_end t ~span:rpc ~bytes:200 ~at:(t0 +. 0.005 +. service_dur) Rq.Ok;
+  Rq.rpc_end t ~span:rpc ~at:(t0 +. 0.005 +. service_dur) Rq.Ok;
   Rq.client_finish t ~span:root ~at:(t0 +. 0.006 +. service_dur) Rq.Ok;
   root
 
@@ -79,7 +79,7 @@ let test_per_type_quota () =
 let test_finalize_closes_open_spans () =
   let t = collect_all () in
   let root = Rq.client_start t ~at:0.0 in
-  let rpc = Rq.rpc_begin t ~parent:root ~target:"web" ~bytes:10 ~at:0.001 in
+  let rpc = Rq.rpc_begin t ~parent:root ~target:"web" ~at:0.001 in
   Alcotest.(check bool) "rpc span allocated" true (rpc <> 0);
   Rq.finalize t ~at:0.5;
   Rq.finalize t ~at:9.9 (* idempotent: the second call must not reopen *);
@@ -118,14 +118,14 @@ let test_retry_dominated_path () =
   let t = collect_all () in
   let root = Rq.client_start t ~at:0.0 in
   (* first attempt times out after 10ms with no server-side span *)
-  let rpc1 = Rq.rpc_begin t ~parent:root ~target:"db" ~bytes:50 ~at:0.001 in
+  let rpc1 = Rq.rpc_begin t ~parent:root ~target:"db" ~at:0.001 in
   Rq.rpc_end t ~span:rpc1 ~at:0.011 Rq.Timeout;
   (* retry succeeds quickly *)
-  let rpc2 = Rq.rpc_begin t ~parent:root ~target:"db" ~bytes:50 ~at:0.012 in
+  let rpc2 = Rq.rpc_begin t ~parent:root ~target:"db" ~at:0.012 in
   let srv = Rq.server_begin t ~parent:rpc2 ~tier:"db" ~bytes:50 ~arrived:0.0125 ~at:0.0125 in
   Rq.segment t ~span:srv Rq.Service ~start:0.0125 ~dur:0.001;
   Rq.server_end t ~span:srv ~bytes:80 ~at:0.0135 Rq.Ok;
-  Rq.rpc_end t ~span:rpc2 ~bytes:80 ~at:0.014 Rq.Ok;
+  Rq.rpc_end t ~span:rpc2 ~at:0.014 Rq.Ok;
   Rq.client_finish t ~span:root ~at:0.015 Rq.Ok;
   Rq.finalize t ~at:1.0;
   let cs = Cp.contributions (List.hd (Rq.traces t)) in
@@ -141,11 +141,11 @@ let test_retry_dominated_path () =
 let test_shed_request () =
   let t = collect_all () in
   let root = Rq.client_start t ~at:0.0 in
-  let rpc = Rq.rpc_begin t ~parent:root ~target:"web" ~bytes:50 ~at:0.001 in
+  let rpc = Rq.rpc_begin t ~parent:root ~target:"web" ~at:0.001 in
   (* the tier sheds at delivery: no queue segment, no service work *)
   let srv = Rq.server_begin t ~parent:rpc ~tier:"web" ~bytes:50 ~arrived:0.002 ~at:0.002 in
   Rq.server_end t ~span:srv ~bytes:8 ~at:0.002 Rq.Shed;
-  Rq.rpc_end t ~span:rpc ~bytes:8 ~at:0.003 Rq.Err;
+  Rq.rpc_end t ~span:rpc ~at:0.003 Rq.Err;
   Rq.client_finish t ~span:root ~at:0.004 Rq.Err;
   Rq.finalize t ~at:1.0;
   let root_sp = List.hd (Rq.traces t) in
@@ -172,7 +172,7 @@ let test_tie_breaking () =
     let t = collect_all () in
     let root = Rq.client_start t ~at:0.0 in
     let attempt target =
-      let rpc = Rq.rpc_begin t ~parent:root ~target ~bytes:10 ~at:0.001 in
+      let rpc = Rq.rpc_begin t ~parent:root ~target ~at:0.001 in
       let srv = Rq.server_begin t ~parent:rpc ~tier:target ~bytes:10 ~arrived:0.002 ~at:0.002 in
       Rq.segment t ~span:srv Rq.Service ~start:0.002 ~dur:0.006;
       Rq.server_end t ~span:srv ~at:0.008 Rq.Ok;

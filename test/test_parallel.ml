@@ -123,35 +123,6 @@ let test_nested_map () =
         (List.init 8 (fun i -> (50 * i) + 15))
         sums)
 
-(* {1 Futures} *)
-
-let test_future_basic size () =
-  with_pool size (fun pool ->
-      let f1 = Pool.submit pool (fun () -> 6 * 7) in
-      let f2 = Pool.submit pool (fun () -> String.concat "-" [ "a"; "b" ]) in
-      Alcotest.(check int) "first future" 42 (Pool.await pool f1);
-      Alcotest.(check string) "second future" "a-b" (Pool.await pool f2);
-      (* await is idempotent *)
-      Alcotest.(check int) "re-await" 42 (Pool.await pool f1))
-
-let test_future_exception size () =
-  with_pool size (fun pool ->
-      let f = Pool.submit pool (fun () -> raise (Boom 7)) in
-      Alcotest.check_raises "exception surfaces at await" (Boom 7) (fun () ->
-          ignore (Pool.await pool f));
-      Alcotest.check_raises "and again on re-await" (Boom 7) (fun () ->
-          ignore (Pool.await pool f));
-      let ok = Pool.submit pool (fun () -> 5) in
-      Alcotest.(check int) "pool usable after failed future" 5 (Pool.await pool ok))
-
-let test_future_chain size () =
-  (* A dependent future awaiting its input (the bench's clone -> validate
-     DAG edge): the helping scheme keeps it deadlock-free at any size. *)
-  with_pool size (fun pool ->
-      let a = Pool.submit pool (fun () -> 10) in
-      let b = Pool.submit pool (fun () -> Pool.await pool a + 5) in
-      Alcotest.(check int) "chained futures" 15 (Pool.await pool b))
-
 (* {1 Stats: steal counts, busy and idle time} *)
 
 let test_stats_accumulate () =
@@ -398,12 +369,6 @@ let () =
           Alcotest.test_case "both failure" `Quick test_both_failure;
           Alcotest.test_case "both" `Quick test_both;
           Alcotest.test_case "nested map" `Quick test_nested_map;
-          Alcotest.test_case "future basic (size 1)" `Quick (test_future_basic 1);
-          Alcotest.test_case "future basic (size 4)" `Quick (test_future_basic 4);
-          Alcotest.test_case "future exception (size 1)" `Quick (test_future_exception 1);
-          Alcotest.test_case "future exception (size 4)" `Quick (test_future_exception 4);
-          Alcotest.test_case "future chain (size 1)" `Quick (test_future_chain 1);
-          Alcotest.test_case "future chain (size 4)" `Quick (test_future_chain 4);
           Alcotest.test_case "stats accumulate" `Quick test_stats_accumulate;
           Alcotest.test_case "stats on sequential path" `Quick test_stats_sequential_busy;
           Alcotest.test_case "env sizing" `Quick test_env_sizing;

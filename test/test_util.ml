@@ -404,6 +404,29 @@ let test_jsonx_to_int () =
       | i -> Alcotest.failf "to_int %s: expected Parse_error, got %d" label i)
     [ ("nan", Float.nan); ("inf", Float.infinity); ("-inf", Float.neg_infinity) ]
 
+let test_jsonx_files () =
+  let v =
+    Jsonx.Obj
+      [
+        ("name", Jsonx.Str "a \"quoted\" line\n");
+        ("xs", Jsonx.List [ Jsonx.Num 1.5; Jsonx.Null; Jsonx.Obj [ ("ok", Jsonx.Bool true) ] ]);
+        ("empty", Jsonx.Obj []);
+      ]
+  in
+  let path = Filename.temp_file "ditto_jsonx" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Jsonx.save path v;
+      Alcotest.(check bool) "load returns the saved value" true (Jsonx.load path = v);
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let n = String.length text in
+      Alcotest.(check bool) "ends in exactly one newline" true
+        (n >= 2 && text.[n - 1] = '\n' && text.[n - 2] <> '\n'));
+  match Jsonx.load path with
+  | exception Sys_error _ -> ()
+  | _ -> Alcotest.fail "load of a missing path must raise Sys_error"
+
 (* Round-trip generator: arbitrary byte strings (control chars exercise the
    \uXXXX escapes; bytes >= 128 pass through raw) and finite numbers only —
    Jsonx has no representation for nan/inf, which is what to_int guards. *)
@@ -532,6 +555,7 @@ let () =
           Alcotest.test_case "unicode escapes" `Quick test_jsonx_unicode_escapes;
           Alcotest.test_case "bad escapes" `Quick test_jsonx_bad_escapes;
           Alcotest.test_case "to_int non-finite" `Quick test_jsonx_to_int;
+          Alcotest.test_case "save and load files" `Quick test_jsonx_files;
           qt prop_jsonx_roundtrip;
         ] );
       ( "table",
