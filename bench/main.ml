@@ -172,15 +172,14 @@ let preclone names =
 
 (* {1 Sample tables: error samples by key}
 
-   Each key keeps its samples newest first, and [mean] sums them in that
-   order. E1's accumulator is fed by fig5. *)
+   Each key keeps its samples newest first, and [Stats.mean_of] sums them
+   in that order. E1's accumulator is fed by fig5. *)
 
 let add_sample tbl key e =
   match Hashtbl.find_opt tbl key with
   | Some r -> r := e :: !r
   | None -> Hashtbl.add tbl key (ref [ e ])
 
-let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (max 1 (List.length xs))
 let error_acc : (string, float list ref) Hashtbl.t = Hashtbl.create 16
 let record_errors = List.iter (fun (axis, e) -> add_sample error_acc axis e)
 
@@ -551,7 +550,7 @@ let errors () =
     Hashtbl.fold (fun axis values acc -> (axis, !values) :: acc) error_acc []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
     |> List.map (fun (axis, vs) ->
-           [ axis; fmt "%.1f%%" (mean vs); string_of_int (List.length vs) ])
+           [ axis; fmt "%.1f%%" (Stats.mean_of vs); string_of_int (List.length vs) ])
   in
   Table.print ~title:"Average validation errors"
     ~header:[ "metric"; "mean error"; "samples" ]
@@ -607,7 +606,7 @@ let ablation () =
         :: List.map
              (fun axis ->
                match Hashtbl.find_opt acc (variant, axis) with
-               | Some xs -> fmt "%.1f%%" (mean !xs)
+               | Some xs -> fmt "%.1f%%" (Stats.mean_of !xs)
                | None -> "-")
              axes)
       [ "ditto (tuned)"; "ditto (untuned)"; "user-level baseline" ]
@@ -1124,7 +1123,7 @@ let () =
     if !json_file = None && not (!check || !update_baselines) then None
     else begin
       let errors =
-        Hashtbl.fold (fun axis values acc -> (axis, mean !values) :: acc) error_acc []
+        Hashtbl.fold (fun axis values acc -> (axis, Stats.mean_of !values) :: acc) error_acc []
         |> List.sort (fun (a, _) (b, _) -> compare a b)
       in
       (* Per-app tuner trajectory: iterations with per-counter errors and the

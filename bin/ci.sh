@@ -6,8 +6,10 @@
 # alloc group alone (a zero-word or word-budget pin that passes only
 # because an earlier test warmed a buffer fails here), a
 # benchmark smoke run, a self-tracing smoke test (Chrome + Jaeger exports
-# re-parsed via Jsonx), two CPU-stack profile smokes (a redis clone, and
-# the original social_network, whose stacks must name all 22 of its tiers),
+# re-parsed via Jsonx, and a Jaeger file whose span id needs all 64 bits
+# refused with exit 1 instead of an uncaught exception), two CPU-stack
+# profile smokes (a redis clone, and the original social_network, whose
+# stacks must name all 22 of its tiers),
 # a synth scaling smoke (100-tier generated graph cloned + validated under
 # a wall budget and a DES event-queue peak limit), the validation-gate
 # smokes — one memcached clone through the chaos (fault injection +
@@ -73,6 +75,18 @@ dune exec bin/ditto_cli.exe -- run redis --qps 2000 --trace "$trace_file"
 dune exec bin/ditto_cli.exe -- inspect-trace "$trace_file"
 dune exec bin/ditto_cli.exe -- inspect-trace "$trace_file.jaeger.json"
 rm -f "$trace_file" "$trace_file.jaeger.json"
+# A span id past 63 bits (half of real Jaeger ids) is bad input: exit 1
+# with the usual message, not an uncaught exception (exit 125).
+wide_id="$tmpdir/wide_id.jaeger.json"
+wide_log="$tmpdir/wide_id.log"
+echo '{"data": [{"traceID": "1", "spans": [{"traceID": "1", "spanID": "a1b2c3d4e5f60718", "operationName": "front"}]}]}' >"$wide_id"
+wide_rc=0
+dune exec bin/ditto_cli.exe -- inspect-trace "$wide_id" >"$wide_log" 2>&1 || wide_rc=$?
+cat "$wide_log"
+if [ "$wide_rc" -ne 1 ] || ! grep -q "not a Chrome or Jaeger trace" "$wide_log"; then
+  echo "ci: FAIL — inspect-trace on a 64-bit span id exited $wide_rc, expected 1" >&2
+  exit 1
+fi
 
 echo "== profile smoke (collapsed stacks reconcile with measured CPU) =="
 # `profile` exits non-zero itself if the attributed weights diverge >1%

@@ -491,10 +491,11 @@ let inspect_trace path =
     Printf.eprintf "inspect-trace: %s: malformed trace: %s\n" path msg;
     exit 1
 
-(* Stack profile (fidelity observatory): clone an app, run the clone (or
-   the original with --original) with the runner's [stacks] switch on, and
-   write the tiers' stack tables as one collapsed-stack file for
-   flamegraph.pl/inferno, plus a top-N table. The weights are the measured
+(* Stack profile (fidelity observatory): clone an app, measure the clone
+   (or the original with --original) with the runner's [stacks] switch on,
+   and write the tiers' stack tables as one collapsed-stack file for
+   flamegraph.pl/inferno, plus a top-N table. Only the measurement phase
+   runs, since stacks come from it alone. The weights are the measured
    cycle deltas, so they must reconcile with the measured on-CPU time — a
    >1% gap is a bug and exits non-zero. *)
 let profile_app name qps original out top =
@@ -511,10 +512,11 @@ let profile_app name qps original out top =
       result.Pipeline.synthetic
     end
   in
-  let out_run = Runner.run (Runner.config ~stacks:true Platform.a) ~load spec in
+  let tiers =
+    List.map snd (Runner.measure (Runner.config ~stacks:true Platform.a) ~qps:load.Service.qps spec)
+  in
   (* Ground truth: the stacks cover exactly the measurement-phase requests
      plus the background threads, whose on-CPU time the traces record. *)
-  let tiers = List.map snd out_run.Runner.measured in
   let measured =
     List.fold_left
       (fun acc (r : Measure.tier_result) ->

@@ -53,21 +53,15 @@ let estimate_idle_per_request ~qps ~workers =
   if qps <= 0.0 then 5e-3
   else Float.min 5e-3 (float_of_int (max 1 workers) /. qps *. 0.8)
 
-let measure_config cfg ~qps ~avg_workers =
-  {
-    Measure.idle_per_request = estimate_idle_per_request ~qps ~workers:avg_workers;
-    stressor = cfg.stressor;
-    stressor_placement = cfg.stressor_placement;
-    smt_pressure = cfg.smt_pressure;
-    stacks = cfg.stacks;
-  }
-
 let make_machine cfg engine ~page_cache_hint =
   Machine.create ?page_cache_bytes:page_cache_hint ?cores:cfg.cores engine cfg.platform
 
-let measure_alone cfg mcfg ~page_cache_hint ~seed hosted =
+(* [f] on a scratch machine of its own: a fresh engine, the config's
+   platform and core count, and a page cache of [page_cache_hint] bytes or
+   the platform default. The machine is released afterwards. *)
+let on_scratch_machine cfg ~page_cache_hint f =
   let machine = make_machine cfg (Ditto_sim.Engine.create ()) ~page_cache_hint in
-  let r = Measure.run ~config:mcfg ~machine ~seed ~requests:cfg.requests hosted in
+  let r = f machine in
   Machine.release machine;
   r
 
@@ -80,12 +74,12 @@ let measure_memo_stats () = { Memo.hits = 0 }
    wide graphs take the sharded path. *)
 let measure_shard_tiers = 32
 
-let run_inner cfg ~load (app : Spec.t) =
+(* A run's measurement phase on [machine]: every tier in spec order at its
+   own layout space, with the housekeeping idle gap of the tiers' mean
+   worker count at [qps]. *)
+let measure_on cfg ~qps machine (app : Spec.t) =
   let tiers = app.Spec.tiers in
   let ntiers = List.length tiers in
-  let engine = Ditto_sim.Engine.create () in
-  let page_cache_hint = app.Spec.page_cache_hint in
-  let machine = make_machine cfg engine ~page_cache_hint in
   let hosted =
     List.mapi
       (fun i (t : Spec.tier) ->
@@ -100,38 +94,59 @@ let run_inner cfg ~load (app : Spec.t) =
     in
     max 1 (total / ntiers)
   in
-  let mcfg = measure_config cfg ~qps:load.Service.qps ~avg_workers in
+  let mcfg =
+    {
+      Measure.idle_per_request = estimate_idle_per_request ~qps ~workers:avg_workers;
+      stressor = cfg.stressor;
+      stressor_placement = cfg.stressor_placement;
+      smt_pressure = cfg.smt_pressure;
+      stacks = cfg.stacks;
+    }
+  in
+  (if ntiers <= measure_shard_tiers then
+     Measure.run ~config:mcfg ~machine ~seed:cfg.seed ~requests:cfg.requests hosted
+   else begin
+     (* Wide graphs: shard the tiers into fixed-size groups and measure
+        them across the Pool's domains, each shard on its own scratch
+        machine (per-domain machine pooling keeps this cheap, and no
+        mutable hardware state crosses domains). Shard boundaries and seeds
+        depend only on the tier list, so results are bit-identical at any
+        pool size. *)
+     let shards = ref [] and cur = ref [] and k = ref 0 and si = ref 0 in
+     List.iter
+       (fun t ->
+         cur := t :: !cur;
+         incr k;
+         if !k = measure_shard_tiers then begin
+           shards := (!si, List.rev !cur) :: !shards;
+           incr si;
+           cur := [];
+           k := 0
+         end)
+       hosted;
+     if !cur <> [] then shards := (!si, List.rev !cur) :: !shards;
+     Ditto_util.Pool.map (Ditto_util.Pool.default ())
+       (fun (si, shard) ->
+         on_scratch_machine cfg ~page_cache_hint:app.Spec.page_cache_hint (fun machine ->
+             Measure.run ~config:mcfg ~machine ~seed:(cfg.seed + (7919 * si))
+               ~requests:cfg.requests shard))
+       (List.rev !shards)
+     |> List.concat
+   end)
+  |> List.map (fun (r : Measure.tier_result) -> (r.Measure.tier.Spec.tier_name, r))
+
+let measure cfg ~qps (app : Spec.t) =
+  on_scratch_machine cfg ~page_cache_hint:app.Spec.page_cache_hint (fun machine ->
+      measure_on cfg ~qps machine app)
+
+let run_inner cfg ~load (app : Spec.t) =
+  let tiers = app.Spec.tiers in
+  let ntiers = List.length tiers in
+  let engine = Ditto_sim.Engine.create () in
+  let machine = make_machine cfg engine ~page_cache_hint:app.Spec.page_cache_hint in
   let measured =
     Ditto_obs.Obs.Span.with_span ~name:"runner.measure" (fun () ->
-        (if ntiers <= measure_shard_tiers then
-           Measure.run ~config:mcfg ~machine ~seed:cfg.seed ~requests:cfg.requests hosted
-         else begin
-           (* Wide graphs: shard the tiers into fixed-size groups and
-              measure them across the Pool's domains, each shard on its own
-              scratch machine (per-domain machine pooling keeps this cheap,
-              and no mutable hardware state crosses domains). Shard
-              boundaries and seeds depend only on the tier list, so results
-              are bit-identical at any pool size. *)
-           let shards = ref [] and cur = ref [] and k = ref 0 and si = ref 0 in
-           List.iter
-             (fun t ->
-               cur := t :: !cur;
-               incr k;
-               if !k = measure_shard_tiers then begin
-                 shards := (!si, List.rev !cur) :: !shards;
-                 incr si;
-                 cur := [];
-                 k := 0
-               end)
-             hosted;
-           if !cur <> [] then shards := (!si, List.rev !cur) :: !shards;
-           Ditto_util.Pool.map (Ditto_util.Pool.default ())
-             (fun (si, shard) ->
-               measure_alone cfg mcfg ~page_cache_hint ~seed:(cfg.seed + (7919 * si)) shard)
-             (List.rev !shards)
-           |> List.concat
-         end)
-        |> List.map (fun (r : Measure.tier_result) -> (r.Measure.tier.Spec.tier_name, r)))
+        measure_on cfg ~qps:load.Service.qps machine app)
   in
   let measured_tbl : (string, Measure.tier_result) Hashtbl.t = Hashtbl.create (2 * ntiers) in
   List.iter (fun (name, r) -> Hashtbl.replace measured_tbl name r) measured;

@@ -26,8 +26,9 @@ type config = {
       (** sample request span trees ({!Service.result.reqtrace}) *)
   stacks : bool;
       (** attribute each tier's on-CPU time to its stacks
-          ({!Measure.tier_result.stacks}); forwarded to {!Measure} by
-          {!measure_config}, so wide-graph shards keep their own tables *)
+          ({!Measure.tier_result.stacks}); forwarded to every
+          {!Measure.run} of the measurement phase, so wide-graph shards
+          keep their own tables *)
 }
 
 val config :
@@ -54,6 +55,16 @@ type output = {
 }
 
 val run : config -> load:Service.load -> Spec.t -> output
+(** The measurement phase ({!measure}, on the run's own machine), then the
+    service phase on the same machine, serving [load]. *)
+
+val measure : config -> qps:float -> Spec.t -> (string * Measure.tier_result) list
+(** A run's measurement phase alone, on a scratch machine released
+    afterwards: every tier measured in spec order, with the kernel
+    housekeeping gap of a run at [qps]. It equals [(run cfg ~load
+    app).measured] for any [load] at [qps], and opens no span. Above 32
+    tiers the tiers are measured in shards across the default pool's
+    domains, each on a scratch machine of its own. *)
 
 val tier_metrics : output -> string -> Metrics.t
 (** Raises [Invalid_argument] for unknown tier names, naming the tier and
@@ -62,27 +73,6 @@ val tier_metrics : output -> string -> Metrics.t
 val estimate_idle_per_request : qps:float -> workers:int -> float
 (** The mean per-worker idle gap used to scale kernel housekeeping
     pollution (exposed for tests). *)
-
-val measure_config : config -> qps:float -> avg_workers:int -> Measure.config
-(** The measurement-phase config a run at [qps] uses, for tiers averaging
-    [avg_workers] workers: the housekeeping idle gap at that load plus the
-    config's stressor settings and [stacks] switch. {!run} builds its
-    measurement from this, and so does the tuner's single-tier calibration
-    path, which measures through {!measure_alone}. *)
-
-val measure_alone :
-  config ->
-  Measure.config ->
-  page_cache_hint:int option ->
-  seed:int ->
-  (Spec.tier * Layout.space) list ->
-  Measure.tier_result list
-(** Measure [hosted] on a scratch machine of its own (a fresh engine, the
-    config's platform and core count, a page cache of [page_cache_hint]
-    bytes or the platform default), released afterwards. {!run}'s
-    wide-graph shards and the tuner's isolated path both measure this
-    way, so an isolated tier sees exactly what a one-tier run's
-    measurement sees. *)
 
 val measure_memo_stats : unit -> Ditto_uarch.Memo.stats
 (** Always [{ hits = 0 }]: the runner caches no measurement, and every

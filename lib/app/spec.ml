@@ -158,8 +158,6 @@ let with_resilience res t =
 let with_autoscale pol t =
   { t with tiers = List.map (fun tier -> { tier with autoscale = Some pol }) t.tiers }
 
-let has_autoscale t = List.exists (fun tier -> tier.autoscale <> None) t.tiers
-
 let find_tier t name =
   match List.find_opt (fun tier -> tier.tier_name = name) t.tiers with
   | Some tier -> tier

@@ -170,8 +170,6 @@ val with_autoscale : autoscale -> t -> t
 (** Deployment-level overlay: the same scaling policy on every tier, so
     original and clone scale out under identical rules. *)
 
-val has_autoscale : t -> bool
-
 val find_tier : t -> string -> tier
 val is_microservice : t -> bool
 

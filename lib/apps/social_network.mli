@@ -21,6 +21,3 @@ val workload : Ditto_loadgen.Workload.t
 val loads : float * float * float
 val fig6_qps : float list
 (** The Fig. 6 sweep: 200..2000 QPS. *)
-
-val graph_users : int
-val graph_edges : int

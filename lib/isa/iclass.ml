@@ -80,11 +80,3 @@ let is_control = function
       false
 
 type operand_kind = Op_gpr | Op_x87 | Op_xmm | Op_mem | Op_imm | Op_none
-
-let operand_kind_to_string = function
-  | Op_gpr -> "gpr"
-  | Op_x87 -> "x87"
-  | Op_xmm -> "xmm"
-  | Op_mem -> "mem"
-  | Op_imm -> "imm"
-  | Op_none -> "none"

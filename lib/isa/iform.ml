@@ -157,7 +157,3 @@ let filter_class pred = Array.to_list catalog |> List.filter (fun f -> pred f.kl
 let loads = filter_class (fun k -> k = Load)
 let stores = filter_class (fun k -> k = Store)
 let branches = filter_class Iclass.is_branch
-
-let simple_int =
-  Array.to_list catalog
-  |> List.filter (fun f -> f.klass = Int_alu && f.mem_width = 0 && f.uops = 1)

@@ -60,5 +60,3 @@ val feature_distance : t -> t -> float
 val loads : t list
 val stores : t list
 val branches : t list
-val simple_int : t list
-(** Plain GPR ALU iforms with no memory operand. *)

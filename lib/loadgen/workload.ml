@@ -28,5 +28,4 @@ module Keys = struct
     idx * t.record_bytes
 
   let record_bytes t = t.record_bytes
-  let total_bytes t = t.records * t.record_bytes
 end

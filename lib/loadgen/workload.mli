@@ -45,5 +45,4 @@ module Keys : sig
   (** Byte offset of a sampled record within the dataset. *)
 
   val record_bytes : space -> int
-  val total_bytes : space -> int
 end

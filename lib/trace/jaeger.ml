@@ -7,7 +7,10 @@ let id_of_hex s =
   in
   if s = "" || String.length s > 16 || not (String.for_all is_hex s) then
     raise (J.Parse_error (Printf.sprintf "bad span id %S" s));
-  int_of_string ("0x" ^ s)
+  (* An OCaml int holds 63 bits, so half of all 64-bit ids do not fit. *)
+  match int_of_string_opt ("0x" ^ s) with
+  | Some id -> id
+  | None -> raise (J.Parse_error (Printf.sprintf "span id %S exceeds 63 bits" s))
 
 let tag_int tags key =
   let rec go = function

@@ -17,7 +17,8 @@ exception Ingest_error of { span_id : string; reason : string }
 val of_json : Ditto_util.Jsonx.t -> Span.t list
 val of_string : string -> Span.t list
 (** Raise {!Ditto_util.Jsonx.Parse_error} on malformed input (bad JSON,
-    missing fields, non-hex ids) and {!Ingest_error} on well-formed JSON
+    missing fields, non-hex ids, span or trace ids past 63 bits) and
+    {!Ingest_error} on well-formed JSON
     carrying broken span content. The returned spans are guaranteed
     cycle-free, so {!Dag.of_spans} terminates on them. *)
 

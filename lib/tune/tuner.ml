@@ -166,15 +166,14 @@ let adjust (p : Params.t) ~(orig : Counters.t) ~(synth : Counters.t) ~orig_reque
     chase_scale = clamp 0.0 4.0 (p.Params.chase_scale *. damp ~k:0.7 cpi_ratio);
   }
 
-(* One evaluated knob assignment: the per-tier calibration measurements
-   and the derived error terms. Candidates are evaluated on pool domains,
-   so everything here is built inside the evaluation — no mutable state is
-   shared between concurrent evaluations. [e_synth] is only populated on
-   the whole-app path; the isolated path regenerates the winning spec
-   once at the end. *)
+(* One evaluated knob assignment: the generated app, its per-tier
+   calibration measurements and the derived error terms. Candidates are
+   evaluated on pool domains, so everything here is built inside the
+   evaluation — no mutable state is shared between concurrent
+   evaluations. *)
 type evaluation = {
   e_params : (string * Params.t) list;
-  e_synth : Spec.t option;
+  e_synth : Spec.t;
   e_measured : (string * Measure.tier_result) list;
   e_errors : (string * float) list;
   e_worst : float;
@@ -210,55 +209,10 @@ let tune ?(max_iterations = 10) ?(seed = 1009) ?pool ~config ~load ~reference
     ~attrs:[ ("speculation", Obs.Int speculation); ("seed", Obs.Int seed) ]
   @@ fun () ->
   let pool = match pool with Some p -> p | None -> Ditto_util.Pool.default () in
-  (* Counter calibration only needs a short run. *)
-  let tune_load = { load with Service.duration = Float.min load.Service.duration 0.4 } in
   let tiers = profile.P.Tier_profile.tiers in
-  let ntiers = List.length tiers in
-  (* Isolated calibration: a single-tier app's only tier is generated and
-     measured alone through [Runner.measure_alone], with no service/DES
-     phase, which tuning never reads. Multi-tier apps and stressor configs
-     take the whole-app evaluation instead: a Runner run hosts every tier
-     on one machine and measures them together, and that run is the only
-     one that sees the cross-tier cache/TLB/page-cache contention being
-     modelled. *)
-  let isolated = ntiers = 1 && config.Runner.stressor = None in
-  (* Calibration targets: for a single-tier app the reference's own
-     measurement already is the one-hosted-tier run the isolated path
-     replays, bit-identically; the whole-app path compares against it
-     directly. *)
-  let orig_targets = reference.Runner.measured in
-  let orig_measured name = List.assoc name orig_targets in
-  let synth_mcfg =
-    lazy
-      (let total =
-         List.fold_left
-           (fun a (tp : P.Tier_profile.t) ->
-             a + tp.P.Tier_profile.skeleton.P.Skeleton.worker_threads)
-           0 tiers
-       in
-       Runner.measure_config config ~qps:tune_load.Service.qps
-         ~avg_workers:(max 1 (total / ntiers)))
-  in
-  let measure_synth_tier i (tp : P.Tier_profile.t) (p : Params.t) =
-    let name = tp.P.Tier_profile.tier_name in
-    let space =
-      Layout.space ~tier_index:i ~heap_bytes:tp.P.Tier_profile.heap_bytes
-        ~shared_bytes:tp.P.Tier_profile.shared_bytes
-    in
-    let downstream =
-      match profile.P.Tier_profile.dag with
-      | None -> []
-      | Some dag -> Ditto_trace.Dag.downstreams dag name
-    in
-    let tier =
-      Ditto_gen.Clone.synth_tier ~params:p ~seed:(seed + (17 * i)) ~profile:tp ~space
-        ~downstream ()
-    in
-    List.hd
-      (Runner.measure_alone config (Lazy.force synth_mcfg)
-         ~page_cache_hint:profile.P.Tier_profile.page_cache_hint ~seed:config.Runner.seed
-         [ (tier, space) ])
-  in
+  (* Calibration targets: the reference run's measurement phase, which
+     [Runner.measure] repeats for each candidate under the same config. *)
+  let orig_measured name = List.assoc name reference.Runner.measured in
   let errors_of measured =
     List.concat_map
       (fun (tp : P.Tier_profile.t) ->
@@ -270,39 +224,24 @@ let tune ?(max_iterations = 10) ?(seed = 1009) ?pool ~config ~load ~reference
         |> List.map (fun (metric, e) -> (name ^ "/" ^ metric, e)))
       tiers
   in
-  let evaluation_of ~synth ~measured params =
+  (* Counter calibration reads no serving-phase result, so a candidate is
+     generated whole and only measured: every tier on one machine, which
+     is what sees the cross-tier cache/TLB/page-cache contention being
+     modelled. *)
+  let evaluate params =
+    Obs.Span.with_span ~name:"tune.evaluate" @@ fun () ->
+    let param_fn name = Option.value ~default:Params.default (List.assoc_opt name params) in
+    let synth = Ditto_gen.Clone.synth_app ~params:param_fn ~seed profile in
+    let measured = Runner.measure config ~qps:load.Service.qps synth in
     let errors = errors_of measured in
-    let worst = List.fold_left (fun acc (_, e) -> Float.max acc e) 0.0 errors in
     {
       e_params = params;
       e_synth = synth;
       e_measured = measured;
       e_errors = errors;
-      e_worst = worst;
+      e_worst = List.fold_left (fun acc (_, e) -> Float.max acc e) 0.0 errors;
       e_objective = objective_of errors;
     }
-  in
-  let evaluate params =
-    Obs.Span.with_span ~name:"tune.evaluate" @@ fun () ->
-    if isolated then begin
-      let measured =
-        List.mapi
-          (fun i (tp : P.Tier_profile.t) ->
-            let name = tp.P.Tier_profile.tier_name in
-            let p = Option.value ~default:Params.default (List.assoc_opt name params) in
-            (name, measure_synth_tier i tp p))
-          tiers
-      in
-      evaluation_of ~synth:None ~measured params
-    end
-    else begin
-      let param_fn name =
-        Option.value ~default:Params.default (List.assoc_opt name params)
-      in
-      let synth = Ditto_gen.Clone.synth_app ~params:param_fn ~seed profile in
-      let out = Runner.run config ~load:tune_load synth in
-      evaluation_of ~synth:(Some synth) ~measured:out.Runner.measured params
-    end
   in
   let adjust_all (ev : evaluation) =
     List.map
@@ -401,20 +340,7 @@ let tune ?(max_iterations = 10) ?(seed = 1009) ?pool ~config ~load ~reference
     Obs.Span.add_attr "iterations" (Obs.Int (List.length !iterations));
     Obs.Span.add_attr "final_worst_error" (Obs.Float final.e_worst)
   end;
-  (* The isolated path never generated whole apps during the search; build
-     the winning spec once from the final knob vector (generation is a
-     pure function of (params, seed, profile), so this equals what the
-     whole-app path would have carried through the search). *)
-  let final_synth =
-    match final.e_synth with
-    | Some s -> s
-    | None ->
-        let param_fn name =
-          Option.value ~default:Params.default (List.assoc_opt name final.e_params)
-        in
-        Ditto_gen.Clone.synth_app ~params:param_fn ~seed profile
-  in
-  ( final_synth,
+  ( final.e_synth,
     {
       iterations = List.rev !iterations;
       converged = !converged;

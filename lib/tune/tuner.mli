@@ -1,15 +1,16 @@
 (** Fine tuning (§4.5): feedback calibration of generator knobs.
 
-    Runs the synthetic application, compares PMU-style counters against the
-    original, and adjusts grouped knobs with a linear feedback heuristic —
+    Measures the synthetic application, compares PMU-style counters against
+    the original, and adjusts grouped knobs with a linear feedback heuristic —
     frontend knobs (i-footprint, branch bins) against L1i/branch misses,
     data knobs (working-set scale) against L1d/L2/LLC misses, and the work
     knob (instruction scale) against per-request instruction counts.
     Typically converges within ten iterations to >95% accuracy.
 
     Tuning is {e speculative}: each iteration evaluates the damped
-    adjustment plus [speculation] jittered knob vectors — independent runs
-    dispatched on a {!Ditto_util.Pool} — and keeps the best objective. The
+    adjustment plus [speculation] jittered knob vectors — independent
+    measurements dispatched on a {!Ditto_util.Pool} — and keeps the best
+    objective. The
     candidate set is derived from the seed alone, so the search trajectory
     (and the returned clone) is bit-identical whatever the pool size. *)
 
@@ -46,14 +47,16 @@ val tune :
   unit ->
   Ditto_app.Spec.t * report
 (** [reference] is the original's run at the profiling load. Returns the
-    calibrated synthetic spec and the tuning report. Tuning runs use a
-    shortened load duration — calibration needs counters, not tails.
+    calibrated synthetic spec and the tuning report. Each candidate is
+    generated whole and measured by {!Ditto_app.Runner.measure} under
+    [config]: only the measurement phase runs, since calibration reads
+    counters, not tails, and [load] supplies the qps.
 
     Each iteration evaluates K = 2 perturbed knob vectors alongside the
     damped adjustment (the report's [speculation]), and tuning stops once
     the worst counter error is within 5%. [pool] (default
-    {!Ditto_util.Pool.default}) supplies the domains the K+1 candidate runs
-    execute on. *)
+    {!Ditto_util.Pool.default}) supplies the domains the K+1 candidate
+    measurements execute on. *)
 
 val counter_errors :
   original:Ditto_uarch.Counters.t ->

@@ -147,8 +147,6 @@ let ipc t = if t.s.cycles = 0.0 then 0.0 else float_of_int t.insts /. t.s.cycles
 let cpi t = if t.insts = 0 then 0.0 else t.s.cycles /. float_of_int t.insts
 let branch_mpki t = if t.insts = 0 then 0.0 else 1000.0 *. ratio t.mispredicts t.insts
 let branch_miss_rate t = ratio t.mispredicts t.branches
-let itlb_mpki t = if t.insts = 0 then 0.0 else 1000.0 *. ratio t.itlb_misses t.insts
-let dtlb_mpki t = if t.insts = 0 then 0.0 else 1000.0 *. ratio t.dtlb_misses t.insts
 let l1i_miss_rate t = ratio t.l1i_misses t.l1i_accesses
 let l1d_miss_rate t = ratio t.l1d_misses t.l1d_accesses
 let l2_miss_rate t = ratio t.l2_misses t.l2_accesses

@@ -57,8 +57,6 @@ val ipc : t -> float
 val cpi : t -> float
 val branch_mpki : t -> float
 val branch_miss_rate : t -> float
-val itlb_mpki : t -> float
-val dtlb_mpki : t -> float
 val l1i_miss_rate : t -> float
 val l1d_miss_rate : t -> float
 val l2_miss_rate : t -> float

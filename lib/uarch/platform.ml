@@ -139,8 +139,6 @@ let with_frequency p freq =
     lat_mem = max 1 (int_of_float (Float.round (float_of_int p.lat_mem *. ratio)));
   }
 
-let with_cores p cores = { p with cores }
-
 let disk_to_string = function Ssd -> "SSD" | Hdd -> "HDD"
 
 let table1_rows =

@@ -58,7 +58,5 @@ val with_frequency : t -> float -> t
 (** Frequency-scaled copy (memory latency in cycles rescales so absolute
     DRAM time is invariant), used by the Fig. 11 power-management sweep. *)
 
-val with_cores : t -> int -> t
-
 val table1_rows : string list list
 (** Rows for re-printing Table 1. *)

@@ -15,9 +15,6 @@ let bindings t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let to_discrete t =
-  Dist.discrete (List.map (fun (k, c) -> (k, float_of_int c)) (bindings t))
-
 let merge a b =
   let out = create () in
   List.iter (fun (k, c) -> add ~count:c out k) (bindings a);

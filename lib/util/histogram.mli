@@ -13,10 +13,6 @@ val total : t -> int
 val bindings : t -> (int * int) list
 (** Sorted by key ascending. *)
 
-val to_discrete : t -> int Dist.discrete
-(** Weighted discrete distribution over observed keys.
-    Raises [Invalid_argument] if the histogram is empty. *)
-
 val merge : t -> t -> t
 (** Pointwise sum of two histograms. *)
 

@@ -9,10 +9,6 @@ type summary = {
   p99 : float;
 }
 
-let pp_summary fmt s =
-  Format.fprintf fmt "n=%d mean=%.4g std=%.4g p50=%.4g p95=%.4g p99=%.4g" s.count
-    s.mean s.std s.p50 s.p95 s.p99
-
 type t = {
   mutable data : float array;
   mutable len : int;

@@ -11,8 +11,6 @@ type summary = {
   p99 : float;
 }
 
-val pp_summary : Format.formatter -> summary -> unit
-
 type t
 (** A sample accumulator that retains all observations (growable buffer),
     suitable for percentile computation on simulation-scale sample counts. *)

@@ -710,6 +710,82 @@ let test_golden_generation () =
       ("mongodb", "2e737988701e6737560525b15b0438b2");
     ]
 
+(* [f ()] on a domain of its own. The kernel-path memo and the machine
+   pool are per domain, and a run depends on what its domain measured
+   before (ROADMAP item 1): runs made here move no later test's digest,
+   and their results hold whichever tests ran first. *)
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
+(* {2 The measurement phase alone}
+
+   [Runner.measure] is [Runner.run]'s measurement phase without the
+   service phase, and the tuner and [ditto_cli profile] read nothing else.
+   Every measured field but the tier spec (it holds closures) must match:
+   on redis, on mongodb (a background thread and a 1 GB page-cache hint),
+   on hotel_reservation's eleven tiers and on a 40-tier graph, which takes
+   the sharded path. *)
+let test_measure_is_run_measurement () =
+  let graph =
+    (Ditto_gen.Topology.generate (Ditto_gen.Topology.default ~tiers:40 ())).Ditto_gen.Topology.spec
+  in
+  let cfg = Runner.config ~requests:12 ~stacks:true Platform.a in
+  let parts =
+    List.map (fun (name, (r : Measure.tier_result)) ->
+        ( name,
+          r.Measure.traces,
+          r.Measure.background_trace,
+          r.Measure.stacks,
+          r.Measure.counters,
+          r.Measure.requests_measured ))
+  in
+  on_fresh_domain (fun () ->
+      List.map
+        (fun (what, (spec, load)) ->
+          let run = (Runner.run cfg ~load spec).Runner.measured in
+          (what, parts run = parts (Runner.measure cfg ~qps:load.Service.qps spec)))
+        [
+          ("redis", des_medium "redis" ~duration:0.05);
+          ("mongodb", des_medium "mongodb" ~duration:0.05);
+          ("hotel_reservation", des_medium "hotel_reservation" ~duration:0.05);
+          ("synth-40", (graph, Service.load ~qps:500.0 ~duration:0.05 ()));
+        ])
+  |> List.iter (fun (what, equal) -> Alcotest.(check bool) (what ^ " measurement") true equal)
+
+(* {2 Tuning trajectories}
+
+   A tuned clone's whole search, as [Tuner.report_to_json] prints it: each
+   iteration's errors, objective, winner and knob vector. redis has one
+   tier and the graph four, so a change to how a candidate of either is
+   generated or measured, or a moved draw in the candidate set, moves a
+   digest. Each clone runs on a fresh domain, since a tuned graph's
+   trajectory depends on what its domain measured before. *)
+let tuning_digest spec load =
+  on_fresh_domain @@ fun () ->
+  let pool = Pool.create ~size:1 () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  let r =
+    Ditto_core.Pipeline.clone ~pool ~requests:30 ~profile_requests:30 ~platform:Platform.a ~load
+      spec
+  in
+  match r.Ditto_core.Pipeline.tuning with
+  | None -> Alcotest.fail "no tuning report"
+  | Some report ->
+      Digest.to_hex
+        (Digest.string (Ditto_util.Jsonx.to_string (Ditto_tune.Tuner.report_to_json report)))
+
+let test_golden_tuning () =
+  let redis_spec, redis_load = des_medium "redis" ~duration:0.15 in
+  let graph =
+    (Ditto_gen.Topology.generate (Ditto_gen.Topology.default ~tiers:4 ())).Ditto_gen.Topology.spec
+  in
+  List.iter
+    (fun (what, expected, spec, load) ->
+      Alcotest.(check string) (what ^ " tuning digest") expected (tuning_digest spec load))
+    [
+      ("redis", "33e05c88954eb149d1962f060cfe50e0", redis_spec, redis_load);
+      ("synth-4", "bf2af2d178361e3c318902682b6b056a", graph, Service.load ~qps:2000.0 ~duration:0.15 ());
+    ]
+
 (* {1 Allocation per engine event}
 
    The queue itself allocates nothing per event: slots, flat heap keys and
@@ -837,6 +913,7 @@ let () =
           Alcotest.test_case "warm rerun bit-identical" `Slow test_warm_rerun_identical;
           Alcotest.test_case "clone reference == validation" `Slow
             test_clone_reference_is_validation;
+          Alcotest.test_case "measure == run's measurement" `Slow test_measure_is_run_measurement;
         ] );
       ( "alloc",
         [
@@ -858,6 +935,7 @@ let () =
           Alcotest.test_case "registry profiles" `Slow test_golden_profiles;
           Alcotest.test_case "generated blocks" `Slow test_golden_generation;
           Alcotest.test_case "folded stacks" `Slow test_golden_folded;
+          Alcotest.test_case "tuning trajectories" `Slow test_golden_tuning;
         ] );
       ( "stacks",
         [ Alcotest.test_case "stacks leave the run unchanged" `Slow test_stacks_invariance ] );

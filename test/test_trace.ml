@@ -142,6 +142,26 @@ let test_jaeger_long_chain_ok () =
   in
   Alcotest.(check int) "all ingested" (n + 1) (List.length (Jaeger.of_string (jaeger_doc spans)))
 
+(* Ids are 64-bit hex in Jaeger but an OCaml int holds 63 bits: an id past
+   that is bad input, never an uncaught [Failure]. *)
+let test_jaeger_wide_span_id () =
+  match Jaeger.of_string (jaeger_doc [ jaeger_span ~id:"8000000000000000" () ]) with
+  | _ -> Alcotest.fail "64-bit span id accepted"
+  | exception Ditto_util.Jsonx.Parse_error _ -> ()
+
+let test_jaeger_wide_parent () =
+  check_ingest_error ~expect_span:"a"
+    (jaeger_doc [ jaeger_span ~id:"a" ~parent:"ffffffffffffffff" () ])
+
+let test_jaeger_max_span_id () =
+  let spans =
+    Jaeger.of_string
+      (jaeger_doc
+         [ jaeger_span ~id:"7fffffffffffffff" (); jaeger_span ~id:"b" ~parent:"7fffffffffffffff" () ])
+  in
+  Alcotest.(check int) "both spans" 2 (List.length spans);
+  Alcotest.(check bool) "round trip" true (Jaeger.of_string (Jaeger.to_string spans) = spans)
+
 (* {1 Collector over a real measured microservice} *)
 
 let collect_social () =
@@ -211,6 +231,9 @@ let () =
           Alcotest.test_case "malformed parent ref" `Quick test_jaeger_malformed_parent;
           Alcotest.test_case "negative duration" `Quick test_jaeger_negative_duration;
           Alcotest.test_case "long acyclic chain" `Quick test_jaeger_long_chain_ok;
+          Alcotest.test_case "span id past 63 bits" `Quick test_jaeger_wide_span_id;
+          Alcotest.test_case "parent ref past 63 bits" `Quick test_jaeger_wide_parent;
+          Alcotest.test_case "largest span id round-trips" `Quick test_jaeger_max_span_id;
         ] );
       ( "collector",
         [
